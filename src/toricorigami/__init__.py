@@ -69,7 +69,6 @@ from .cohomology import (
     ht_poincare,
 )
 from .document import document_from_template, load_template, parse_template
-from ._latticescan import lattice_backend
 from .render import render_svg
 
 __version__ = "0.1.0"

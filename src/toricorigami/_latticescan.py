@@ -1,156 +1,54 @@
 """Integer lattice scan over a box against scaled halfspace inequalities.
 
-This is the one hot numeric loop of the package: test every integer point x
-of a box against ``A x <= b`` where A and b are integers (halfspace data with
-denominators cleared).  Three backends produce identical output:
+Lists every integer point x of a box with ``A x <= b``, where A and b are
+integers (halfspace data with denominators cleared).  The scan fixes the
+coordinates one at a time.  Each row bounds the next coordinate by exact
+integer floor division, taking the coordinates still free at the box corner
+that makes the row smallest, so no branch is entered that the row rules out
+whatever the free coordinates are.  At the last coordinate no coordinate is
+free and the interval is exact: only output points are built.
 
-* ``numba``  - @njit compiled odometer loop (default when numba imports),
-* ``numpy``  - vectorized int64 evaluation over the full box,
-* ``python`` - pure-Python loop on arbitrary-precision integers.
-
-Select with the ``TORICORIGAMI_LATTICE_BACKEND`` environment variable
-(``numba``, ``numpy``, ``python`` or ``auto``).  The compiled backends work
-on int64; when the worst-case accumulator could overflow int64 the scan
-silently falls back to the pure-Python backend, so results are exact in
-every configuration.
+All arithmetic is on Python integers, so the scan is exact for coefficients
+of any size, and its memory is proportional to the output.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import itertools
-import os
 
-import numpy as np
-
-_ENV_VAR = "TORICORIGAMI_LATTICE_BACKEND"
-_INT64_SAFE = 2 ** 62
-
-_numba_scan = None
-_numba_error = None
-
-
-def _requested() -> str:
-    mode = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if mode not in ("auto", "numba", "numpy", "python"):
-        raise ValueError(
-            f"{_ENV_VAR} must be auto, numba, numpy or python, not {mode!r}"
-        )
-    return mode
-
-
-def lattice_backend() -> str:
-    """The backend that scan_box will use (before overflow fallback)."""
-    mode = _requested()
-    if mode != "auto":
-        return mode
-    return "numba" if importlib.util.find_spec("numba") else "numpy"
-
-
-def _fits_int64(rows, rhs, lo, hi) -> bool:
-    for row, c in zip(rows, rhs):
-        bound = sum(abs(a) * max(abs(l), abs(h)) for a, l, h in zip(row, lo, hi))
-        if bound >= _INT64_SAFE or abs(c) >= _INT64_SAFE:
-            return False
-    return True
-
-
-def _scan_python(rows, rhs, lo, hi):
-    out = []
-    ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
-    for x in itertools.product(*ranges):
-        if all(
-            sum(a * c for a, c in zip(row, x)) <= b
-            for row, b in zip(rows, rhs)
-        ):
-            out.append(x)
-    return out
-
-
-def _scan_numpy(rows, rhs, lo, hi):
-    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    A = np.array(rows, dtype=np.int64)
-    b = np.array(rhs, dtype=np.int64)
-    mask = (pts @ A.T <= b).all(axis=1)
-    return [tuple(row) for row in pts[mask].tolist()]
-
-
-def _get_numba_scan():
-    global _numba_scan, _numba_error
-    if _numba_scan is not None or _numba_error is not None:
-        return _numba_scan
-    try:
-        from numba import njit
-    except ImportError as exc:  # pragma: no cover - depends on environment
-        _numba_error = exc
-        return None
-
-    @njit(cache=True)
-    def _count_and_fill(A, b, lo, hi, out):
-        n = lo.shape[0]
-        m = A.shape[0]
-        x = lo.copy()
-        count = 0
-        while True:
-            ok = True
-            for i in range(m):
-                s = 0
-                for j in range(n):
-                    s += A[i, j] * x[j]
-                if s > b[i]:
-                    ok = False
-                    break
-            if ok:
-                if out.shape[0] > count:
-                    for j in range(n):
-                        out[count, j] = x[j]
-                count += 1
-            k = n - 1
-            while k >= 0:
-                x[k] += 1
-                if x[k] <= hi[k]:
-                    break
-                x[k] = lo[k]
-                k -= 1
-            if k < 0:
-                break
-        return count
-
-    def scan(rows, rhs, lo, hi):
-        A = np.array(rows, dtype=np.int64)
-        b = np.array(rhs, dtype=np.int64)
-        lo_a = np.array(lo, dtype=np.int64)
-        hi_a = np.array(hi, dtype=np.int64)
-        empty = np.empty((0, lo_a.shape[0]), dtype=np.int64)
-        count = _count_and_fill(A, b, lo_a, hi_a, empty)
-        out = np.empty((count, lo_a.shape[0]), dtype=np.int64)
-        _count_and_fill(A, b, lo_a, hi_a, out)
-        return [tuple(row) for row in out.tolist()]
-
-    _numba_scan = scan
-    return _numba_scan
-
-
-def scan_box(rows, rhs, lo, hi, backend: str | None = None):
+def scan_box(rows, rhs, lo, hi):
     """Integer points x with lo <= x <= hi and rows . x <= rhs, lex order."""
     rows = [tuple(int(a) for a in r) for r in rows]
     rhs = [int(c) for c in rhs]
     lo = tuple(int(c) for c in lo)
     hi = tuple(int(c) for c in hi)
+    n = len(lo)
     if any(l > h for l, h in zip(lo, hi)):
         return []
-    mode = backend or lattice_backend()
-    if mode in ("numba", "numpy") and not _fits_int64(rows, rhs, lo, hi):
-        mode = "python"
-    if mode == "numba":
-        scan = _get_numba_scan()
-        if scan is None:
-            if backend == "numba" or _requested() == "numba":
-                raise RuntimeError(f"numba backend requested but unavailable: {_numba_error}")
-            scan = _scan_numpy
-        return scan(rows, rhs, lo, hi)
-    if mode == "numpy":
-        return _scan_numpy(rows, rhs, lo, hi)
-    return _scan_python(rows, rhs, lo, hi)
+    cols = [[r[k] for r in rows] for k in range(n)]
+    # tail[k][i]: the least that coordinates k.. contribute to row i in the box
+    tail = [[0] * len(rows)] * (n + 1)
+    for k in reversed(range(n)):
+        tail[k] = [
+            t + min(a * lo[k], a * hi[k]) for t, a in zip(tail[k + 1], cols[k])
+        ]
+    out = []
+
+    def fix(k, prefix, slack):
+        # slack[i]: rhs[i] minus row i at the coordinates fixed so far
+        first, last = lo[k], hi[k]
+        for a, s, t in zip(cols[k], slack, tail[k + 1]):
+            s -= t
+            if a > 0:
+                last = min(last, s // a)
+            elif a < 0:
+                first = max(first, -(s // -a))
+            elif s < 0:
+                return
+        if k == n - 1:
+            out.extend(prefix + (x,) for x in range(first, last + 1))
+            return
+        for x in range(first, last + 1):
+            fix(k + 1, prefix + (x,), [s - a * x for s, a in zip(slack, cols[k])])
+
+    fix(0, (), rhs)
+    return out

@@ -3,8 +3,8 @@
 Reads a JSON template document (path or ``-`` for stdin), runs one
 computation per subcommand and prints a JSON report on stdout.  All numbers
 in reports are exact (rationals as ``p/q`` strings).  Exit codes: 0 success,
-1 usage or parse failure, 2 semantic failure (invalid template, unmet
-precondition, failed identity check).
+1 usage, parse or output-file failure, 2 semantic failure (invalid template,
+unmet precondition, failed identity check).
 """
 
 from __future__ import annotations
@@ -243,7 +243,11 @@ def _cmd_cohomology(args):
 def _cmd_render(args):
     T = _load_valid(args.file)
     svg = render_svg(T, lattice=args.lattice)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    try:
+        Path(args.out).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        error = {"kind": "io", "message": f"{args.out}: {exc}"}
+        return {"error": error}, EXIT_USAGE
     return {"out": args.out, "bytes": len(svg.encode("utf-8"))}, EXIT_OK
 
 

@@ -70,13 +70,6 @@ class _Timer:
         return False
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_lattice_backend():
-    # compile/cache the scan kernel so criterion timings measure the
-    # computation, not the one-off numba compilation
-    square_template().polytopes[0].lattice_points()
-
-
 def test_criterion_1_delzant_validation():
     with _Timer("1 delzant validation", 1.0):
         for P in (trapezoid(2), trapezoid(3), pentagon(), hexagon()):

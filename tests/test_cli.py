@@ -180,6 +180,13 @@ class TestRenderCommand:
         code, report = run(capsys, "render", path, "--out", str(tmp_path / "x.svg"))
         assert code == 2 and report["error"]["kind"] == "DimensionError"
 
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        path = str(GALLERY / "unit_square.json")
+        out = str(tmp_path / "no" / "such" / "dir" / "x.svg")
+        code, report = run(capsys, "render", path, "--out", out)
+        assert code == 1 and report["error"]["kind"] == "io"
+        assert report["error"]["message"].startswith(out)
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, tmp_path):

@@ -1,12 +1,42 @@
-import importlib.util
+import itertools
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factories import half_triangle, hexagon, pentagon, square, trapezoid, triangle
-from toricorigami import _latticescan
+from factories import (
+    bad_triangle,
+    half_triangle,
+    hexagon,
+    pentagon,
+    square,
+    trapezoid,
+    triangle,
+)
+from toricorigami import _latticescan, load_template, make_polytope
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-BACKENDS = ["python", "numpy"] + (["numba"] if HAVE_NUMBA else [])
+ROOT = Path(__file__).resolve().parent.parent
+GALLERY = ROOT / "gallery"
+
+
+def brute_force_scan(rows, rhs, lo, hi):
+    """Oracle: test every point of the box against every row."""
+    out = []
+    ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
+    for x in itertools.product(*ranges):
+        if all(
+            sum(a * c for a, c in zip(row, x)) <= b
+            for row, b in zip(rows, rhs)
+        ):
+            out.append(x)
+    return out
+
 
 CASES = [
     ([(1, 1), (-1, 0), (0, -1)], [6, 0, 0], (0, 0), (6, 6)),
@@ -17,18 +47,31 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+# The ids keep the names of the removed python and numpy backends. Both run
+# the one exact scan: "python" on the system as given, "numpy" on the system
+# with every row and right-hand side scaled by 2**62, past the int64 range
+# where the numpy backend used to fall back to exact arithmetic. Scaling by a
+# positive integer leaves the lattice points unchanged.
+SCALES = {"numpy": 2 ** 62, "python": 1}
+
+
+def _scaled(scale, rows, rhs):
+    return [tuple(scale * a for a in row) for row in rows], [scale * b for b in rhs]
+
+
+@pytest.mark.parametrize("backend", sorted(SCALES))
 @pytest.mark.parametrize("rows,rhs,lo,hi", CASES)
 def test_backends_agree_with_python(backend, rows, rhs, lo, hi):
-    expected = _latticescan._scan_python(rows, rhs, lo, hi)
-    got = _latticescan.scan_box(rows, rhs, lo, hi, backend=backend)
-    assert got == expected
+    srows, srhs = _scaled(SCALES[backend], rows, rhs)
+    got = _latticescan.scan_box(srows, srhs, lo, hi)
+    assert got == brute_force_scan(rows, rhs, lo, hi)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(SCALES))
 def test_lex_order(backend):
     rows, rhs, lo, hi = CASES[0]
-    got = _latticescan.scan_box(rows, rhs, lo, hi, backend=backend)
+    rows, rhs = _scaled(SCALES[backend], rows, rhs)
+    got = _latticescan.scan_box(rows, rhs, lo, hi)
     assert got == sorted(got)
 
 
@@ -36,36 +79,49 @@ def test_empty_box():
     assert _latticescan.scan_box([(1,)], [5], (3,), (2,)) == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(SCALES))
 def test_overflow_falls_back_to_exact(backend):
-    # worst-case accumulator ~ 2**63, beyond int64: must still be exact
+    # row values reach ~2**63 (and ~2**125 scaled), beyond int64
     big = 2 ** 62
-    rows, rhs = [(big, big)], [3 * big]
-    got = _latticescan.scan_box(rows, rhs, (0, 0), (2, 2), backend=backend)
+    rows, rhs = _scaled(SCALES[backend], [(big, big)], [3 * big])
+    got = _latticescan.scan_box(rows, rhs, (0, 0), (2, 2))
     assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
 
 
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv(_latticescan._ENV_VAR, "python")
-    assert _latticescan.lattice_backend() == "python"
-    monkeypatch.setenv(_latticescan._ENV_VAR, "numpy")
-    assert _latticescan.lattice_backend() == "numpy"
-    monkeypatch.setenv(_latticescan._ENV_VAR, "bogus")
-    with pytest.raises(ValueError):
-        _latticescan.lattice_backend()
+@st.composite
+def small_systems(draw):
+    """Boxes of dimension 1..3 around the origin with 0..4 rows.
+
+    Coefficients are drawn small, zero, or near 2**70; right-hand sides are
+    scaled with them so that the systems cut through the box.
+    """
+    n = draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-4, 2)) for _ in range(n))
+    hi = tuple(l + draw(st.integers(-1, 4)) for l in lo)
+    scale = draw(st.sampled_from([1, 2 ** 70]))
+
+    def near_multiple(k):
+        return st.builds(lambda a, e: a * scale + e, st.integers(-k, k),
+                         st.integers(-2, 2))
+
+    coeff = st.one_of(st.just(0), near_multiple(3))
+    m = draw(st.integers(0, 4))
+    rows = [tuple(draw(coeff) for _ in range(n)) for _ in range(m)]
+    rhs = [draw(near_multiple(12)) for _ in range(m)]
+    return rows, rhs, lo, hi
 
 
-def test_auto_prefers_numba_when_present(monkeypatch):
-    monkeypatch.delenv(_latticescan._ENV_VAR, raising=False)
-    expected = "numba" if HAVE_NUMBA else "numpy"
-    assert _latticescan.lattice_backend() == expected
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_scan_matches_brute_force_on_random_systems(system):
+    rows, rhs, lo, hi = system
+    assert _latticescan.scan_box(rows, rhs, lo, hi) == brute_force_scan(
+        rows, rhs, lo, hi
+    )
 
 
 def _naive_lattice_count(P):
     """Independent oracle: Fraction containment over the bounding box."""
-    import itertools
-    import math
-
     lo, hi = P.bounding_box()
     ranges = [
         range(math.ceil(l), math.floor(h) + 1) for l, h in zip(lo, hi)
@@ -84,3 +140,46 @@ def _naive_lattice_count(P):
 def test_polytope_lattice_counts_match_naive_oracle(make):
     P = make()
     assert len(P.lattice_points()) == _naive_lattice_count(P)
+
+
+def _pick_count(P):
+    """Pick's theorem: a lattice polygon has area + boundary/2 + 1 points."""
+    boundary = 0
+    for edge in P.faces(1):
+        (x1, y1), (x2, y2) = P.face_vertices(edge)
+        boundary += math.gcd(int(x2 - x1), int(y2 - y1))
+    return P.volume() + Fraction(boundary, 2) + 1
+
+
+def _dilate(P, t):
+    return make_polytope([(hs.normal, t * hs.offset) for hs in P.halfspaces])
+
+
+GALLERY_POLYGONS = [
+    pytest.param(P, id=f"{path.stem}-{i}")
+    for path in sorted(GALLERY.glob("*.json"))
+    for i, P in enumerate(load_template(path).polytopes)
+    if P.dim == 2
+]
+
+
+@pytest.mark.parametrize("t", [1, 3, 17])
+@pytest.mark.parametrize(
+    "make", [square, triangle, bad_triangle, pentagon, hexagon,
+             lambda: trapezoid(2), lambda: trapezoid(5)]
+)
+def test_pick_theorem_on_dilated_polygons(make, t):
+    P = _dilate(make(), t)
+    assert len(P.lattice_points()) == _pick_count(P)
+
+
+@pytest.mark.parametrize("P", GALLERY_POLYGONS)
+def test_pick_theorem_on_gallery_polygons(P):
+    assert all(c.denominator == 1 for v in P.vertices for c in v)
+    assert len(P.lattice_points()) == _pick_count(P)
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, toricorigami; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
