@@ -7,6 +7,7 @@ from .errors import (
     DimensionMismatch,
     DocumentError,
     EmptyError,
+    EnumerationLimitError,
     InconsistentIndex,
     NonGenericPolarization,
     NonIntegralError,

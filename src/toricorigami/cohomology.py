@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentIndex, NonorientableError, PreconditionError
-from .exactgeom import FaceRef, HPolytope, _rank
+from .exactgeom import FaceRef, HPolytope, _dot, _rank
 from .template import OrigamiTemplate, orientation_signs
 
 
@@ -42,10 +42,6 @@ class CriticalFace:
 class PoincareSeries:
     cap: int
     coefficients: tuple[int, ...]
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def fold_direction(T: OrigamiTemplate) -> tuple[tuple[int, ...], Fraction]:
@@ -91,29 +87,19 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
             if _rank(rows) != _rank(list(rows) + [xi]):
                 continue
             candidates.append(face)
-        vsets = {
-            face: frozenset(P.face_vertices(face)) for face in candidates
-        }
+        actives = [frozenset(face.active) for face in candidates]
+        # a larger face has a smaller active set
         maximal = [
             face
-            for face in candidates
-            if not any(
-                other is not face and vsets[face] < vsets[other]
-                for other in candidates
-            )
+            for face, act in zip(candidates, actives)
+            if not any(other < act for other in actives)
         ]
         for face in sorted(maximal, key=lambda f: f.active):
             verts = P.face_vertices(face)
             counts = set()
             for w in verts:
                 descending = 0
-                for u in P.edge_directions(w):
-                    tangent = all(
-                        _dot(P.halfspaces[k].normal, u) == 0
-                        for k in face.active
-                    )
-                    if tangent:
-                        continue
+                for u in P.split_edges(w, face.active)[1]:
                     p = _dot(u, xi)
                     if p == 0:
                         raise InconsistentIndex(
@@ -146,17 +132,8 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
         raise ValueError("cap must be a nonnegative even integer")
     P: HPolytope = X.face.polytope
     n = P.dim
-    active = set(X.face.active)
-    per_vertex = []
-    all_dirs = []
-    for w in X.vertices:
-        dirs = [
-            u
-            for u in P.edge_directions(w)
-            if all(_dot(P.halfspaces[k].normal, u) == 0 for k in active)
-        ]
-        per_vertex.append(dirs)
-        all_dirs.extend(dirs)
+    per_vertex = [P.split_edges(w, X.face.active)[0] for w in X.vertices]
+    all_dirs = [u for dirs in per_vertex for u in dirs]
     if xi_aux is None:
         N = 1 + max((abs(c) for u in all_dirs for c in u), default=1)
         xi_aux = tuple(N ** j for j in range(n))

@@ -31,6 +31,10 @@ class DegenerateError(PolytopeError):
     """The halfspace intersection is not full-dimensional."""
 
 
+class EnumerationLimitError(PolytopeError):
+    """The halfspace system is too large to enumerate (see MAX_SUBSETS)."""
+
+
 class DimensionMismatch(OrigamiError):
     """Two objects that must share an ambient dimension do not."""
 

@@ -19,11 +19,17 @@ from .errors import (
     DegenerateError,
     DimensionMismatch,
     EmptyError,
+    EnumerationLimitError,
     UnboundedError,
 )
 
 Point = tuple  # tuple[Fraction, ...]
 IntVec = tuple  # tuple[int, ...]
+
+# Vertex enumeration tries C(m, n) halfspace subsets and the recession check
+# C(m, n-1), for m halfspaces in dimension n.  make_polytope refuses systems
+# whose sum exceeds this bound; a 5-cube (10 halfspaces) needs 462.
+MAX_SUBSETS = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +80,10 @@ def _rank(rows) -> int:
 def _solve_square(rows, rhs):
     """Solve the n x n system rows * x = rhs exactly; None if singular."""
     n = len(rows)
-    mat = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return None
-        mat[c], mat[pivot] = mat[pivot], mat[c]
-        inv = mat[c][c]
-        mat[c] = [v / inv for v in mat[c]]
-        for i in range(n):
-            if i != c and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[c])]
-    return tuple(mat[i][n] for i in range(n))
+    mat, pivots = _rref([list(row) + [c] for row, c in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in mat)
 
 
 def _det(rows) -> Fraction:
@@ -110,7 +107,7 @@ def _det(rows) -> Fraction:
 
 
 def _kernel_direction(rows, n: int) -> IntVec:
-    """A primitive integer spanning vector of the kernel (rank must be n-1)."""
+    """A primitive integer vector in the kernel (rank must be below n)."""
     rref, pivots = _rref(rows)
     free = next(c for c in range(n) if c not in pivots)
     vec = [Fraction(0)] * n
@@ -235,15 +232,10 @@ class HPolytope:
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple[Point, ...] = field(compare=False)
     kept_input_indices: tuple[int, ...] = field(compare=False, repr=False)
+    # indices of the halfspaces tight at each vertex: the vertex-facet incidence
+    _vertex_active: tuple[frozenset, ...] = field(compare=False, repr=False)
 
     # -- derived structure ---------------------------------------------
-
-    @cached_property
-    def _vertex_active(self) -> tuple[frozenset, ...]:
-        return tuple(
-            frozenset(i for i, hs in enumerate(self.halfspaces) if hs.tight(v))
-            for v in self.vertices
-        )
 
     @cached_property
     def _face_list(self) -> tuple[_Face, ...]:
@@ -270,6 +262,24 @@ class HPolytope:
         faces.sort(key=lambda f: (f.dim, f.active))
         return tuple(faces)
 
+    @cached_property
+    def _edges(self) -> tuple[tuple[tuple[IntVec, int], ...], ...]:
+        """Per vertex id, (primitive direction, far vertex id) sorted by direction.
+
+        Two vertices span an edge iff the normals tight at both have rank n-1.
+        """
+        table = [[] for _ in self.vertices]
+        for a, b in itertools.combinations(range(len(self.vertices)), 2):
+            common = self._vertex_active[a] & self._vertex_active[b]
+            rows = [self.halfspaces[i].normal for i in common]
+            if len(rows) >= self.dim - 1 and _rank(rows) == self.dim - 1:
+                u = primitive_vector(
+                    [x - y for x, y in zip(self.vertices[b], self.vertices[a])]
+                )
+                table[a].append((u, b))
+                table[b].append((tuple(-c for c in u), a))
+        return tuple(tuple(sorted(edges)) for edges in table)
+
     def faces(self, dim: int | None = None) -> tuple[FaceRef, ...]:
         """Faces as FaceRefs, optionally filtered by dimension."""
         out = []
@@ -291,12 +301,6 @@ class HPolytope:
             v for v, va in zip(self.vertices, self._vertex_active) if active <= va
         )
 
-    def _edges_at(self, vid: int) -> list[_Face]:
-        return [
-            f for f in self._face_list
-            if f.dim == 1 and vid in f.vids
-        ]
-
     def _vid(self, v: Point) -> int:
         pt = as_point(v, self.dim)
         try:
@@ -308,21 +312,25 @@ class HPolytope:
 
     def edge_directions(self, v) -> tuple[IntVec, ...]:
         """Primitive integer directions of the edges leaving vertex v."""
-        vid = self._vid(v)
-        origin = self.vertices[vid]
-        dirs = []
-        for edge in self._edges_at(vid):
-            other = next(i for i in edge.vids if i != vid)
-            delta = [a - b for a, b in zip(self.vertices[other], origin)]
-            dirs.append(primitive_vector(delta))
-        return tuple(sorted(dirs))
+        return tuple(u for u, _ in self._edges[self._vid(v)])
+
+    def split_edges(self, v, active) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        """Edge directions at v (on the face ``active``) along the face and leaving it.
+
+        An edge stays in the face iff its far vertex is tight on all of ``active``.
+        """
+        active = frozenset(active)
+        along, leaving = [], []
+        for u, far in self._edges[self._vid(v)]:
+            (along if active <= self._vertex_active[far] else leaving).append(u)
+        return tuple(along), tuple(leaving)
 
     def is_delzant(self) -> DelzantReport:
         """Check n edges per vertex and unimodular edge direction matrices."""
         records = []
         failure = None
-        for vid, v in enumerate(self.vertices):
-            dirs = self.edge_directions(v)
+        for v, edges in zip(self.vertices, self._edges):
+            dirs = tuple(u for u, _ in edges)
             if len(dirs) != self.dim:
                 records.append(DelzantVertexRecord(v, dirs, None, False))
                 if failure is None:
@@ -424,7 +432,8 @@ def make_polytope(halfspaces) -> HPolytope:
     redundant halfspaces (those not supporting a facet) removed, preserving
     the input order of the kept ones.  Raises EmptyError, UnboundedError or
     DegenerateError when the data does not describe a full-dimensional
-    bounded polytope.
+    bounded polytope, and EnumerationLimitError when the system is too large
+    to enumerate (see MAX_SUBSETS).
     """
     items = list(halfspaces)
     if not items:
@@ -446,6 +455,13 @@ def make_polytope(halfspaces) -> HPolytope:
     hss = sorted(seen, key=seen.get)
     input_pos = [seen[hs] for hs in hss]
 
+    subsets = math.comb(len(hss), dim) + math.comb(len(hss), dim - 1)
+    if subsets > MAX_SUBSETS:
+        raise EnumerationLimitError(
+            f"{len(hss)} halfspaces in dimension {dim} need {subsets} "
+            f"subsets, more than the limit of {MAX_SUBSETS}"
+        )
+
     normals = [hs.normal for hs in hss]
     offsets = [hs.offset for hs in hss]
 
@@ -454,17 +470,12 @@ def make_polytope(halfspaces) -> HPolytope:
             raise EmptyError("no feasible point")
         # a nonempty region whose normals do not span Q^n recedes in a
         # kernel direction
-        rref, pivots = _rref(normals)
-        free = next(c for c in range(dim) if c not in pivots)
-        vec = [Fraction(0)] * dim
-        vec[free] = Fraction(1)
-        for row, p in zip(rref, pivots):
-            vec[p] = -row[free]
-        raise UnboundedError(primitive_vector(vec))
+        raise UnboundedError(_kernel_direction(normals, dim))
 
-    vertices = _enumerate_vertices(hss, dim)
-    if not vertices:
+    incidence = _enumerate_vertices(hss, dim)
+    if not incidence:
         raise EmptyError("no feasible point")
+    vertices = [v for v, _ in incidence]
 
     _check_recession(hss, dim)
 
@@ -472,30 +483,43 @@ def make_polytope(halfspaces) -> HPolytope:
     if _rank([[c - b for c, b in zip(v, base)] for v in vertices[1:]]) < dim:
         raise DegenerateError("affine hull is not full-dimensional")
 
-    kept, kept_pos = [], []
-    for hs, pos in zip(hss, input_pos):
-        tight = [v for v in vertices if hs.tight(v)]
+    kept, kept_pos, renumber = [], [], {}
+    for j, (hs, pos) in enumerate(zip(hss, input_pos)):
+        tight = [v for v, act in incidence if j in act]
         if not tight:
             continue
         w0 = tight[0]
         if _rank([[c - b for c, b in zip(w, w0)] for w in tight[1:]]) == dim - 1:
+            renumber[j] = len(kept)
             kept.append(hs)
             kept_pos.append(pos)
 
-    return HPolytope(dim, tuple(kept), tuple(vertices), tuple(kept_pos))
+    tight_sets = tuple(
+        frozenset(renumber[j] for j in act if j in renumber) for _, act in incidence
+    )
+    return HPolytope(dim, tuple(kept), tuple(vertices), tuple(kept_pos), tight_sets)
 
 
-def _enumerate_vertices(hss, dim) -> list[Point]:
-    found = set()
+def _enumerate_vertices(hss, dim) -> list[tuple[Point, frozenset]]:
+    """Vertices in lex order, each with the indices of the halfspaces tight there."""
+    found = {}
     for subset in itertools.combinations(range(len(hss)), dim):
         rows = [hss[i].normal for i in subset]
         rhs = [hss[i].offset for i in subset]
         x = _solve_square(rows, rhs)
-        if x is None:
+        if x is None or x in found:
             continue
-        if all(hs.holds(x) for hs in hss):
-            found.add(x)
-    return sorted(found)
+        tight = []
+        for i, hs in enumerate(hss):
+            slack = hs.evaluate(x)
+            if slack < 0:
+                found[x] = None
+                break
+            if slack == 0:
+                tight.append(i)
+        else:
+            found[x] = frozenset(tight)
+    return sorted((x, act) for x, act in found.items() if act is not None)
 
 
 def _check_recession(hss, dim) -> None:
@@ -539,8 +563,8 @@ def agrees_near(P1: HPolytope, F1, P2: HPolytope, F2) -> bool:
     if verts1 != verts2:
         return False
     for w in verts1:
-        active1 = {hs for hs in P1.halfspaces if hs.tight(w)}
-        active2 = {hs for hs in P2.halfspaces if hs.tight(w)}
+        active1 = {P1.halfspaces[i] for i in P1._vertex_active[P1._vid(w)]}
+        active2 = {P2.halfspaces[i] for i in P2._vertex_active[P2._vid(w)]}
         if active1 != active2:
             return False
     return True

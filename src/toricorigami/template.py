@@ -168,11 +168,6 @@ class SurfaceClass:
 # validation
 # ---------------------------------------------------------------------------
 
-def _facets_intersect(P: HPolytope, f: int, g: int) -> bool:
-    va = set(P.face_vertices(P.facet(f)))
-    return bool(va & set(P.face_vertices(P.facet(g))))
-
-
 def validate(T: OrigamiTemplate) -> ValidationReport:
     """Check the Delzant property and the three template conditions."""
     delzant = []
@@ -194,23 +189,29 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
                 f"polytope {fu.b.polytope} facet {fu.b.facet}",
             ))
 
-    adjacency = []
-    entries = [
-        (idx, ad) for idx, fu in enumerate(T.fusions) for ad in fu.addresses
-    ]
-    for (i1, a1), (i2, a2) in itertools.combinations(entries, 2):
-        if i1 == i2 or a1.polytope != a2.polytope:
-            continue
-        if a1.facet == a2.facet:
-            adjacency.append(
-                f"fusions #{i1} and #{i2} reuse facet {a1.facet} "
-                f"of polytope {a1.polytope}"
-            )
-        elif _facets_intersect(T.polytopes[a1.polytope], a1.facet, a2.facet):
-            adjacency.append(
-                f"fusions #{i1} and #{i2} use neighboring facets "
-                f"{a1.facet} and {a2.facet} of polytope {a1.polytope}"
-            )
+    # compare fusion entries of the same polytope only; the position of each
+    # entry in the template-wide list restores the template-wide order
+    by_polytope = {}
+    entries = [(idx, ad) for idx, fu in enumerate(T.fusions) for ad in fu.addresses]
+    for pos, (idx, ad) in enumerate(entries):
+        by_polytope.setdefault(ad.polytope, []).append((pos, idx, ad.facet))
+    found = []
+    for p, group in by_polytope.items():
+        tight_sets = T.polytopes[p]._vertex_active
+        for (pos1, i1, f1), (pos2, i2, f2) in itertools.combinations(group, 2):
+            if i1 == i2:
+                continue
+            if f1 == f2:
+                message = f"fusions #{i1} and #{i2} reuse facet {f1} of polytope {p}"
+            elif any(f1 in act and f2 in act for act in tight_sets):
+                message = (
+                    f"fusions #{i1} and #{i2} use neighboring facets "
+                    f"{f1} and {f2} of polytope {p}"
+                )
+            else:
+                continue
+            found.append((pos1, pos2, message))
+    adjacency = [message for _, _, message in sorted(found)]
 
     connected = _is_connected(T)
     self_pairs = tuple(
@@ -346,11 +347,9 @@ def fixed_points(T: OrigamiTemplate) -> tuple[FixedPoint, ...]:
     """Vertices lying on no fused facet of their polytope."""
     out = []
     for i, P in enumerate(T.polytopes):
-        fused_vertices = set()
-        for f in sorted(T.fused_facets(i)):
-            fused_vertices.update(P.face_vertices(P.facet(f)))
-        for v in P.vertices:
-            if v not in fused_vertices:
+        fused = T.fused_facets(i)
+        for v, act in zip(P.vertices, P._vertex_active):
+            if not fused & act:
                 out.append(FixedPoint(i, v))
     return tuple(out)
 

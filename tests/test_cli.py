@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,22 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["cones", path, "--samples", "0"]) == 1
         capsys.readouterr()
+
+    def test_oversized_polytope_exits_2_quickly(self, capsys, tmp_path):
+        d = 20
+        halfspaces = [
+            {"normal": [sign * (i == j) for j in range(d)], "offset": 1}
+            for i in range(d)
+            for sign in (-1, 1)
+        ]
+        doc = {"dimension": d, "polytopes": [{"halfspaces": halfspaces}]}
+        path = tmp_path / "cube20.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        code, report = run(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert report["error"]["kind"] == "EnumerationLimitError"
 
     def test_stdin_input(self, capsys, monkeypatch):
         doc = document_from_template(s4_template(2))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from factories import (
@@ -14,11 +16,16 @@ from toricorigami import (
     PreconditionError,
     critical_faces,
     face_ht_series,
+    fixed_points,
     fold_direction,
     ht_poincare,
+    load_template,
+    make_polytope,
     pair,
     reversed_orientation,
 )
+
+GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
 
 def series_quotient(numerator, denominator, cap):
@@ -211,3 +218,62 @@ class TestHtPoincare:
     def test_rp4_rejected(self):
         with pytest.raises(PreconditionError):
             ht_poincare(rp4_template(), 8)
+
+
+def doubled(P, facet):
+    """Two copies of P fused along the same facet."""
+    return OrigamiTemplate((P, P), (pair((0, facet), (1, facet)),))
+
+
+def doubled_cube(d):
+    """[0, 1]^d doubled along the facet x_1 <= 1."""
+    lower = [(tuple(-(i == j) for j in range(d)), 0) for i in range(d)]
+    upper = [(tuple(int(i == j) for j in range(d)), 1) for i in range(d)]
+    return doubled(make_polytope(lower + upper), d)
+
+
+def doubled_simplex(d, k):
+    """The k-dilated standard d-simplex doubled along its slanted facet."""
+    lower = [(tuple(-(i == j) for j in range(d)), 0) for i in range(d)]
+    return doubled(make_polytope(lower + [((1,) * d, k)]), d)
+
+
+FORMAL_TEMPLATES = {
+    "s4": lambda: load_template(GALLERY / "s4.json"),
+    "hirzebruch_pair": lambda: load_template(GALLERY / "hirzebruch_pair.json"),
+    "sphere_fold_2segments": lambda: load_template(
+        GALLERY / "sphere_fold_2segments.json"
+    ),
+    **{f"cube-{d}": (lambda d=d: doubled_cube(d)) for d in range(1, 5)},
+    **{
+        f"simplex-{d}-{k}": (lambda d=d, k=k: doubled_simplex(d, k))
+        for d, k in ((1, 3), (2, 1), (2, 4), (3, 2), (4, 1))
+    },
+}
+
+
+class TestEquivariantFormality:
+    """(1 - t^2)^n times the series is the ordinary Poincare polynomial.
+
+    The manifold is equivariantly formal, so the product is a polynomial of
+    degree 2n; Poincare duality makes it palindromic, and its coefficients
+    sum to the Euler characteristic, the number of fixed points.
+    """
+
+    @pytest.mark.parametrize("name", sorted(FORMAL_TEMPLATES))
+    def test_poincare_polynomial(self, name):
+        T = FORMAL_TEMPLATES[name]()
+        n = T.dim
+        cap = 2 * n + 4
+        series = ht_poincare(T, cap).coefficients
+        factor = expand_binomial_power(cap, n)
+        product = [
+            sum(factor[j] * series[k - j] for j in range(min(k, 2 * n) + 1))
+            for k in range(cap + 1)
+        ]
+        poly = product[: 2 * n + 1]
+        assert product[2 * n + 1:] == [0] * (cap - 2 * n)
+        assert poly[-1] > 0
+        assert all(c >= 0 for c in poly)
+        assert poly == poly[::-1]
+        assert sum(poly) == len(fixed_points(T))
