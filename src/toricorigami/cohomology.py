@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentIndex, NonorientableError, PreconditionError
-from .exactgeom import FaceRef, HPolytope, _dot, _rank
+from .exactgeom import FaceRef, HPolytope, _dot
 from .template import OrigamiTemplate, orientation_signs
 
 
@@ -78,13 +78,15 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
     n = T.dim
     out = []
     for i, P in enumerate(T.polytopes):
-        fused = T.fused_facets(i)
+        fused = T._fused_facets[i]
         candidates = []
         for face in P.faces():
             if fused & set(face.active):
                 continue  # maps into the fold
-            rows = [P.halfspaces[k].normal for k in face.active]
-            if _rank(rows) != _rank(list(rows) + [xi]):
+            # xi lies in the span of the active normals iff it is orthogonal
+            # to the face, whose edges at any one vertex span its directions
+            w = P.face_vertices(face)[0]
+            if any(_dot(u, xi) for u in P.split_edges(w, face.active)[0]):
                 continue
             candidates.append(face)
         actives = [frozenset(face.active) for face in candidates]

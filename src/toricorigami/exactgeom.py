@@ -28,7 +28,8 @@ IntVec = tuple  # tuple[int, ...]
 
 # Vertex enumeration tries C(m, n) halfspace subsets and the recession check
 # C(m, n-1), for m halfspaces in dimension n.  make_polytope refuses systems
-# whose sum exceeds this bound; a 5-cube (10 halfspaces) needs 462.
+# whose sum exceeds this bound; a 5-cube (10 halfspaces) needs 462.  Normals
+# of rank r < n are tested for emptiness on C(m, r) subsets, bounded alike.
 MAX_SUBSETS = 20_000
 
 
@@ -128,23 +129,6 @@ def primitive_vector(vec) -> IntVec:
     return tuple(v // g for v in ints)
 
 
-def _fm_feasible(rows, rhs, n: int) -> bool:
-    """Fourier-Motzkin feasibility of {x : rows x <= rhs}."""
-    system = [(list(map(Fraction, r)), Fraction(c)) for r, c in zip(rows, rhs)]
-    for j in range(n):
-        pos = [s for s in system if s[0][j] > 0]
-        neg = [s for s in system if s[0][j] < 0]
-        zero = [s for s in system if s[0][j] == 0]
-        new = list(zero)
-        for rp, cp in pos:
-            for rn, cn in neg:
-                mp, mn = -rn[j], rp[j]
-                row = [mp * a + mn * b for a, b in zip(rp, rn)]
-                new.append((row, mp * cp + mn * cn))
-        system = new
-    return all(c >= 0 for _, c in system)
-
-
 # ---------------------------------------------------------------------------
 # data types
 # ---------------------------------------------------------------------------
@@ -217,6 +201,7 @@ class _Face:
     active: IntVec
     dim: int
     vids: IntVec
+    facets: tuple["_Face", ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -239,45 +224,53 @@ class HPolytope:
 
     @cached_property
     def _face_list(self) -> tuple[_Face, ...]:
-        """All faces (including the whole polytope), by full active set."""
-        actives = {frozenset(): None}
-        pool = set(self._vertex_active)
-        actives.update((a, None) for a in pool)
-        frontier = list(pool)
-        while frontier:
-            a = frontier.pop()
-            for b in list(actives):
-                c = a & b
-                if c not in actives:
-                    actives[c] = None
-                    frontier.append(c)
-        faces = []
-        for act in actives:
-            vids = tuple(
-                i for i, va in enumerate(self._vertex_active) if act <= va
-            )
-            rows = [self.halfspaces[i].normal for i in act]
-            dim = self.dim - _rank(rows) if rows else self.dim
-            faces.append(_Face(tuple(sorted(act)), dim, vids))
-        faces.sort(key=lambda f: (f.dim, f.active))
-        return tuple(faces)
+        """All faces (including the whole polytope), sorted by (dim, active set).
+
+        Built top down: the facets of a face with vertex set W are the
+        inclusion-maximal sets W & V(j) other than W and the empty set, where
+        V(j) holds the vertices tight on halfspace j.
+        """
+        acts = self._vertex_active
+        tight = [
+            frozenset(v for v, act in enumerate(acts) if j in act)
+            for j in range(len(self.halfspaces))
+        ]
+        built = {}
+
+        def build(vids: frozenset, dim: int) -> _Face:
+            if vids not in built:
+                meets = {vids & t for t in tight} - {vids, frozenset()}
+                facets = (m for m in meets if not any(m < other for other in meets))
+                active = frozenset.intersection(*(acts[v] for v in vids))
+                built[vids] = _Face(
+                    tuple(sorted(active)), dim, tuple(sorted(vids)),
+                    tuple(build(m, dim - 1) for m in facets),
+                )
+            return built[vids]
+
+        build(frozenset(range(len(self.vertices))), self.dim)
+        return tuple(sorted(built.values(), key=lambda f: (f.dim, f.active)))
 
     @cached_property
     def _edges(self) -> tuple[tuple[tuple[IntVec, int], ...], ...]:
         """Per vertex id, (primitive direction, far vertex id) sorted by direction.
 
-        Two vertices span an edge iff the normals tight at both have rank n-1.
+        Two vertices span an edge iff they share at least n-1 facets and no
+        third vertex lies on every facet they share.
         """
         table = [[] for _ in self.vertices]
+        acts = self._vertex_active
         for a, b in itertools.combinations(range(len(self.vertices)), 2):
-            common = self._vertex_active[a] & self._vertex_active[b]
-            rows = [self.halfspaces[i].normal for i in common]
-            if len(rows) >= self.dim - 1 and _rank(rows) == self.dim - 1:
-                u = primitive_vector(
-                    [x - y for x, y in zip(self.vertices[b], self.vertices[a])]
-                )
-                table[a].append((u, b))
-                table[b].append((tuple(-c for c in u), a))
+            common = acts[a] & acts[b]
+            if len(common) < self.dim - 1 or any(
+                common <= act for c, act in enumerate(acts) if c != a and c != b
+            ):
+                continue
+            u = primitive_vector(
+                [x - y for x, y in zip(self.vertices[b], self.vertices[a])]
+            )
+            table[a].append((u, b))
+            table[b].append((tuple(-c for c in u), a))
         return tuple(tuple(sorted(edges)) for edges in table)
 
     def faces(self, dim: int | None = None) -> tuple[FaceRef, ...]:
@@ -384,29 +377,19 @@ class HPolytope:
     @cached_property
     def _triangulation(self) -> tuple[tuple[int, ...], ...]:
         """Fan triangulation (by vertex ids) from the lex-first vertex."""
-        whole = next(f for f in self._face_list if f.dim == self.dim)
-        children = {}
-        for f in self._face_list:
-            children[f] = [
-                g for g in self._face_list
-                if g.dim == f.dim - 1 and set(g.vids) <= set(f.vids)
-            ]
 
         def rec(face: _Face):
-            if face.dim == 0:
-                return [face.vids]
-            if face.dim == 1:
+            if face.dim <= 1:
                 return [face.vids]
             apex = face.vids[0]  # vertices are lex sorted, vids ascending
-            simplices = []
-            for child in children[face]:
-                if apex in child.vids:
-                    continue
-                for s in rec(child):
-                    simplices.append((apex,) + s)
-            return simplices
+            return [
+                (apex,) + s
+                for facet in face.facets
+                if apex not in facet.vids
+                for s in rec(facet)
+            ]
 
-        return tuple(rec(whole))
+        return tuple(rec(self._face_list[-1]))  # the whole polytope sorts last
 
     def volume(self) -> Fraction:
         """Exact Euclidean volume via fan triangulation from the lex-min vertex."""
@@ -455,41 +438,47 @@ def make_polytope(halfspaces) -> HPolytope:
     hss = sorted(seen, key=seen.get)
     input_pos = [seen[hs] for hs in hss]
 
-    subsets = math.comb(len(hss), dim) + math.comb(len(hss), dim - 1)
-    if subsets > MAX_SUBSETS:
-        raise EnumerationLimitError(
-            f"{len(hss)} halfspaces in dimension {dim} need {subsets} "
-            f"subsets, more than the limit of {MAX_SUBSETS}"
-        )
+    m = len(hss)
+    _check_subsets(
+        math.comb(m, dim) + math.comb(m, dim - 1), f"{m} halfspaces in dimension {dim}"
+    )
 
     normals = [hs.normal for hs in hss]
-    offsets = [hs.offset for hs in hss]
-
-    if _rank(normals) < dim:
-        if not _fm_feasible(normals, offsets, dim):
+    pivots = _rref(normals)[1]
+    r = len(pivots)
+    if r < dim:
+        # A x reaches exactly the values that its pivot columns reach, and
+        # that restricted system is pointed: it is nonempty iff it has a vertex
+        _check_subsets(math.comb(m, r), f"{m} halfspaces of rank {r}")
+        restricted = [
+            Halfspace(tuple(hs.normal[c] for c in pivots), hs.offset) for hs in hss
+        ]
+        if next(_enumerate_vertices(restricted, r), None) is None:
             raise EmptyError("no feasible point")
         # a nonempty region whose normals do not span Q^n recedes in a
         # kernel direction
         raise UnboundedError(_kernel_direction(normals, dim))
 
-    incidence = _enumerate_vertices(hss, dim)
+    incidence = sorted(_enumerate_vertices(hss, dim))  # vertices in lex order
     if not incidence:
         raise EmptyError("no feasible point")
     vertices = [v for v, _ in incidence]
 
     _check_recession(hss, dim)
 
-    base = vertices[0]
-    if _rank([[c - b for c, b in zip(v, base)] for v in vertices[1:]]) < dim:
+    # a bounded polyhedron is lower-dimensional iff a halfspace is tight on it
+    if frozenset.intersection(*(act for _, act in incidence)):
         raise DegenerateError("affine hull is not full-dimensional")
 
+    # a halfspace supports a facet iff its tight vertices are nonempty and
+    # lie in no other halfspace's tight vertices as a strict subset
+    tight = [
+        frozenset(v for v, (_, act) in enumerate(incidence) if j in act)
+        for j in range(m)
+    ]
     kept, kept_pos, renumber = [], [], {}
     for j, (hs, pos) in enumerate(zip(hss, input_pos)):
-        tight = [v for v, act in incidence if j in act]
-        if not tight:
-            continue
-        w0 = tight[0]
-        if _rank([[c - b for c, b in zip(w, w0)] for w in tight[1:]]) == dim - 1:
+        if tight[j] and not any(tight[j] < other for other in tight):
             renumber[j] = len(kept)
             kept.append(hs)
             kept_pos.append(pos)
@@ -500,26 +489,32 @@ def make_polytope(halfspaces) -> HPolytope:
     return HPolytope(dim, tuple(kept), tuple(vertices), tuple(kept_pos), tight_sets)
 
 
-def _enumerate_vertices(hss, dim) -> list[tuple[Point, frozenset]]:
-    """Vertices in lex order, each with the indices of the halfspaces tight there."""
-    found = {}
+def _check_subsets(subsets: int, system: str) -> None:
+    if subsets > MAX_SUBSETS:
+        raise EnumerationLimitError(
+            f"{system} need {subsets} subsets, more than the limit of {MAX_SUBSETS}"
+        )
+
+
+def _enumerate_vertices(hss, dim):
+    """Yield each vertex once with the indices of the halfspaces tight there."""
+    seen = set()
     for subset in itertools.combinations(range(len(hss)), dim):
         rows = [hss[i].normal for i in subset]
         rhs = [hss[i].offset for i in subset]
         x = _solve_square(rows, rhs)
-        if x is None or x in found:
+        if x is None or x in seen:
             continue
+        seen.add(x)
         tight = []
         for i, hs in enumerate(hss):
             slack = hs.evaluate(x)
             if slack < 0:
-                found[x] = None
                 break
             if slack == 0:
                 tight.append(i)
         else:
-            found[x] = frozenset(tight)
-    return sorted((x, act) for x, act in found.items() if act is not None)
+            yield x, frozenset(tight)
 
 
 def _check_recession(hss, dim) -> None:

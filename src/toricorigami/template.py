@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DimensionError,
@@ -107,13 +108,14 @@ class OrigamiTemplate:
     def dim(self) -> int:
         return self.polytopes[0].dim
 
-    def fused_facets(self, polytope: int) -> frozenset[int]:
-        return frozenset(
-            ad.facet
-            for fu in self.fusions
-            for ad in fu.addresses
-            if ad.polytope == polytope
-        )
+    @cached_property
+    def _fused_facets(self) -> tuple[frozenset[int], ...]:
+        """Per polytope, the indices of its fused facets."""
+        fused = [set() for _ in self.polytopes]
+        for fu in self.fusions:
+            for ad in fu.addresses:
+                fused[ad.polytope].add(ad.facet)
+        return tuple(map(frozenset, fused))
 
 
 @dataclass(frozen=True)
@@ -347,7 +349,7 @@ def fixed_points(T: OrigamiTemplate) -> tuple[FixedPoint, ...]:
     """Vertices lying on no fused facet of their polytope."""
     out = []
     for i, P in enumerate(T.polytopes):
-        fused = T.fused_facets(i)
+        fused = T._fused_facets[i]
         for v, act in zip(P.vertices, P._vertex_active):
             if not fused & act:
                 out.append(FixedPoint(i, v))

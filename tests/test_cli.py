@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import time
 from pathlib import Path
@@ -250,6 +251,36 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2
         assert code == 2
         assert report["error"]["kind"] == "EnumerationLimitError"
+
+    def run_halfspaces(self, capsys, tmp_path, dim, normals, offset):
+        halfspaces = [{"normal": list(n), "offset": offset} for n in normals]
+        doc = {"dimension": dim, "polytopes": [{"halfspaces": halfspaces}]}
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        code, report = run(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 2
+        return code, report
+
+    def test_rank_deficient_polytope_exits_2_quickly(self, capsys, tmp_path):
+        # 18 halfspaces in Q^5 whose normals span x1..x4 only
+        normals = [s + (0,) for s in itertools.product((-1, 1), repeat=4)]
+        normals += [(1, 2, -1, 0, 0), (-2, 1, 1, -1, 0)]
+        code, report = self.run_halfspaces(capsys, tmp_path, 5, normals, 3)
+        assert code == 2
+        assert report["error"]["kind"] == "UnboundedError"
+
+    def test_rank_deficient_enumeration_limit_exits_2(self, capsys, tmp_path):
+        # a 9-D box in Q^14: C(18, 9) = 48 620 subsets to test for emptiness
+        normals = [
+            tuple(sign * (i == j) for j in range(14))
+            for i in range(9)
+            for sign in (-1, 1)
+        ]
+        code, report = self.run_halfspaces(capsys, tmp_path, 14, normals, 1)
+        assert code == 2
+        assert report["error"]["kind"] == "EnumerationLimitError"
+        assert "of rank 9" in report["error"]["message"]
 
     def test_stdin_input(self, capsys, monkeypatch):
         doc = document_from_template(s4_template(2))

@@ -44,6 +44,18 @@ class TestMakePolytope:
         with pytest.raises(EmptyError):
             make_polytope([((-1, 0), 0), ((0, -1), 0), ((1, 1), -1)])
 
+    def test_empty_rank_deficient(self):
+        # x + y <= 0, x >= 1, y >= 0 in Q^3: the normals span only x, y
+        with pytest.raises(EmptyError):
+            make_polytope([((1, 1, 0), 0), ((-1, 0, 0), -1), ((0, -1, 0), 0)])
+
+    def test_rank_deficient_square_prism_is_unbounded(self):
+        # a unit square in the x2, x3 coordinates, free along x1
+        square = [((0, 1, 0), 1), ((0, -1, 0), 0), ((0, 0, 1), 1), ((0, 0, -1), 0)]
+        with pytest.raises(UnboundedError) as info:
+            make_polytope(square)
+        assert info.value.direction == (1, 0, 0)
+
     def test_degenerate_slab(self):
         with pytest.raises(DegenerateError):
             make_polytope(
