@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization
-from .exactgeom import as_point, _det, _solve_square
+from .exactgeom import _det, _dot, _lcd, _solve_square, as_point
 from .invariants import dh_density
 from .template import OrigamiTemplate, fixed_points, orientation_signs
 
@@ -139,29 +139,59 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
     )
 
 
-def _cone_contains(cone: PolarizedCone, pt) -> bool:
-    """Exact strict membership; raises BoundaryPoint when pt is on a wall."""
+def _inverse(cone: PolarizedCone) -> tuple[tuple[int, ...], ...]:
+    """Rows of the inverse of the matrix whose columns are the generators.
+
+    The generators must form a lattice basis, so the inverse is integral.
+    """
     n = len(cone.apex)
-    columns = [[cone.generators[j][i] for j in range(n)] for i in range(n)]
-    det = _det(columns)
+    matrix = [[g[i] for g in cone.generators] for i in range(n)]
+    det = _det(matrix)
     if abs(det) != 1:
         raise ValueError(f"cone generators are not a lattice basis (det {det})")
-    rhs = [c - a for c, a in zip(pt, cone.apex)]
-    t = _solve_square(columns, rhs)
-    if any(c == 0 for c in t):
-        raise BoundaryPoint(f"{pt} lies on a wall of the cone at {cone.apex}")
-    return all(c > 0 for c in t)
+    columns = [
+        _solve_square(matrix, [int(i == k) for i in range(n)]) for k in range(n)
+    ]
+    return tuple(tuple(int(col[i]) for col in columns) for i in range(n))
+
+
+def _compile(cones, scale: int) -> list:
+    """Per cone: its sign, its apex times scale and its integer inverse.
+
+    ``scale`` must make every apex integral.
+    """
+    return [
+        (c.sign, [int(a * scale) for a in c.apex], _inverse(c)) for c in cones
+    ]
+
+
+def _cone_count(compiled, X) -> int | None:
+    """Signed count of the compiled cones containing X (open cones).
+
+    X is a point times the scale the cones were compiled with.  Returns None
+    when X lies on a wall of some cone: one of its coordinates in that
+    cone's generator basis is zero.
+    """
+    count = 0
+    for sign, apex, inverse in compiled:
+        offset = [x - a for x, a in zip(X, apex)]
+        t = [_dot(row, offset) for row in inverse]
+        if 0 in t:
+            return None
+        if min(t) > 0:
+            count += sign
+    return count
 
 
 def cone_density(T: OrigamiTemplate, v, x) -> int:
     """Signed count of polarized weight cones containing x."""
     pt = as_point(x, T.dim)
-    density = 0
-    for W in weight_sets(T):
-        cone = polarize(W, v)
-        if _cone_contains(cone, pt):
-            density += cone.sign
-    return density
+    cones = [polarize(W, v) for W in weight_sets(T)]
+    scale = _lcd(pt + tuple(a for c in cones for a in c.apex))
+    count = _cone_count(_compile(cones, scale), [int(c * scale) for c in pt])
+    if count is None:
+        raise BoundaryPoint(f"{pt} lies on a wall of a weight cone")
+    return count
 
 
 def verify_dh_identity(
@@ -173,8 +203,13 @@ def verify_dh_identity(
     """Sample rational points and compare cone density with DH density.
 
     Points come from a box 10% larger than the union bounding box of the
-    template polytopes, via the documented 64-bit LCG; samples on either
-    decomposition's boundary are discarded and redrawn.
+    template polytopes: coordinate j of each point is lo_j + span_j * u / 2^64,
+    u the next draw of the documented 64-bit LCG, coordinates drawn in order.
+    A point on a cone wall is discarded first, then one on a polytope
+    boundary; discarded points are redrawn, at most 10 * sample_count + 100
+    draws of a point in all.  Every test is exact integer arithmetic on the
+    point times S = D * 2^64, where D is the least common denominator of the
+    box and the cone apexes.
     """
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
@@ -196,6 +231,12 @@ def verify_dh_identity(
     lo = [l - m for l, m in zip(lo, margin)]
     span = [h + m - l for l, h, m in zip(lo, hi, margin)]
 
+    D = _lcd(lo + span + [a for c in cones for a in c.apex])
+    S = D * Lcg64.MODULUS
+    base = [int(l * S) for l in lo]
+    step = [int(s * D) for s in span]
+    compiled = _compile(cones, S)
+
     rng = Lcg64(seed)
     kept = agreements = disagreements = discards = 0
     first = None
@@ -203,12 +244,12 @@ def verify_dh_identity(
     for _ in range(budget):
         if kept == sample_count:
             break
-        pt = tuple(l + s * rng.next_fraction() for l, s in zip(lo, span))
-        try:
-            cd = sum(c.sign for c in cones if _cone_contains(c, pt))
-        except BoundaryPoint:
+        X = [b + s * rng.next_u64() for b, s in zip(base, step)]
+        cd = _cone_count(compiled, X)
+        if cd is None:
             discards += 1
             continue
+        pt = tuple(Fraction(c, S) for c in X)
         dv = dh_density(T, pt)
         if not dv.generic:
             discards += 1

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import _latticescan
 from .errors import (
@@ -45,7 +46,18 @@ def as_point(x, dim: int | None = None) -> Point:
 
 
 def _dot(a, x):
-    return sum(ai * xi for ai, xi in zip(a, x))
+    return sum(map(mul, a, x))
+
+
+def _lcd(values) -> int:
+    """Least common denominator of ints and Fractions."""
+    return math.lcm(*(c.denominator for c in values))
+
+
+def _scaled(pt: Point) -> tuple[list[int], int]:
+    """(X, s): the integer vector X and the least s > 0 with pt = X / s."""
+    s = _lcd(pt)
+    return [c.numerator * (s // c.denominator) for c in pt], s
 
 
 def _rref(rows):
@@ -338,16 +350,24 @@ class HPolytope:
                 failure = f"vertex {v} has edge determinant {int(det)}"
         return DelzantReport(failure is None, tuple(records), failure)
 
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[int, IntVec], ...]:
+        """Each halfspace <normal, x> <= p/q as the integer row (p, q * normal)."""
+        return tuple(
+            (hs.offset.numerator, tuple(hs.offset.denominator * c for c in hs.normal))
+            for hs in self.halfspaces
+        )
+
+    def _slacks(self, X, s) -> list[int]:
+        """Per halfspace, an integer with the sign of its slack at X / s (s > 0)."""
+        return [p * s - _dot(n, X) for p, n in self._integer_rows]
+
     def contains(self, x) -> Location:
         """Exact closed-containment query with the smallest containing face."""
-        pt = as_point(x, self.dim)
-        active = []
-        for i, hs in enumerate(self.halfspaces):
-            slack = hs.evaluate(pt)
-            if slack < 0:
-                return Location("outside")
-            if slack == 0:
-                active.append(i)
+        slacks = self._slacks(*_scaled(as_point(x, self.dim)))
+        if min(slacks) < 0:
+            return Location("outside")
+        active = [i for i, slack in enumerate(slacks) if slack == 0]
         if not active:
             return Location("interior")
         rows = [self.halfspaces[i].normal for i in active]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegralError
-from .exactgeom import as_point
+from .exactgeom import _scaled, as_point
 from .template import OrigamiTemplate, orientation_signs
 
 
@@ -68,14 +68,15 @@ def dh_density(T: OrigamiTemplate, x) -> DHValue:
     """
     signs = orientation_signs(T)
     pt = as_point(x, T.dim)
+    X, s = _scaled(pt)
     density = 0
     generic = True
     for sign, P in zip(signs, T.polytopes):
-        loc = P.contains(pt)
-        if loc.kind == "boundary":
-            generic = False
-        if loc.inside:
+        slacks = P._slacks(X, s)
+        if min(slacks) >= 0:
             density += sign
+            if 0 in slacks:
+                generic = False
     return DHValue(pt, density, generic)
 
 

@@ -109,6 +109,20 @@ class OrigamiTemplate:
         return self.polytopes[0].dim
 
     @cached_property
+    def _orientation_signs(self) -> tuple[int, ...]:
+        """What :func:`orientation_signs` returns; errors are not cached."""
+        if self.orientation is None:
+            return orient(self)
+        for idx, fu in enumerate(self.fusions):
+            if not fu.is_pair:
+                raise NonorientableError(single=idx)
+            if self.orientation[fu.a.polytope] == self.orientation[fu.b.polytope]:
+                raise ValueError(
+                    f"supplied orientation does not flip across fusion #{idx}"
+                )
+        return self.orientation
+
+    @cached_property
     def _fused_facets(self) -> tuple[frozenset[int], ...]:
         """Per polytope, the indices of its fused facets."""
         fused = [set() for _ in self.polytopes]
@@ -308,17 +322,11 @@ def _cycle_through(parent, u, w) -> tuple[int, ...]:
 
 
 def orientation_signs(T: OrigamiTemplate) -> tuple[int, ...]:
-    """The template's own orientation if present (checked), else orient(T)."""
-    if T.orientation is None:
-        return orient(T)
-    for idx, fu in enumerate(T.fusions):
-        if not fu.is_pair:
-            raise NonorientableError(single=idx)
-        if T.orientation[fu.a.polytope] == T.orientation[fu.b.polytope]:
-            raise ValueError(
-                f"supplied orientation does not flip across fusion #{idx}"
-            )
-    return T.orientation
+    """The template's own orientation if present (checked), else orient(T).
+
+    Computed once per template.
+    """
+    return T._orientation_signs
 
 
 def reversed_orientation(T: OrigamiTemplate) -> OrigamiTemplate:

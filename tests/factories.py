@@ -159,3 +159,38 @@ def fold_segments_template(a=1):
 def half_triangle():
     """The moment image of the folded 4-sphere: x1 + x2 <= 1/2."""
     return make_polytope([((-1, 0), 0), ((0, -1), 0), ((1, 1), Fraction(1, 2))])
+
+
+def box(sides):
+    """[0, s_1] x ... x [0, s_d]: facets x_i >= 0 (index i), then x_i <= s_i
+    (index d + i)."""
+    d = len(sides)
+    lower = [(tuple(-(i == j) for j in range(d)), 0) for i in range(d)]
+    upper = [(tuple(int(i == j) for j in range(d)), s) for i, s in enumerate(sides)]
+    return make_polytope(lower + upper)
+
+
+def cube(d, side=1):
+    """[0, side]^d, facets indexed as in :func:`box`."""
+    return box((side,) * d)
+
+
+def simplex(d, k):
+    """The k-dilated standard d-simplex; facet d is the slanted one."""
+    lower = [(tuple(-(i == j) for j in range(d)), 0) for i in range(d)]
+    return make_polytope(lower + [((1,) * d, k)])
+
+
+def doubled(P, facet):
+    """Two copies of P fused along the same facet."""
+    return OrigamiTemplate((P, P), (pair((0, facet), (1, facet)),))
+
+
+def doubled_cube(d):
+    """[0, 1]^d doubled along the facet x_1 <= 1."""
+    return doubled(cube(d), d)
+
+
+def doubled_simplex(d, k):
+    """The k-dilated standard d-simplex doubled along its slanted facet."""
+    return doubled(simplex(d, k), d)

@@ -3,7 +3,7 @@
     python tests/golden/record.py
 
 Runs ``toricorigami.cli.main`` in this process on every gallery file and on
-the invalid templates in ``inputs/``, from a temporary directory that holds
+the templates in ``inputs/``, from a temporary directory that holds
 copies of the documents, so the paths in the reports are bare file names.
 Writes ``expected/manifest.json`` (argv and exit code per case) and, per
 case, ``expected/<case>.out`` (stdout) and ``expected/<case>.svg`` (the file
@@ -30,6 +30,14 @@ EXPECTED = HERE / "expected"
 
 # one query point per dimension for ``dh``
 DH_POINTS = {1: "1/3", 2: "1/2,1/3"}
+# a generic polarizing vector other than the default, one per dimension;
+# its negative entries flip weights
+CONES_V = {1: "-1", 2: "-3,1"}
+# subcommands recorded on the valid templates of ``inputs/``, besides
+# validate and orient
+INPUT_COMMANDS = {"cube3_double.json": ("volume", "cones", "cohomology")}
+# gallery templates without an orientation: cones exits 2 on them
+NONORIENTABLE = ("hexagon_3cycle", "rp4")
 
 
 def documents() -> list[Path]:
@@ -51,6 +59,8 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"{stem}.dh", ["dh", name, "--point", DH_POINTS[dim]]))
         out.append((f"{stem}.volume", ["volume", name]))
         out.append((f"{stem}.cones", ["cones", name, "--seed", "0"]))
+        if stem not in NONORIENTABLE:
+            out += cones_cases(stem, name, dim)
         out.append((f"{stem}.cohomology", ["cohomology", name]))
         out.append((f"{stem}.render", ["render", name, "--out", f"{stem}.svg"]))
         out.append((
@@ -61,7 +71,19 @@ def cases() -> list[tuple[str, list[str]]]:
         stem, name = path.stem, path.name
         out.append((f"{stem}.validate", ["validate", name]))
         out.append((f"{stem}.orient", ["orient", name]))
+        for command in INPUT_COMMANDS.get(name, ()):
+            out.append((f"{stem}.{command}", [command, name]))
     return out
+
+
+def cones_cases(stem: str, name: str, dim: int) -> list[tuple[str, list[str]]]:
+    """More samples, two more seeds and a non-default polarization."""
+    return [
+        (f"{stem}.cones-samples", ["cones", name, "--samples", "1000"]),
+        (f"{stem}.cones-seed1", ["cones", name, "--seed", "1"]),
+        (f"{stem}.cones-seed2", ["cones", name, "--seed", "1000020"]),
+        (f"{stem}.cones-v", ["cones", name, f"--v={CONES_V[dim]}"]),
+    ]
 
 
 def stage(workdir: Path) -> None:

@@ -8,6 +8,8 @@ import pytest
 
 from factories import (
     bad_triangle,
+    box,
+    cube,
     hirzebruch_pair,
     rp4_template,
     s4_template,
@@ -102,6 +104,17 @@ class TestComputeCommands:
 
     def test_volume(self, capsys, tmp_path):
         path = write_doc(tmp_path, hirzebruch_pair())
+        code, report = run(capsys, "volume", path)
+        assert code == 0 and report["signed_volume"] == "-1"
+
+    def test_volume_five_dimensional(self, capsys, tmp_path):
+        # [0,1]^5 fused on x_1 = 0 with [0,2] x [0,1]^4: signs (1, -1)
+        T = OrigamiTemplate(
+            (cube(5), box((2, 1, 1, 1, 1))), (pair((0, 0), (1, 0)),)
+        )
+        path = write_doc(tmp_path, T)
+        code, report = run(capsys, "validate", path)
+        assert code == 0 and report["valid"]
         code, report = run(capsys, "volume", path)
         assert code == 0 and report["signed_volume"] == "-1"
 

@@ -4,6 +4,8 @@ import pytest
 
 from factories import (
     cycle_of_segments,
+    doubled_cube,
+    doubled_simplex,
     fold_segments_template,
     hirzebruch_pair,
     rp4_template,
@@ -20,7 +22,6 @@ from toricorigami import (
     fold_direction,
     ht_poincare,
     load_template,
-    make_polytope,
     pair,
     reversed_orientation,
 )
@@ -218,24 +219,6 @@ class TestHtPoincare:
     def test_rp4_rejected(self):
         with pytest.raises(PreconditionError):
             ht_poincare(rp4_template(), 8)
-
-
-def doubled(P, facet):
-    """Two copies of P fused along the same facet."""
-    return OrigamiTemplate((P, P), (pair((0, facet), (1, facet)),))
-
-
-def doubled_cube(d):
-    """[0, 1]^d doubled along the facet x_1 <= 1."""
-    lower = [(tuple(-(i == j) for j in range(d)), 0) for i in range(d)]
-    upper = [(tuple(int(i == j) for j in range(d)), 1) for i in range(d)]
-    return doubled(make_polytope(lower + upper), d)
-
-
-def doubled_simplex(d, k):
-    """The k-dilated standard d-simplex doubled along its slanted facet."""
-    lower = [(tuple(-(i == j) for j in range(d)), 0) for i in range(d)]
-    return doubled(make_polytope(lower + [((1,) * d, k)]), d)
 
 
 FORMAL_TEMPLATES = {

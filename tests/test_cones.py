@@ -1,31 +1,126 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from factories import (
+    box,
     cycle_of_segments,
+    doubled_cube,
     fold_segments_template,
     hexagon_cycle,
     hirzebruch_pair,
     rp4_template,
     s4_template,
+    segment,
+    square,
     square_template,
     trapezoid_chain,
     triangle_template,
 )
 from toricorigami import (
     BoundaryPoint,
+    IdentityReport,
     Lcg64,
     NonGenericPolarization,
     NonorientableError,
+    OrigamiTemplate,
+    PolarizedCone,
     WeightSet,
     cone_density,
     default_polarization,
     dh_density,
+    load_template,
+    orientation_signs,
+    pair,
     polarize,
     verify_dh_identity,
     weight_sets,
 )
+from toricorigami.cones import _compile
+from toricorigami.exactgeom import _det, _solve_square
+
+GALLERY = Path(__file__).resolve().parent.parent / "gallery"
+ORIENTABLE_GALLERY = (
+    "hirzebruch_pair", "s4", "sphere_fold_2segments", "torus_2segments",
+    "trapezoid_chain", "unit_square",
+)
+
+
+# ---------------------------------------------------------------------------
+# the rational sampler the integer one replaced, kept as a reference
+# ---------------------------------------------------------------------------
+
+def reference_cone_contains(cone, pt) -> bool:
+    """Strict membership: solve for pt - apex in the generator basis."""
+    n = len(cone.apex)
+    columns = [[cone.generators[j][i] for j in range(n)] for i in range(n)]
+    assert abs(_det(columns)) == 1
+    t = _solve_square(columns, [c - a for c, a in zip(pt, cone.apex)])
+    if any(c == 0 for c in t):
+        raise BoundaryPoint(f"{pt} lies on a wall of the cone at {cone.apex}")
+    return all(c > 0 for c in t)
+
+
+def reference_dh_density(T, pt) -> tuple[int, bool]:
+    """Signed count of the polytopes containing pt, and whether pt avoids
+    every polytope boundary, from Fraction slacks."""
+    density, generic = 0, True
+    for sign, P in zip(orientation_signs(T), T.polytopes):
+        slacks = [hs.evaluate(pt) for hs in P.halfspaces]
+        if min(slacks) >= 0:
+            density += sign
+            generic = generic and 0 not in slacks
+    return density, generic
+
+
+def reference_verify_dh_identity(T, v=None, sample_count=200, seed=0):
+    """verify_dh_identity on Fraction points: one rational solve per cone
+    and one Fraction slack per halfspace at every sample."""
+    if v is None:
+        v = default_polarization(T)
+    v = tuple(int(c) for c in v)
+    cones = [polarize(W, v) for W in weight_sets(T)]
+    dim = T.dim
+    lo = [min(p[j] for P in T.polytopes for p in P.vertices) for j in range(dim)]
+    hi = [max(p[j] for P in T.polytopes for p in P.vertices) for j in range(dim)]
+    margin = [(h - l) / 20 for l, h in zip(lo, hi)]
+    lo = [l - m for l, m in zip(lo, margin)]
+    span = [h + m - l for l, h, m in zip(lo, hi, margin)]
+
+    rng = Lcg64(seed)
+    kept = agreements = disagreements = discards = 0
+    first = None
+    for _ in range(10 * sample_count + 100):
+        if kept == sample_count:
+            break
+        pt = tuple(l + s * rng.next_fraction() for l, s in zip(lo, span))
+        try:
+            cd = sum(c.sign for c in cones if reference_cone_contains(c, pt))
+        except BoundaryPoint:
+            discards += 1
+            continue
+        dv, generic = reference_dh_density(T, pt)
+        if not generic:
+            discards += 1
+            continue
+        kept += 1
+        if cd == dv:
+            agreements += 1
+        else:
+            disagreements += 1
+            if first is None:
+                first = (pt, cd, dv)
+    return IdentityReport(
+        v, sample_count, kept, agreements, disagreements, discards, first
+    )
+
+
+def agreement_failure():
+    """[0,1]^2 and [0,2]^2 fused on their right edges: they disagree near
+    the fold, so the cone and polytope counts differ, e.g. on (1, 2) x (0, 1)."""
+    return OrigamiTemplate((square(1), square(2)), (pair((0, 2), (1, 2)),))
 
 
 class TestWeightSets:
@@ -180,3 +275,124 @@ class TestVerifyIdentity:
     def test_nonorientable_rejected(self):
         with pytest.raises(NonorientableError):
             verify_dh_identity(rp4_template())
+
+
+# ---------------------------------------------------------------------------
+# the integer sampler against the rational reference
+# ---------------------------------------------------------------------------
+
+DIFFERENTIAL_TEMPLATES = {
+    **{name: (lambda name=name: load_template(GALLERY / f"{name}.json"))
+       for name in ORIENTABLE_GALLERY},
+    **{f"cube-{d}": (lambda d=d: doubled_cube(d)) for d in range(1, 5)},
+}
+# generic for every weight of those templates; negative entries flip weights
+OTHER_V = {1: (-1,), 2: (-3, 1), 3: (-3, 1, 5), 4: (-3, 1, 5, -2)}
+
+
+def scripted_draws(monkeypatch, script):
+    """Make every new Lcg64 return ``script`` first, then its own stream."""
+    original = Lcg64.next_u64
+
+    def next_u64(self):
+        self.taken = getattr(self, "taken", 0) + 1
+        return script[self.taken - 1] if self.taken <= len(script) else original(self)
+
+    monkeypatch.setattr(Lcg64, "next_u64", next_u64)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TEMPLATES))
+    @pytest.mark.parametrize("seed", [0, 5, 1000020])
+    @pytest.mark.parametrize("other_v", [False, True], ids=["default-v", "other-v"])
+    def test_reports_equal(self, name, seed, other_v):
+        T = DIFFERENTIAL_TEMPLATES[name]()
+        v = OTHER_V[T.dim] if other_v else None
+        samples = 40 if name == "cube-4" else 80
+        report = verify_dh_identity(T, v, samples, seed)
+        assert report == reference_verify_dh_identity(T, v, samples, seed)
+        assert report.success
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["square", "wide"])
+    def test_disagreement_near_the_fold(self, wide):
+        T = agreement_failure()
+        if wide:
+            # a box of sides 11/5 x 11/10: each coordinate has its own span
+            T = OrigamiTemplate((square(1), box((2, 1))), T.fusions)
+        report = verify_dh_identity(T, sample_count=300, seed=3)
+        assert report == reference_verify_dh_identity(T, sample_count=300, seed=3)
+        assert report.disagreements > 0 and not report.success
+        point, cone_side, dh_side = report.first_counterexample
+        assert cone_side != dh_side
+        assert cone_side == cone_density(T, default_polarization(T), point)
+        assert dh_side == dh_density(T, point).density
+
+    def test_disagreement_in_one_dimension(self):
+        # right ends x = 1 and x = 2 fused: only the cones at 0 remain
+        T = OrigamiTemplate((segment(0, 1), segment(0, 2)), (pair((0, 1), (1, 1)),))
+        report = verify_dh_identity(T, sample_count=100, seed=0)
+        assert report == reference_verify_dh_identity(T, sample_count=100, seed=0)
+        assert report.disagreements > 0
+
+    # agreement_failure's box is [-1/10, 21/10]^2: the draw 2^63 lands on the
+    # coordinate 1, the draw 2^62 on 9/20 and the draw 5 * 2^61 on 51/40
+    def test_draw_on_a_cone_wall_is_discarded(self, monkeypatch):
+        # (51/40, 1) lies on the wall y = 1 of the cone at (0, 1) and on no
+        # polytope boundary
+        scripted_draws(monkeypatch, [5 << 61, 1 << 63])
+        T = agreement_failure()
+        x = (Fraction(51, 40), Fraction(1))
+        assert dh_density(T, x).generic
+        with pytest.raises(BoundaryPoint):
+            cone_density(T, default_polarization(T), x)
+        report = verify_dh_identity(T, sample_count=20, seed=1)
+        assert report == reference_verify_dh_identity(T, sample_count=20, seed=1)
+        assert report.boundary_discards == 1 and report.samples == 20
+
+    def test_draw_on_a_polytope_boundary_is_discarded(self, monkeypatch):
+        # (1, 9/20) is on the fused edge of [0,1]^2 and on no cone wall
+        scripted_draws(monkeypatch, [1 << 63, 1 << 62])
+        T = agreement_failure()
+        x = (Fraction(1), Fraction(9, 20))
+        assert not dh_density(T, x).generic
+        assert cone_density(T, default_polarization(T), x) == 0
+        report = verify_dh_identity(T, sample_count=20, seed=1)
+        assert report == reference_verify_dh_identity(T, sample_count=20, seed=1)
+        assert report.boundary_discards == 1 and report.samples == 20
+
+    def test_every_draw_discarded_spends_the_budget(self, monkeypatch):
+        # segments [0,1] and [1,2], unfused: the box midpoint 1 is a fixed point
+        scripted_draws(monkeypatch, [1 << 63] * 200)
+        T = OrigamiTemplate((segment(0, 1), segment(1, 2)))
+        report = verify_dh_identity(T, sample_count=3, seed=0)
+        assert report == reference_verify_dh_identity(T, sample_count=3, seed=0)
+        assert (report.samples, report.boundary_discards) == (0, 130)
+        assert not report.success
+
+    @pytest.mark.parametrize("name", ["hirzebruch_pair", "trapezoid_chain", "cube-3"])
+    def test_cone_density_on_random_points(self, name):
+        T = DIFFERENTIAL_TEMPLATES[name]()
+        v = default_polarization(T)
+        cones = [polarize(W, v) for W in weight_sets(T)]
+        def outcome(count, x):
+            try:
+                return count(x)
+            except BoundaryPoint:
+                return "wall"
+
+        rng = random.Random(name)
+        walls = 0
+        for _ in range(80):
+            x = tuple(Fraction(rng.randint(-8, 40), rng.choice((1, 2, 7, 1 << 40)))
+                      for _ in range(T.dim))
+            expected = outcome(
+                lambda x: sum(c.sign for c in cones if reference_cone_contains(c, x)), x
+            )
+            assert outcome(lambda x: cone_density(T, v, x), x) == expected
+            walls += expected == "wall"
+        assert 0 < walls < 80
+
+    def test_non_unimodular_generators_rejected(self):
+        cone = PolarizedCone((Fraction(0), Fraction(0)), ((2, 0), (0, 1)), 0, 1)
+        with pytest.raises(ValueError, match="not a lattice basis"):
+            _compile([cone], 1)

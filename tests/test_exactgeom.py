@@ -1,8 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from factories import bad_triangle, hexagon, pentagon, square, trapezoid, triangle
+from factories import (
+    bad_triangle,
+    cube,
+    hexagon,
+    pentagon,
+    simplex,
+    square,
+    trapezoid,
+    triangle,
+)
 from toricorigami import (
     DegenerateError,
     DimensionMismatch,
@@ -225,6 +235,14 @@ class TestContains:
     def test_outside(self):
         assert square().contains((2, 0)).kind == "outside"
 
+    def test_rational_offsets(self):
+        # x1 >= 0, x2 >= 0, x1 + x2 <= 1/2: slacks compared at a common scale
+        P = make_polytope([((-1, 0), 0), ((0, -1), 0), ((1, 1), Fraction(1, 2))])
+        assert P.contains((Fraction(1, 3), Fraction(1, 6))).face.active == (2,)
+        assert P.contains((Fraction(1, 3), Fraction(1, 7))).kind == "interior"
+        assert P.contains((Fraction(1, 3), Fraction(1, 5))).kind == "outside"
+        assert P.contains((Fraction(1, 2), 0)).face.active == (1, 2)
+
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             square().contains((1, 2, 3))
@@ -244,6 +262,15 @@ class TestVolume:
     def test_hexagon(self):
         # 2x2 square minus two half-unit corner triangles
         assert hexagon().volume() == 3
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_unit_cube(self, d):
+        assert cube(d).volume() == 1
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dilated_simplex(self, d, k):
+        assert simplex(d, k).volume() == Fraction(k ** d, math.factorial(d))
 
     def test_segment_length(self):
         seg = make_polytope([((-1,), 1), ((1,), Fraction(5, 2))])

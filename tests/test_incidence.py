@@ -16,10 +16,12 @@ import pytest
 
 from factories import (
     bad_triangle,
+    cube,
     half_triangle,
     hexagon,
     pentagon,
     segment,
+    simplex,
     square,
     trapezoid,
     trapezoid_chain,
@@ -43,17 +45,6 @@ from toricorigami.exactgeom import (
 )
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
-
-
-def cube(d):
-    lower = [(tuple(-(i == j) for j in range(d)), 0) for i in range(d)]
-    upper = [(tuple(int(i == j) for j in range(d)), 1) for i in range(d)]
-    return make_polytope(lower + upper)
-
-
-def simplex(d, k):
-    lower = [(tuple(-(i == j) for j in range(d)), 0) for i in range(d)]
-    return make_polytope(lower + [((1,) * d, k)])
 
 
 def square_pyramid():
