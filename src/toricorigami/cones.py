@@ -123,13 +123,14 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
         raise DimensionMismatch(
             f"polarizing vector {vv} does not match weight dimension"
         )
-    zeros = [w for w in W.weights if sum(a * b for a, b in zip(w, vv)) == 0]
+    pairings = [_dot(w, vv) for w in W.weights]
+    zeros = [w for w, p in zip(W.weights, pairings) if p == 0]
     if zeros:
         raise NonGenericPolarization(zeros)
     generators = []
     flips = 0
-    for w in W.weights:
-        if sum(a * b for a, b in zip(w, vv)) > 0:
+    for w, p in zip(W.weights, pairings):
+        if p > 0:
             generators.append(w)
         else:
             generators.append(tuple(-c for c in w))

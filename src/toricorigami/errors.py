@@ -32,7 +32,7 @@ class DegenerateError(PolytopeError):
 
 
 class EnumerationLimitError(PolytopeError):
-    """The halfspace system is too large to enumerate (see MAX_SUBSETS)."""
+    """The halfspace system is too large to enumerate (see MAX_RAYS)."""
 
 
 class DimensionMismatch(OrigamiError):

@@ -27,11 +27,11 @@ from .errors import (
 Point = tuple  # tuple[Fraction, ...]
 IntVec = tuple  # tuple[int, ...]
 
-# Vertex enumeration tries C(m, n) halfspace subsets and the recession check
-# C(m, n-1), for m halfspaces in dimension n.  make_polytope refuses systems
-# whose sum exceeds this bound; a 5-cube (10 halfspaces) needs 462.  Normals
-# of rank r < n are tested for emptiness on C(m, r) subsets, bounded alike.
-MAX_SUBSETS = 20_000
+# make_polytope refuses a system once its double-description pass holds more
+# than this many rays, each an extreme ray of the cone cut out by the rows
+# inserted so far.  A d-cube ends with its 2^d vertices, so the 8-cube builds
+# and the 9-cube is refused.  Normals of rank r < n run the same pass in Q^r.
+MAX_RAYS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +84,6 @@ def _rref(rows):
         if r == len(mat):
             break
     return mat, pivots
-
-
-def _rank(rows) -> int:
-    return len(_rref(rows)[1])
 
 
 def _solve_square(rows, rhs):
@@ -367,13 +363,12 @@ class HPolytope:
         slacks = self._slacks(*_scaled(as_point(x, self.dim)))
         if min(slacks) < 0:
             return Location("outside")
-        active = [i for i, slack in enumerate(slacks) if slack == 0]
+        active = tuple(i for i, slack in enumerate(slacks) if slack == 0)
         if not active:
             return Location("interior")
-        rows = [self.halfspaces[i].normal for i in active]
-        return Location(
-            "boundary", FaceRef(self, tuple(active), self.dim - _rank(rows))
-        )
+        # the tight set at a point of P is the active set of its smallest face
+        dim = next(f.dim for f in self._face_list if f.active == active)
+        return Location("boundary", FaceRef(self, active, dim))
 
     def bounding_box(self) -> tuple[Point, Point]:
         lo = tuple(min(v[j] for v in self.vertices) for j in range(self.dim))
@@ -387,11 +382,7 @@ class HPolytope:
         hi_i = tuple(math.floor(c) for c in hi)
         if any(a > b for a, b in zip(lo_i, hi_i)):
             return []
-        rows, rhs = [], []
-        for hs in self.halfspaces:
-            q = hs.offset.denominator
-            rows.append(tuple(q * a for a in hs.normal))
-            rhs.append(hs.offset.numerator)
+        rhs, rows = zip(*self._integer_rows)
         return _latticescan.scan_box(rows, rhs, lo_i, hi_i)
 
     @cached_property
@@ -435,8 +426,8 @@ def make_polytope(halfspaces) -> HPolytope:
     redundant halfspaces (those not supporting a facet) removed, preserving
     the input order of the kept ones.  Raises EmptyError, UnboundedError or
     DegenerateError when the data does not describe a full-dimensional
-    bounded polytope, and EnumerationLimitError when the system is too large
-    to enumerate (see MAX_SUBSETS).
+    bounded polytope, and EnumerationLimitError when its double-description
+    pass (:func:`_extreme_rays`) would hold more than MAX_RAYS rays.
     """
     items = list(halfspaces)
     if not items:
@@ -458,33 +449,31 @@ def make_polytope(halfspaces) -> HPolytope:
     hss = sorted(seen, key=seen.get)
     input_pos = [seen[hs] for hs in hss]
 
-    m = len(hss)
-    _check_subsets(
-        math.comb(m, dim) + math.comb(m, dim - 1), f"{m} halfspaces in dimension {dim}"
-    )
-
     normals = [hs.normal for hs in hss]
     pivots = _rref(normals)[1]
-    r = len(pivots)
-    if r < dim:
-        # A x reaches exactly the values that its pivot columns reach, and
-        # that restricted system is pointed: it is nonempty iff it has a vertex
-        _check_subsets(math.comb(m, r), f"{m} halfspaces of rank {r}")
-        restricted = [
-            Halfspace(tuple(hs.normal[c] for c in pivots), hs.offset) for hs in hss
-        ]
-        if next(_enumerate_vertices(restricted, r), None) is None:
-            raise EmptyError("no feasible point")
+    # A x reaches exactly the values that its pivot columns reach, and that
+    # restricted system is pointed: it is nonempty iff it has a vertex
+    rays = _extreme_rays(hss, pivots)
+    incidence = sorted(  # vertices in lex order
+        (tuple(Fraction(c, ray[-1]) for c in ray[:-1]), frozenset(act))
+        for ray, act in rays
+        if ray[-1]
+    )
+    if not incidence:
+        raise EmptyError("no feasible point")
+    if len(pivots) < dim:
         # a nonempty region whose normals do not span Q^n recedes in a
         # kernel direction
         raise UnboundedError(_kernel_direction(normals, dim))
 
-    incidence = sorted(_enumerate_vertices(hss, dim))  # vertices in lex order
-    if not incidence:
-        raise EmptyError("no feasible point")
-    vertices = [v for v, _ in incidence]
-
-    _check_recession(hss, dim)
+    # report the recession ray with the lex-first greedy basis of tight normals
+    recession = sorted(
+        (tuple(act[c] for c in _rref(zip(*(normals[j] for j in act)))[1]), ray[:-1])
+        for ray, act in rays
+        if not ray[-1]
+    )
+    if recession:
+        raise UnboundedError(recession[0][1])
 
     # a bounded polyhedron is lower-dimensional iff a halfspace is tight on it
     if frozenset.intersection(*(act for _, act in incidence)):
@@ -494,7 +483,7 @@ def make_polytope(halfspaces) -> HPolytope:
     # lie in no other halfspace's tight vertices as a strict subset
     tight = [
         frozenset(v for v, (_, act) in enumerate(incidence) if j in act)
-        for j in range(m)
+        for j in range(len(hss))
     ]
     kept, kept_pos, renumber = [], [], {}
     for j, (hs, pos) in enumerate(zip(hss, input_pos)):
@@ -506,48 +495,58 @@ def make_polytope(halfspaces) -> HPolytope:
     tight_sets = tuple(
         frozenset(renumber[j] for j in act if j in renumber) for _, act in incidence
     )
-    return HPolytope(dim, tuple(kept), tuple(vertices), tuple(kept_pos), tight_sets)
+    vertices = tuple(v for v, _ in incidence)
+    return HPolytope(dim, tuple(kept), vertices, tuple(kept_pos), tight_sets)
 
 
-def _check_subsets(subsets: int, system: str) -> None:
-    if subsets > MAX_SUBSETS:
-        raise EnumerationLimitError(
-            f"{system} need {subsets} subsets, more than the limit of {MAX_SUBSETS}"
-        )
+def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
+    """Extreme rays of {(x, t) : t >= 0, q <a, x> <= p t} and their tight sets.
 
-
-def _enumerate_vertices(hss, dim):
-    """Yield each vertex once with the indices of the halfspaces tight there."""
-    seen = set()
-    for subset in itertools.combinations(range(len(hss)), dim):
-        rows = [hss[i].normal for i in subset]
-        rhs = [hss[i].offset for i in subset]
-        x = _solve_square(rows, rhs)
-        if x is None or x in seen:
+    One row per halfspace <a, x> <= p/q, restricted to ``columns``, where the
+    normals must have full rank so that the cone is pointed.  A ray is a
+    primitive integer vector (x, t): a vertex scaled by t > 0, or an extreme
+    recession direction if t = 0.  Double description (Motzkin et al. 1953;
+    Fukuda & Prodon 1996): from the simplicial cone of n + 1 independent
+    rows, insert the others one at a time, joining each pair of adjacent
+    rays that the new row separates.
+    """
+    m, dim = len(hss), len(columns)
+    limit = f"{m} halfspaces of rank {dim} need more than {MAX_RAYS} rays"
+    if dim + 1 > MAX_RAYS:
+        raise EnumerationLimitError(limit)
+    rows = [
+        [-hs.offset.denominator * hs.normal[c] for c in columns] + [hs.offset.numerator]
+        for hs in hss
+    ] + [[0] * dim + [1]]
+    # reducing [rows^T | I] picks the greedy-independent rows B (its pivots)
+    # and leaves the rows of (B^T)^-1: the rays of the cone B y >= 0
+    unit = [[int(i == k) for k in range(dim + 1)] for i in range(dim + 1)]
+    mat, pivots = _rref([list(col) + e for col, e in zip(zip(*rows), unit)])
+    basis = sum(1 << k for k in pivots)
+    rays = [
+        (primitive_vector(row[m + 1:]), basis ^ 1 << k) for row, k in zip(mat, pivots)
+    ]
+    for k, row in enumerate(rows):
+        if basis >> k & 1:
             continue
-        seen.add(x)
-        tight = []
-        for i, hs in enumerate(hss):
-            slack = hs.evaluate(x)
-            if slack < 0:
-                break
-            if slack == 0:
-                tight.append(i)
-        else:
-            yield x, frozenset(tight)
-
-
-def _check_recession(hss, dim) -> None:
-    """Raise UnboundedError if {d : normals d <= 0} has a nonzero ray."""
-    normals = [hs.normal for hs in hss]
-    for subset in itertools.combinations(range(len(hss)), dim - 1):
-        rows = [normals[i] for i in subset]
-        if _rank(rows) != dim - 1:
-            continue
-        d = _kernel_direction(rows, dim)
-        for cand in (d, tuple(-c for c in d)):
-            if all(_dot(a, cand) <= 0 for a in normals):
-                raise UnboundedError(cand)
+        vals = [_dot(row, ray) for ray, _ in rays]
+        held = [(ray, z | (v == 0) << k) for (ray, z), v in zip(rays, vals) if v >= 0]
+        positive = [(ray, z, v) for (ray, z), v in zip(rays, vals) if v > 0]
+        negative = [(ray, z, v) for (ray, z), v in zip(rays, vals) if v < 0]
+        for (a, za, va), (b, zb, vb) in itertools.product(positive, negative):
+            # adjacent iff no third ray is zero on all (>= n - 1) rows they share
+            common = za & zb
+            if common.bit_count() < dim - 1 or sum(
+                common & z == common for _, z in rays
+            ) > 2:
+                continue
+            ray = [va * y - vb * x for x, y in zip(a, b)]
+            g = math.gcd(*ray)
+            held.append((tuple(c // g for c in ray), common | 1 << k))
+            if len(held) > MAX_RAYS:
+                raise EnumerationLimitError(limit)
+        rays = held
+    return [(ray, tuple(j for j in range(m) if z >> j & 1)) for ray, z in rays]
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,12 @@ class TestExitCodes:
         assert report["error"]["kind"] == "EnumerationLimitError"
 
     def run_halfspaces(self, capsys, tmp_path, dim, normals, offset):
-        halfspaces = [{"normal": list(n), "offset": offset} for n in normals]
+        return self.run_system(
+            capsys, tmp_path, dim, [(n, offset) for n in normals]
+        )
+
+    def run_system(self, capsys, tmp_path, dim, system):
+        halfspaces = [{"normal": list(n), "offset": c} for n, c in system]
         doc = {"dimension": dim, "polytopes": [{"halfspaces": halfspaces}]}
         path = tmp_path / "hostile.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -294,6 +299,17 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["kind"] == "EnumerationLimitError"
         assert "of rank 9" in report["error"]["message"]
+
+    def test_rank_deficient_empty_system_exits_2_quickly(self, capsys, tmp_path):
+        # [0,1]^6 on x1..x6 in Q^14 with x1 + ... + x6 >= 7 and five
+        # redundant cuts x_i + x_(i+1) <= 2: 18 halfspaces of rank 6
+        units = [tuple(int(i == j) for j in range(14)) for i in range(6)]
+        system = [(u, 1) for u in units] + [([-c for c in u], 0) for u in units]
+        system.append(([-sum(col) for col in zip(*units)], -7))
+        system += [([a + b for a, b in zip(u, v)], 2) for u, v in zip(units, units[1:])]
+        code, report = self.run_system(capsys, tmp_path, 14, system)
+        assert code == 2
+        assert report["error"]["kind"] == "EmptyError"
 
     def test_stdin_input(self, capsys, monkeypatch):
         doc = document_from_template(s4_template(2))

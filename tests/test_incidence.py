@@ -27,6 +27,7 @@ from factories import (
     trapezoid_chain,
     triangle,
 )
+from test_enumeration import enumerate_vertices, rank
 from test_properties import random_delzant_polygon, transform
 from toricorigami import (
     DegenerateError,
@@ -38,8 +39,6 @@ from toricorigami import (
 from toricorigami.exactgeom import (
     _det,
     _dot,
-    _enumerate_vertices,
-    _rank,
     _reduce_halfspace,
     primitive_vector,
 )
@@ -153,7 +152,7 @@ class TestIncidence:
 def affine_rank(points):
     """Dimension of the affine hull of a nonempty point list."""
     base = points[0]
-    return _rank([[a - b for a, b in zip(p, base)] for p in points[1:]])
+    return rank([[a - b for a, b in zip(p, base)] for p in points[1:]])
 
 
 def reference_faces(dim, normals, acts):
@@ -173,7 +172,7 @@ def reference_faces(dim, normals, acts):
     faces = [
         (
             tuple(sorted(a)),
-            dim - _rank([normals[k] for k in a]) if a else dim,
+            dim - rank([normals[k] for k in a]) if a else dim,
             tuple(v for v, act in enumerate(acts) if a <= act),
         )
         for a in actives
@@ -186,7 +185,7 @@ def reference_edges(dim, normals, acts):
     return {
         (a, b)
         for a, b in itertools.combinations(range(len(acts)), 2)
-        if _rank([normals[k] for k in acts[a] & acts[b]]) == dim - 1
+        if rank([normals[k] for k in acts[a] & acts[b]]) == dim - 1
     }
 
 
@@ -222,7 +221,7 @@ def reference_polytope(halfspaces):
         seen.setdefault(_reduce_halfspace(normal, offset), pos)
     hss = list(seen)
     dim = len(hss[0].normal)
-    incidence = sorted(_enumerate_vertices(hss, dim))
+    incidence = sorted(enumerate_vertices(hss, dim))
     if not incidence:
         raise EmptyError("no feasible point")
     vertices = [v for v, _ in incidence]
@@ -261,6 +260,15 @@ class TestRankReferences:
         ]
         for f in faces:
             assert f.dim == affine_rank(P.face_vertices(f))
+
+    def test_contains_finds_each_face_at_its_vertex_centroid(self, P):
+        normals = [hs.normal for hs in P.halfspaces]
+        for f in P.faces():
+            verts = P.face_vertices(f)
+            centroid = tuple(sum(c) / len(verts) for c in zip(*verts))
+            face = P.contains(centroid).face
+            assert face.active == f.active
+            assert face.dim == P.dim - rank([normals[k] for k in f.active])
 
     def test_every_kept_halfspace_is_a_facet(self, P):
         for j in range(len(P.halfspaces)):
