@@ -15,12 +15,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cohomology import ht_poincare
-from .cones import default_polarization, verify_dh_identity
+# Handlers import the modules only they use (invariants, cones, cohomology,
+# render), so that a call loads what it runs and no more.
 from .document import format_rational, load_template
 from .errors import DocumentError, NonorientableError, OrigamiError, ValidationError
-from .invariants import dh_density, quantize, signed_volume
-from .render import render_svg
 from .template import classify_surface, orient, validate
 
 EXIT_OK = 0
@@ -180,6 +178,8 @@ def _cmd_classify(args):
 
 
 def _cmd_quantize(args):
+    from .invariants import quantize
+
     T = _load_valid(args.file)
     result = quantize(T)
     payload = {"virtual_dimension": result.virtual_dimension}
@@ -192,6 +192,8 @@ def _cmd_quantize(args):
 
 
 def _cmd_dh(args):
+    from .invariants import dh_density
+
     T = _load_valid(args.file)
     value = dh_density(T, args.point)
     return {
@@ -202,11 +204,15 @@ def _cmd_dh(args):
 
 
 def _cmd_volume(args):
+    from .invariants import signed_volume
+
     T = _load_valid(args.file)
     return {"signed_volume": format_rational(signed_volume(T))}, EXIT_OK
 
 
 def _cmd_cones(args):
+    from .cones import default_polarization, verify_dh_identity
+
     T = _load_valid(args.file)
     v = args.v if args.v is not None else default_polarization(T)
     report = verify_dh_identity(T, v, args.samples, args.seed)
@@ -232,6 +238,8 @@ def _cmd_cones(args):
 
 
 def _cmd_cohomology(args):
+    from .cohomology import ht_poincare
+
     T = _load_valid(args.file)
     series = ht_poincare(T, args.max_degree)
     return {
@@ -241,6 +249,8 @@ def _cmd_cohomology(args):
 
 
 def _cmd_render(args):
+    from .render import render_svg
+
     T = _load_valid(args.file)
     svg = render_svg(T, lattice=args.lattice)
     try:

@@ -11,16 +11,15 @@ side and its complement on the negative side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .errors import InconsistentIndex, NonorientableError, PreconditionError
 from .exactgeom import FaceRef, HPolytope, _dot
 from .template import OrigamiTemplate, orientation_signs
 
 
-@dataclass(frozen=True)
-class CriticalFace:
+class CriticalFace(Value):
     """A critical face with its Morse data.
 
     ``m`` is the face dimension (the critical manifold has dimension 2m),
@@ -29,19 +28,27 @@ class CriticalFace:
     2(n - m) - ind on the -1 side, where the height is climbed instead.
     """
 
-    polytope: int
-    face: FaceRef
-    vertices: tuple
-    m: int
-    side: int
-    ind: int
-    r: int
+    __slots__ = _repr = ("polytope", "face", "vertices", "m", "side", "ind", "r")
+
+    def __init__(
+        self, polytope: int, face: FaceRef, vertices: tuple, m: int, side: int,
+        ind: int, r: int,
+    ):
+        set_field(self, "polytope", polytope)
+        set_field(self, "face", face)
+        set_field(self, "vertices", vertices)
+        set_field(self, "m", m)
+        set_field(self, "side", side)
+        set_field(self, "ind", ind)
+        set_field(self, "r", r)
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
-    cap: int
-    coefficients: tuple[int, ...]
+class PoincareSeries(Value):
+    __slots__ = _repr = ("cap", "coefficients")
+
+    def __init__(self, cap: int, coefficients: tuple[int, ...]):
+        set_field(self, "cap", cap)
+        set_field(self, "coefficients", coefficients)
 
 
 def fold_direction(T: OrigamiTemplate) -> tuple[tuple[int, ...], Fraction]:

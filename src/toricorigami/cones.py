@@ -9,33 +9,42 @@ reproduces the polytope Duistermaat-Heckman density, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization
 from .exactgeom import _det, _dot, _lcd, _solve_square, as_point
 from .invariants import dh_density
 from .template import OrigamiTemplate, fixed_points, orientation_signs
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(Value):
     """Isotropy weights (edge directions) at one fixed point."""
 
-    polytope: int
-    vertex: tuple
-    weights: tuple[tuple[int, ...], ...]
-    sign: int
+    __slots__ = _repr = ("polytope", "vertex", "weights", "sign")
+
+    def __init__(
+        self, polytope: int, vertex: tuple, weights: tuple[tuple[int, ...], ...],
+        sign: int,
+    ):
+        set_field(self, "polytope", polytope)
+        set_field(self, "vertex", vertex)
+        set_field(self, "weights", weights)
+        set_field(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class PolarizedCone:
+class PolarizedCone(Value):
     """A weight cone after polarization: all generators pair > 0 with v."""
 
-    apex: tuple
-    generators: tuple[tuple[int, ...], ...]
-    flips: int
-    sign: int
+    __slots__ = _repr = ("apex", "generators", "flips", "sign")
+
+    def __init__(
+        self, apex: tuple, generators: tuple[tuple[int, ...], ...], flips: int, sign: int
+    ):
+        set_field(self, "apex", apex)
+        set_field(self, "generators", generators)
+        set_field(self, "flips", flips)
+        set_field(self, "sign", sign)
 
 
 class Lcg64:
@@ -62,17 +71,31 @@ class Lcg64:
         return Fraction(self.next_u64(), self.MODULUS)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Value):
     """Outcome of sampling cone density against polytope density."""
 
-    v: tuple[int, ...]
-    requested: int
-    samples: int
-    agreements: int
-    disagreements: int
-    boundary_discards: int
-    first_counterexample: tuple | None
+    __slots__ = _repr = (
+        "v", "requested", "samples", "agreements", "disagreements",
+        "boundary_discards", "first_counterexample",
+    )
+
+    def __init__(
+        self,
+        v: tuple[int, ...],
+        requested: int,
+        samples: int,
+        agreements: int,
+        disagreements: int,
+        boundary_discards: int,
+        first_counterexample: tuple | None,
+    ):
+        set_field(self, "v", v)
+        set_field(self, "requested", requested)
+        set_field(self, "samples", samples)
+        set_field(self, "agreements", agreements)
+        set_field(self, "disagreements", disagreements)
+        set_field(self, "boundary_discards", boundary_discards)
+        set_field(self, "first_counterexample", first_counterexample)
 
     @property
     def success(self) -> bool:

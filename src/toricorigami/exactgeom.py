@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from . import _latticescan
+from ._value import Value, set_field
 from .errors import (
     DegenerateError,
     DimensionMismatch,
@@ -141,12 +141,14 @@ def primitive_vector(vec) -> IntVec:
 # data types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Value):
     """Closed halfspace {x : <normal, x> <= offset} with primitive normal."""
 
-    normal: IntVec
-    offset: Fraction
+    __slots__ = _repr = ("normal", "offset")
+
+    def __init__(self, normal: IntVec, offset: Fraction):
+        set_field(self, "normal", normal)
+        set_field(self, "offset", offset)
 
     def evaluate(self, x) -> Fraction:
         return Fraction(self.offset) - _dot(self.normal, x)
@@ -168,65 +170,93 @@ def _reduce_halfspace(normal, offset) -> Halfspace:
     return Halfspace(tuple(c // g for c in norm), Fraction(offset) / g)
 
 
-@dataclass(frozen=True)
-class FaceRef:
+class FaceRef(Value):
     """A face of a polytope, identified by its full active halfspace set."""
 
-    polytope: "HPolytope"
-    active: IntVec
-    dim: int
+    __slots__ = _repr = ("polytope", "active", "dim")
+
+    def __init__(self, polytope: HPolytope, active: IntVec, dim: int):
+        set_field(self, "polytope", polytope)
+        set_field(self, "active", active)
+        set_field(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(Value):
     """Result of a point query: interior, boundary (smallest face) or outside."""
 
-    kind: str  # "interior" | "boundary" | "outside"
-    face: FaceRef | None = None
+    __slots__ = _repr = ("kind", "face")
+
+    def __init__(self, kind: str, face: FaceRef | None = None):
+        set_field(self, "kind", kind)  # "interior" | "boundary" | "outside"
+        set_field(self, "face", face)
 
     @property
     def inside(self) -> bool:
         return self.kind != "outside"
 
 
-@dataclass(frozen=True)
-class DelzantVertexRecord:
-    vertex: Point
-    directions: tuple[IntVec, ...]
-    determinant: int | None
-    ok: bool
+class DelzantVertexRecord(Value):
+    __slots__ = _repr = ("vertex", "directions", "determinant", "ok")
+
+    def __init__(
+        self, vertex: Point, directions: tuple[IntVec, ...], determinant: int | None,
+        ok: bool,
+    ):
+        set_field(self, "vertex", vertex)
+        set_field(self, "directions", directions)
+        set_field(self, "determinant", determinant)
+        set_field(self, "ok", ok)
 
 
-@dataclass(frozen=True)
-class DelzantReport:
-    is_delzant: bool
-    vertex_records: tuple[DelzantVertexRecord, ...]
-    failure: str | None = None
+class DelzantReport(Value):
+    __slots__ = _repr = ("is_delzant", "vertex_records", "failure")
+
+    def __init__(
+        self, is_delzant: bool, vertex_records: tuple[DelzantVertexRecord, ...],
+        failure: str | None = None,
+    ):
+        set_field(self, "is_delzant", is_delzant)
+        set_field(self, "vertex_records", vertex_records)
+        set_field(self, "failure", failure)
 
 
-@dataclass(frozen=True)
-class _Face:
-    active: IntVec
-    dim: int
-    vids: IntVec
-    facets: tuple["_Face", ...] = field(compare=False, repr=False)
+class _Face(Value):
+    """A face by its active set, dimension and vertex ids; ``facets`` is not compared."""
+
+    _repr = ("active", "dim", "vids")
+    __slots__ = _repr + ("facets",)
+
+    def __init__(self, active: IntVec, dim: int, vids: IntVec, facets: tuple[_Face, ...]):
+        set_field(self, "active", active)
+        set_field(self, "dim", dim)
+        set_field(self, "vids", vids)
+        set_field(self, "facets", facets)
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(Value):
     """Full-dimensional bounded polytope in Q^n, irredundant halfspaces.
 
     Construct through :func:`make_polytope`; the constructor assumes the
     invariants already hold.  Instances are immutable and hashable; equality
-    compares the halfspace systems.
+    compares the halfspace systems.  ``repr`` also shows the vertices.
     """
 
-    dim: int
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[Point, ...] = field(compare=False)
-    kept_input_indices: tuple[int, ...] = field(compare=False, repr=False)
-    # indices of the halfspaces tight at each vertex: the vertex-facet incidence
-    _vertex_active: tuple[frozenset, ...] = field(compare=False, repr=False)
+    _repr = ("dim", "halfspaces", "vertices")
+    _compare = ("dim", "halfspaces")
+
+    def __init__(
+        self,
+        dim: int,
+        halfspaces: tuple[Halfspace, ...],
+        vertices: tuple[Point, ...],
+        kept_input_indices: tuple[int, ...],
+        # indices of the halfspaces tight at each vertex: the vertex-facet incidence
+        _vertex_active: tuple[frozenset, ...],
+    ):
+        vars(self).update(
+            dim=dim, halfspaces=halfspaces, vertices=vertices,
+            kept_input_indices=kept_input_indices, _vertex_active=_vertex_active,
+        )
 
     # -- derived structure ---------------------------------------------
 
@@ -454,11 +484,14 @@ def make_polytope(halfspaces) -> HPolytope:
     # A x reaches exactly the values that its pivot columns reach, and that
     # restricted system is pointed: it is nonempty iff it has a vertex
     rays = _extreme_rays(hss, pivots)
-    incidence = sorted(  # vertices in lex order
+    # vertices x / t in lex order: sort the integer rays with x scaled to one t
+    finite = [(ray, act) for ray, act in rays if ray[-1]]
+    common = math.lcm(*(ray[-1] for ray, _ in finite))
+    finite.sort(key=lambda item: [c * (common // item[0][-1]) for c in item[0][:-1]])
+    incidence = [
         (tuple(Fraction(c, ray[-1]) for c in ray[:-1]), frozenset(act))
-        for ray, act in rays
-        if ray[-1]
-    )
+        for ray, act in finite
+    ]
     if not incidence:
         raise EmptyError("no feasible point")
     if len(pivots) < dim:

@@ -9,30 +9,34 @@ quantities are defined only through orientation signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .errors import NonIntegralError
 from .exactgeom import _scaled, as_point
 from .template import OrigamiTemplate, orientation_signs
 
 
-@dataclass(frozen=True)
-class QuantizationResult:
+class QuantizationResult(Value):
     """Signed multiplicity per lattice point plus their total."""
 
-    per_point: dict
-    virtual_dimension: int
+    __slots__ = _repr = ("per_point", "virtual_dimension")
+
+    def __init__(self, per_point: dict, virtual_dimension: int):
+        set_field(self, "per_point", per_point)
+        set_field(self, "virtual_dimension", virtual_dimension)
 
     def items(self):
         return tuple(self.per_point.items())
 
 
-@dataclass(frozen=True)
-class DHValue:
-    point: tuple
-    density: int
-    generic: bool
+class DHValue(Value):
+    __slots__ = _repr = ("point", "density", "generic")
+
+    def __init__(self, point: tuple, density: int, generic: bool):
+        set_field(self, "point", point)
+        set_field(self, "density", density)
+        set_field(self, "generic", generic)
 
 
 def quantize(T: OrigamiTemplate) -> QuantizationResult:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._value import Value, set_field
 from .errors import (
     DimensionError,
     NonorientableError,
@@ -28,20 +28,24 @@ KLEIN_BOTTLE = "klein-bottle"
 TORUS = "torus"
 
 
-@dataclass(frozen=True)
-class FacetAddress:
+class FacetAddress(Value):
     """A facet of one template polytope, by polytope and halfspace index."""
 
-    polytope: int
-    facet: int
+    __slots__ = _repr = ("polytope", "facet")
+
+    def __init__(self, polytope: int, facet: int):
+        set_field(self, "polytope", polytope)
+        set_field(self, "facet", facet)
 
 
-@dataclass(frozen=True)
-class Fusion:
+class Fusion(Value):
     """A fused facet pair, or a single folded facet when ``b`` is None."""
 
-    a: FacetAddress
-    b: FacetAddress | None = None
+    __slots__ = _repr = ("a", "b")
+
+    def __init__(self, a: FacetAddress, b: FacetAddress | None = None):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @property
     def is_pair(self) -> bool:
@@ -64,22 +68,28 @@ def single(a) -> Fusion:
     return Fusion(FacetAddress(*a))
 
 
-@dataclass(frozen=True)
-class OrigamiTemplate:
-    """Polytope list + fusions (+ optional orientation signs and names)."""
+class OrigamiTemplate(Value):
+    """Polytope list + fusions (+ optional orientation signs and names).
 
-    polytopes: tuple[HPolytope, ...]
-    fusions: tuple[Fusion, ...] = ()
-    orientation: tuple[int, ...] | None = None
-    names: tuple[str, ...] | None = field(default=None, compare=False)
+    Sequences are stored as tuples; equality ignores the names.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "polytopes", tuple(self.polytopes))
-        object.__setattr__(self, "fusions", tuple(self.fusions))
-        if self.orientation is not None:
-            object.__setattr__(self, "orientation", tuple(self.orientation))
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
+    _repr = ("polytopes", "fusions", "orientation", "names")
+    _compare = ("polytopes", "fusions", "orientation")
+
+    def __init__(
+        self,
+        polytopes: tuple[HPolytope, ...],
+        fusions: tuple[Fusion, ...] = (),
+        orientation: tuple[int, ...] | None = None,
+        names: tuple[str, ...] | None = None,
+    ):
+        vars(self).update(
+            polytopes=tuple(polytopes),
+            fusions=tuple(fusions),
+            orientation=None if orientation is None else tuple(orientation),
+            names=None if names is None else tuple(names),
+        )
         if not self.polytopes:
             raise ValueError("a template needs at least one polytope")
         dim = self.polytopes[0].dim
@@ -132,13 +142,25 @@ class OrigamiTemplate:
         return tuple(map(frozenset, fused))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    delzant_failures: tuple[tuple[int, str], ...]
-    agreement_failures: tuple[tuple[int, str], ...]
-    adjacency_failures: tuple[str, ...]
-    connected: bool
-    self_pairs: tuple[int, ...]
+class ValidationReport(Value):
+    __slots__ = _repr = (
+        "delzant_failures", "agreement_failures", "adjacency_failures", "connected",
+        "self_pairs",
+    )
+
+    def __init__(
+        self,
+        delzant_failures: tuple[tuple[int, str], ...],
+        agreement_failures: tuple[tuple[int, str], ...],
+        adjacency_failures: tuple[str, ...],
+        connected: bool,
+        self_pairs: tuple[int, ...],
+    ):
+        set_field(self, "delzant_failures", delzant_failures)
+        set_field(self, "agreement_failures", agreement_failures)
+        set_field(self, "adjacency_failures", adjacency_failures)
+        set_field(self, "connected", connected)
+        set_field(self, "self_pairs", self_pairs)
 
     @property
     def valid(self) -> bool:
@@ -161,23 +183,29 @@ class ValidationReport:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class FoldComponent:
-    fusion: int
-    coorientable: bool
+class FoldComponent(Value):
+    __slots__ = _repr = ("fusion", "coorientable")
+
+    def __init__(self, fusion: int, coorientable: bool):
+        set_field(self, "fusion", fusion)
+        set_field(self, "coorientable", coorientable)
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    polytope: int
-    vertex: tuple
+class FixedPoint(Value):
+    __slots__ = _repr = ("polytope", "vertex")
+
+    def __init__(self, polytope: int, vertex: tuple):
+        set_field(self, "polytope", polytope)
+        set_field(self, "vertex", vertex)
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
-    family: str
-    fixed_points: int
-    fold_components: int
+class SurfaceClass(Value):
+    __slots__ = _repr = ("family", "fixed_points", "fold_components")
+
+    def __init__(self, family: str, fixed_points: int, fold_components: int):
+        set_field(self, "family", family)
+        set_field(self, "fixed_points", fixed_points)
+        set_field(self, "fold_components", fold_components)
 
 
 # ---------------------------------------------------------------------------

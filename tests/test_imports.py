@@ -1,0 +1,126 @@
+"""What importing the package and running one CLI call loads.
+
+The package exports its names lazily and each CLI handler imports the
+modules it needs, so a ``validate`` call never loads the sampling,
+cohomology or rendering code.  The footprint checks run in fresh
+interpreters, because this process has loaded everything already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import toricorigami
+
+ROOT = Path(__file__).resolve().parent.parent
+OPTIONAL = ("cones", "cohomology", "invariants", "render")
+
+# every public name of the package, as the eager __init__ exported them
+PUBLIC = [
+    "BoundaryPoint", "CriticalFace", "DHValue", "DegenerateError", "DelzantReport",
+    "DimensionError", "DimensionMismatch", "DocumentError", "EmptyError",
+    "EnumerationLimitError", "FaceRef", "FacetAddress", "FixedPoint", "FoldComponent",
+    "Fusion", "HPolytope", "Halfspace", "IdentityReport", "InconsistentIndex", "Lcg64",
+    "Location", "NonGenericPolarization", "NonIntegralError", "NonorientableError",
+    "OrigamiError", "OrigamiTemplate", "PoincareSeries", "PolarizedCone",
+    "PolytopeError", "PreconditionError", "QuantizationResult", "StructureError",
+    "SurfaceClass", "UnboundedError", "ValidationError", "ValidationReport",
+    "WeightSet", "agrees_near", "classify_surface", "cohomology", "cone_density",
+    "cones", "critical_faces", "cut", "default_polarization", "dh_density", "document",
+    "document_from_template", "errors", "exactgeom", "face_ht_series", "fixed_points",
+    "fold_components", "fold_direction", "glue", "ht_poincare", "invariants",
+    "load_template", "make_polytope", "multiplicity", "orient", "orientation_signs",
+    "pair", "parse_template", "polarize", "quantize", "render", "render_svg",
+    "reversed_orientation", "signed_volume", "single", "template", "validate",
+    "verify_dh_identity", "weight_sets",
+]
+
+
+def _loaded_after(code):
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=ROOT,
+        capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    loaded = _loaded_after("import toricorigami.cli")
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["validate"], ()),
+        (["orient"], ()),
+        (["volume"], ("invariants",)),
+        (["quantize"], ("invariants",)),
+        (["dh", "--point", "1/3,1/3"], ("invariants",)),
+        (["cones", "--samples", "5"], ("cones", "invariants")),
+        (["cohomology", "--max-degree", "4"], ("cohomology",)),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_a_cli_call_loads_only_the_modules_it_needs(argv, needs):
+    call = [argv[0], "gallery/s4.json", *argv[1:]]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from toricorigami.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({call!r}) == 0"
+    )
+    found = {name for name in OPTIONAL if f"toricorigami.{name}" in loaded}
+    assert found == set(needs)
+
+
+def test_render_loads_the_lattice_count_only_when_asked(tmp_path):
+    for extra, needs in (([], {"render"}), (["--lattice"], {"render", "invariants"})):
+        call = ["render", "gallery/s4.json", "--out", str(tmp_path / "s4.svg"), *extra]
+        loaded = _loaded_after(
+            "import contextlib, io\n"
+            "from toricorigami.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({call!r}) == 0"
+        )
+        assert {name for name in OPTIONAL if f"toricorigami.{name}" in loaded} == needs
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _loaded_after("import toricorigami")
+    assert not any(name.startswith("toricorigami.") for name in loaded)
+
+
+def test_all_lists_every_public_name():
+    assert sorted(toricorigami.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listing = dir(toricorigami)
+    for name in PUBLIC:
+        assert getattr(toricorigami, name) is not None, name
+        assert name in listing, name
+    assert toricorigami.validate is toricorigami.template.validate
+    assert toricorigami.cones is sys.modules["toricorigami.cones"]
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from toricorigami import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC
+    assert namespace["HPolytope"] is toricorigami.exactgeom.HPolytope
+
+
+def test_version_and_unknown_names():
+    assert toricorigami.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        toricorigami.no_such_name
+    assert getattr(toricorigami, "lattice_backend", None) is None
