@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ._value import Value, set_field
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization
-from .exactgeom import _det, _dot, _lcd, _solve_square, as_point
+from .exactgeom import _dot, _eliminate, _lcd, as_point
 from .invariants import dh_density
 from .template import OrigamiTemplate, fixed_points, orientation_signs
 
@@ -167,16 +167,17 @@ def _inverse(cone: PolarizedCone) -> tuple[tuple[int, ...], ...]:
     """Rows of the inverse of the matrix whose columns are the generators.
 
     The generators must form a lattice basis, so the inverse is integral.
+    One elimination of [M | I] leaves d [I | M^-1], where d = +-det M.
     """
     n = len(cone.apex)
-    matrix = [[g[i] for g in cone.generators] for i in range(n)]
-    det = _det(matrix)
+    mat, pivots, d, sign = _eliminate(
+        [[g[i] for g in cone.generators] + [int(i == k) for k in range(n)]
+         for i in range(n)]
+    )
+    det = sign * d if pivots == list(range(n)) else 0
     if abs(det) != 1:
         raise ValueError(f"cone generators are not a lattice basis (det {det})")
-    columns = [
-        _solve_square(matrix, [int(i == k) for i in range(n)]) for k in range(n)
-    ]
-    return tuple(tuple(int(col[i]) for col in columns) for i in range(n))
+    return tuple(tuple(d * c for c in row[n:]) for row in mat)
 
 
 def _compile(cones, scale: int) -> list:

@@ -3,7 +3,8 @@
 Polytopes live in Q^n and are given by irredundant integer-normal halfspace
 systems.  Every predicate here (containment, agreement near a facet,
 unimodularity of vertex cones) is decided with exact arithmetic: integer and
-``fractions.Fraction`` only, no floating point anywhere.
+``fractions.Fraction`` only, no floating point anywhere.  All linear algebra
+is one fraction-free integer elimination, :func:`_eliminate`.
 """
 
 from __future__ import annotations
@@ -60,81 +61,60 @@ def _scaled(pt: Point) -> tuple[list[int], int]:
     return [c.numerator * (s // c.denominator) for c in pt], s
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q.  Returns (rows, pivot_columns)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
+
+    Returns (mat, pivots, d, sign): ``mat / d`` is the reduced row echelon
+    form of ``rows``, every pivot entry of ``mat`` equals ``d`` (1 when
+    nothing pivots), and ``sign`` is the sign of the row permutation.  The
+    pivot of column c is the first row at or below the current one that is
+    nonzero there.  Each step sets every other row to
+    (a row - f pivot_row) / d_prev, an exact division: each entry is a minor.
+    """
+    mat = [list(r) for r in rows]
+    pivots, d, sign = [], 1, 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+            sign = -sign
+        top = mat[r]
+        a = top[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[c]
+                mat[i] = [(a * x - f * y) // d for x, y in zip(row, top)]
+        d = a
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        if len(pivots) == len(mat):
             break
-    return mat, pivots
+    return mat, pivots, d, sign
 
 
-def _solve_square(rows, rhs):
-    """Solve the n x n system rows * x = rhs exactly; None if singular."""
-    n = len(rows)
-    mat, pivots = _rref([list(row) + [c] for row, c in zip(rows, rhs)])
-    if pivots != list(range(n)):
-        return None
-    return tuple(row[n] for row in mat)
+def _det(rows) -> int:
+    """Determinant of a square integer matrix."""
+    _, pivots, d, sign = _eliminate(rows)
+    return sign * d if len(pivots) == len(rows) else 0
 
 
-def _det(rows) -> Fraction:
-    mat = [list(map(Fraction, r)) for r in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / inv
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[c])]
-    return det
+def _primitive(vec, d: int = 1) -> IntVec:
+    """The nonzero integer vector ``vec`` divided by its gcd, negated if d < 0."""
+    g = math.gcd(*vec)
+    return tuple(c // (g if d > 0 else -g) for c in vec)
 
 
 def _kernel_direction(rows, n: int) -> IntVec:
     """A primitive integer vector in the kernel (rank must be below n)."""
-    rref, pivots = _rref(rows)
+    mat, pivots, d, _ = _eliminate(rows)
     free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for row, p in zip(rref, pivots):
+    vec = [0] * n
+    vec[free] = d
+    for row, p in zip(mat, pivots):
         vec[p] = -row[free]
-    return primitive_vector(vec)
-
-
-def primitive_vector(vec) -> IntVec:
-    """Scale a nonzero rational vector to primitive integer form (same ray)."""
-    fracs = [Fraction(c) for c in vec]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*(abs(v) for v in ints))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(v // g for v in ints)
+    return _primitive(vec, d)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +284,8 @@ class HPolytope(Value):
                 common <= act for c, act in enumerate(acts) if c != a and c != b
             ):
                 continue
-            u = primitive_vector(
-                [x - y for x, y in zip(self.vertices[b], self.vertices[a])]
+            u = _primitive(
+                _scaled([x - y for x, y in zip(self.vertices[b], self.vertices[a])])[0]
             )
             table[a].append((u, b))
             table[b].append((tuple(-c for c in u), a))
@@ -371,9 +351,9 @@ class HPolytope(Value):
                 continue
             det = _det(dirs)
             ok = abs(det) == 1
-            records.append(DelzantVertexRecord(v, dirs, int(det), ok))
+            records.append(DelzantVertexRecord(v, dirs, det, ok))
             if not ok and failure is None:
-                failure = f"vertex {v} has edge determinant {int(det)}"
+                failure = f"vertex {v} has edge determinant {det}"
         return DelzantReport(failure is None, tuple(records), failure)
 
     @cached_property
@@ -433,15 +413,16 @@ class HPolytope(Value):
         return tuple(rec(self._face_list[-1]))  # the whole polytope sorts last
 
     def volume(self) -> Fraction:
-        """Exact Euclidean volume via fan triangulation from the lex-min vertex."""
+        """Exact Euclidean volume via fan triangulation from the lex-min vertex.
+
+        A simplex with vertices v = X_v / s_v has volume
+        |det [X_v | s_v]| / (n! * prod s_v), over its n + 1 integer rows.
+        """
+        homogeneous = [X + [s] for X, s in map(_scaled, self.vertices)]
         total = Fraction(0)
         for simplex in self._triangulation:
-            base = self.vertices[simplex[0]]
-            rows = [
-                [c - b for c, b in zip(self.vertices[vid], base)]
-                for vid in simplex[1:]
-            ]
-            total += abs(_det(rows))
+            rows = [homogeneous[vid] for vid in simplex]
+            total += Fraction(abs(_det(rows)), math.prod(row[-1] for row in rows))
         return total / math.factorial(self.dim)
 
 
@@ -476,11 +457,11 @@ def make_polytope(halfspaces) -> HPolytope:
     seen = {}
     for pos, hs in enumerate(reduced):
         seen.setdefault(hs, pos)
-    hss = sorted(seen, key=seen.get)
-    input_pos = [seen[hs] for hs in hss]
+    hss = list(seen)
+    input_pos = list(seen.values())
 
     normals = [hs.normal for hs in hss]
-    pivots = _rref(normals)[1]
+    pivots = _eliminate(normals)[1]
     # A x reaches exactly the values that its pivot columns reach, and that
     # restricted system is pointed: it is nonempty iff it has a vertex
     rays = _extreme_rays(hss, pivots)
@@ -501,7 +482,8 @@ def make_polytope(halfspaces) -> HPolytope:
 
     # report the recession ray with the lex-first greedy basis of tight normals
     recession = sorted(
-        (tuple(act[c] for c in _rref(zip(*(normals[j] for j in act)))[1]), ray[:-1])
+        (tuple(act[c] for c in _eliminate(zip(*(normals[j] for j in act)))[1]),
+         ray[:-1])
         for ray, act in rays
         if not ray[-1]
     )
@@ -554,10 +536,13 @@ def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
     # reducing [rows^T | I] picks the greedy-independent rows B (its pivots)
     # and leaves the rows of (B^T)^-1: the rays of the cone B y >= 0
     unit = [[int(i == k) for k in range(dim + 1)] for i in range(dim + 1)]
-    mat, pivots = _rref([list(col) + e for col, e in zip(zip(*rows), unit)])
+    mat, pivots, d, _ = _eliminate(
+        [list(col) + e for col, e in zip(zip(*rows), unit)]
+    )
     basis = sum(1 << k for k in pivots)
     rays = [
-        (primitive_vector(row[m + 1:]), basis ^ 1 << k) for row, k in zip(mat, pivots)
+        (_primitive(row[m + 1:], d), basis ^ 1 << k)
+        for row, k in zip(mat, pivots)
     ]
     for k, row in enumerate(rows):
         if basis >> k & 1:
@@ -574,8 +559,7 @@ def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
             ) > 2:
                 continue
             ray = [va * y - vb * x for x, y in zip(a, b)]
-            g = math.gcd(*ray)
-            held.append((tuple(c // g for c in ray), common | 1 << k))
+            held.append((_primitive(ray), common | 1 << k))
             if len(held) > MAX_RAYS:
                 raise EnumerationLimitError(limit)
         rays = held

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import random
 import time
 from pathlib import Path
 
@@ -310,6 +311,20 @@ class TestExitCodes:
         code, report = self.run_system(capsys, tmp_path, 14, system)
         assert code == 2
         assert report["error"]["kind"] == "EmptyError"
+
+    def test_dense_high_rank_system_exits_2_quickly(self, capsys, tmp_path):
+        # 120 random halfspaces in Q^60 around the origin: the pivot and
+        # start eliminations of 120 x 60 and 61 x 182 integer matrices come
+        # before the ray bound refuses the system
+        rng = random.Random(8)
+        system = []
+        while len(system) < 120:
+            normal = [rng.randint(-3, 3) for _ in range(60)]
+            if any(normal):
+                system.append((normal, rng.randint(1, 3)))
+        code, report = self.run_system(capsys, tmp_path, 60, system)
+        assert code == 2
+        assert report["error"]["kind"] == "EnumerationLimitError"
 
     def test_stdin_input(self, capsys, monkeypatch):
         doc = document_from_template(s4_template(2))

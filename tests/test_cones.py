@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from exact_reference import _det, _solve_square
 from factories import (
     box,
     cycle_of_segments,
@@ -39,7 +40,6 @@ from toricorigami import (
     weight_sets,
 )
 from toricorigami.cones import _compile
-from toricorigami.exactgeom import _det, _solve_square
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 ORIENTABLE_GALLERY = (
@@ -141,8 +141,6 @@ class TestWeightSets:
             weight_sets(rp4_template())
 
     def test_unimodular(self):
-        from toricorigami.exactgeom import _det
-
         for w in weight_sets(hirzebruch_pair()):
             assert abs(_det(w.weights)) == 1
 

@@ -24,15 +24,13 @@ from toricorigami import (
     UnboundedError,
     make_polytope,
 )
+from exact_reference import _kernel_direction, _rref, _solve_square
 from toricorigami.exactgeom import (
     MAX_RAYS,
     Halfspace,
     HPolytope,
     _dot,
-    _kernel_direction,
     _reduce_halfspace,
-    _rref,
-    _solve_square,
 )
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from exact_reference import _det, primitive_vector
 from factories import (
     bad_triangle,
     cube,
@@ -36,12 +37,7 @@ from toricorigami import (
     load_template,
     make_polytope,
 )
-from toricorigami.exactgeom import (
-    _det,
-    _dot,
-    _reduce_halfspace,
-    primitive_vector,
-)
+from toricorigami.exactgeom import _dot, _reduce_halfspace
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
