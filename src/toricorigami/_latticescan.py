@@ -1,29 +1,36 @@
 """Integer lattice scan over a box against scaled halfspace inequalities.
 
-Lists every integer point x of a box with ``A x <= b``, where A and b are
-integers (halfspace data with denominators cleared).  The scan fixes the
-coordinates one at a time.  Each row bounds the next coordinate by exact
-integer floor division, taking the coordinates still free at the box corner
-that makes the row smallest, so no branch is entered that the row rules out
-whatever the free coordinates are.  At the last coordinate no coordinate is
-free and the interval is exact: only output points are built.
+Lists or counts the integer points x of a box with ``A x <= b``, where A and
+b are integers (halfspace data with denominators cleared).  One fiber walk
+serves both: it fixes the coordinates one at a time, and each row bounds the
+next coordinate by exact integer floor division, taking the coordinates still
+free at the box corner that makes the row smallest, so no branch is entered
+that the row rules out whatever the free coordinates are.  At the last
+coordinate no coordinate is free and the interval is exact.  ``scan_box``
+expands each fiber's interval into points; ``count_box`` adds up the
+interval lengths and builds no point.
 
 All arithmetic is on Python integers, so the scan is exact for coefficients
-of any size, and its memory is proportional to the output.
+of any size.  The walk holds one prefix and one slack list per fixed
+coordinate; only ``scan_box``'s output grows with the number of points.
 """
 
 from __future__ import annotations
 
 
-def scan_box(rows, rhs, lo, hi):
-    """Integer points x with lo <= x <= hi and rows . x <= rhs, lex order."""
+def _fibers(rows, rhs, lo, hi, visit):
+    """Call ``visit(prefix, first, last)`` on each nonempty fiber, in lex order.
+
+    ``prefix`` fixes the first n - 1 coordinates, and the last coordinate
+    completes it to a solution exactly when first <= x <= last.
+    """
     rows = [tuple(int(a) for a in r) for r in rows]
     rhs = [int(c) for c in rhs]
     lo = tuple(int(c) for c in lo)
     hi = tuple(int(c) for c in hi)
     n = len(lo)
     if any(l > h for l, h in zip(lo, hi)):
-        return []
+        return
     cols = [[r[k] for r in rows] for k in range(n)]
     # tail[k][i]: the least that coordinates k.. contribute to row i in the box
     tail = [[0] * len(rows)] * (n + 1)
@@ -31,7 +38,6 @@ def scan_box(rows, rhs, lo, hi):
         tail[k] = [
             t + min(a * lo[k], a * hi[k]) for t, a in zip(tail[k + 1], cols[k])
         ]
-    out = []
 
     def fix(k, prefix, slack):
         # slack[i]: rhs[i] minus row i at the coordinates fixed so far
@@ -45,10 +51,33 @@ def scan_box(rows, rhs, lo, hi):
             elif s < 0:
                 return
         if k == n - 1:
-            out.extend(prefix + (x,) for x in range(first, last + 1))
+            if first <= last:
+                visit(prefix, first, last)
             return
         for x in range(first, last + 1):
             fix(k + 1, prefix + (x,), [s - a * x for s, a in zip(slack, cols[k])])
 
     fix(0, (), rhs)
+
+
+def scan_box(rows, rhs, lo, hi):
+    """Integer points x with lo <= x <= hi and rows . x <= rhs, lex order."""
+    out = []
+
+    def expand(prefix, first, last):
+        out.extend(prefix + (x,) for x in range(first, last + 1))
+
+    _fibers(rows, rhs, lo, hi, expand)
     return out
+
+
+def count_box(rows, rhs, lo, hi):
+    """Number of the points ``scan_box`` lists, in memory independent of it."""
+    total = 0
+
+    def add(_prefix, first, last):
+        nonlocal total
+        total += last - first + 1
+
+    _fibers(rows, rhs, lo, hi, add)
+    return total

@@ -181,7 +181,7 @@ def _cmd_quantize(args):
     from .invariants import quantize
 
     T = _load_valid(args.file)
-    result = quantize(T)
+    result = quantize(T, points=args.points)
     payload = {"virtual_dimension": result.virtual_dimension}
     if args.points:
         payload["points"] = [

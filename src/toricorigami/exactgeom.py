@@ -385,15 +385,19 @@ class HPolytope(Value):
         hi = tuple(max(v[j] for v in self.vertices) for j in range(self.dim))
         return lo, hi
 
+    def _scan_args(self):
+        """Integer rows, offsets and the integer points' bounding box."""
+        lo, hi = self.bounding_box()
+        rhs, rows = zip(*self._integer_rows)
+        return rows, rhs, tuple(map(math.ceil, lo)), tuple(map(math.floor, hi))
+
     def lattice_points(self) -> list[IntVec]:
         """All integer points of the polytope, in lexicographic order."""
-        lo, hi = self.bounding_box()
-        lo_i = tuple(math.ceil(c) for c in lo)
-        hi_i = tuple(math.floor(c) for c in hi)
-        if any(a > b for a, b in zip(lo_i, hi_i)):
-            return []
-        rhs, rows = zip(*self._integer_rows)
-        return _latticescan.scan_box(rows, rhs, lo_i, hi_i)
+        return _latticescan.scan_box(*self._scan_args())
+
+    def lattice_count(self) -> int:
+        """``len(self.lattice_points())``, without building the points."""
+        return _latticescan.count_box(*self._scan_args())
 
     @cached_property
     def _triangulation(self) -> tuple[tuple[int, ...], ...]:

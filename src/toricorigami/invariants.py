@@ -18,11 +18,14 @@ from .template import OrigamiTemplate, orientation_signs
 
 
 class QuantizationResult(Value):
-    """Signed multiplicity per lattice point plus their total."""
+    """Signed multiplicity per lattice point plus their total.
+
+    ``per_point`` is None when the total was counted without the points.
+    """
 
     __slots__ = _repr = ("per_point", "virtual_dimension")
 
-    def __init__(self, per_point: dict, virtual_dimension: int):
+    def __init__(self, per_point: dict | None, virtual_dimension: int):
         set_field(self, "per_point", per_point)
         set_field(self, "virtual_dimension", virtual_dimension)
 
@@ -39,11 +42,13 @@ class DHValue(Value):
         set_field(self, "generic", generic)
 
 
-def quantize(T: OrigamiTemplate) -> QuantizationResult:
+def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
     """Add each polytope's sign at each of its lattice points.
 
     Requires an orientation and integral vertices (the polytope-level
-    sufficient condition for an integral form).
+    sufficient condition for an integral form).  With ``points=False`` only
+    the total is computed, from each polytope's lattice count, and
+    ``per_point`` is None.
     """
     signs = orientation_signs(T)
     bad = [
@@ -54,12 +59,15 @@ def quantize(T: OrigamiTemplate) -> QuantizationResult:
     ]
     if bad:
         raise NonIntegralError(bad)
+    if not points:
+        total = sum(sign * P.lattice_count() for sign, P in zip(signs, T.polytopes))
+        return QuantizationResult(None, total)
     per: dict = {}
     total = 0
     for sign, P in zip(signs, T.polytopes):
-        points = P.lattice_points()
-        total += sign * len(points)
-        for p in points:
+        lattice = P.lattice_points()
+        total += sign * len(lattice)
+        for p in lattice:
             per[p] = per.get(p, 0) + sign
     return QuantizationResult(dict(sorted(per.items())), total)
 

@@ -1,7 +1,10 @@
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from factories import (
     bad_triangle,
     box,
     cube,
+    doubled,
     hirzebruch_pair,
     rp4_template,
     s4_template,
@@ -20,7 +24,8 @@ from toricorigami import OrigamiTemplate, pair
 from toricorigami.cli import main
 from toricorigami.document import document_from_template
 
-GALLERY = Path(__file__).resolve().parent.parent / "gallery"
+ROOT = Path(__file__).resolve().parent.parent
+GALLERY = ROOT / "gallery"
 
 
 def write_doc(tmp_path, T, name="t.json"):
@@ -95,6 +100,24 @@ class TestComputeCommands:
         assert code == 0
         assert report["virtual_dimension"] == 0
         assert {"point": [0, 0], "multiplicity": 0} in report["points"]
+
+    def test_quantize_without_points_holds_no_points(self, tmp_path):
+        # [0, 1000]^2 doubled along its right edge has 2 * 1001^2 lattice
+        # points; the count alone needs memory for its 2 * 1001 fibers only
+        path = write_doc(tmp_path, doubled(square(1000), 2))
+        out = tmp_path / "quantize.out"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        with open(out, "wb") as stdout:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "toricorigami.cli", "quantize", path],
+                stdout=stdout, env=env,
+            )
+            _pid, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        assert json.loads(out.read_text())["virtual_dimension"] == 0
+        # ru_maxrss is in KiB on Linux
+        assert usage.ru_maxrss < 64 * 1024
 
     def test_dh(self, capsys, tmp_path):
         path = write_doc(tmp_path, hirzebruch_pair())

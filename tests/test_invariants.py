@@ -85,6 +85,18 @@ class TestQuantize:
             quantize(T)
         assert (Fraction(1, 2), Fraction(0)) in info.value.vertices
 
+    @pytest.mark.parametrize("T", ORIENTED_TEMPLATES)
+    def test_count_only_matches_full_scan(self, T):
+        counted = quantize(T, points=False)
+        assert counted.per_point is None
+        assert counted.virtual_dimension == quantize(T).virtual_dimension
+
+    def test_count_only_keeps_the_preconditions(self):
+        with pytest.raises(NonorientableError):
+            quantize(rp4_template(2), points=False)
+        with pytest.raises(NonIntegralError):
+            quantize(OrigamiTemplate((half_triangle(),)), points=False)
+
 
 class TestDHDensity:
     def test_s4_cancellation(self):

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from factories import (
     bad_triangle,
+    box,
+    cube,
     half_triangle,
     hexagon,
     pentagon,
+    simplex,
     square,
     trapezoid,
     triangle,
@@ -47,30 +50,28 @@ CASES = [
 ]
 
 
-# The ids keep the names of the removed python and numpy backends. Both run
-# the one exact scan: "python" on the system as given, "numpy" on the system
-# with every row and right-hand side scaled by 2**62, past the int64 range
-# where the numpy backend used to fall back to exact arithmetic. Scaling by a
+# Every system runs unscaled and with each row and right-hand side scaled by
+# 2**62, which takes the row values past the int64 range. Scaling by a
 # positive integer leaves the lattice points unchanged.
-SCALES = {"numpy": 2 ** 62, "python": 1}
+SCALES = {"1": 1, "2**62": 2 ** 62}
 
 
 def _scaled(scale, rows, rhs):
     return [tuple(scale * a for a in row) for row in rows], [scale * b for b in rhs]
 
 
-@pytest.mark.parametrize("backend", sorted(SCALES))
+@pytest.mark.parametrize("scale", sorted(SCALES))
 @pytest.mark.parametrize("rows,rhs,lo,hi", CASES)
-def test_backends_agree_with_python(backend, rows, rhs, lo, hi):
-    srows, srhs = _scaled(SCALES[backend], rows, rhs)
+def test_scaled_scan_agrees_with_brute_force(scale, rows, rhs, lo, hi):
+    srows, srhs = _scaled(SCALES[scale], rows, rhs)
     got = _latticescan.scan_box(srows, srhs, lo, hi)
     assert got == brute_force_scan(rows, rhs, lo, hi)
 
 
-@pytest.mark.parametrize("backend", sorted(SCALES))
-def test_lex_order(backend):
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_lex_order(scale):
     rows, rhs, lo, hi = CASES[0]
-    rows, rhs = _scaled(SCALES[backend], rows, rhs)
+    rows, rhs = _scaled(SCALES[scale], rows, rhs)
     got = _latticescan.scan_box(rows, rhs, lo, hi)
     assert got == sorted(got)
 
@@ -79,11 +80,11 @@ def test_empty_box():
     assert _latticescan.scan_box([(1,)], [5], (3,), (2,)) == []
 
 
-@pytest.mark.parametrize("backend", sorted(SCALES))
-def test_overflow_falls_back_to_exact(backend):
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_row_values_past_int64_stay_exact(scale):
     # row values reach ~2**63 (and ~2**125 scaled), beyond int64
     big = 2 ** 62
-    rows, rhs = _scaled(SCALES[backend], [(big, big)], [3 * big])
+    rows, rhs = _scaled(SCALES[scale], [(big, big)], [3 * big])
     got = _latticescan.scan_box(rows, rhs, (0, 0), (2, 2))
     assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
 
@@ -118,6 +119,93 @@ def test_scan_matches_brute_force_on_random_systems(system):
     assert _latticescan.scan_box(rows, rhs, lo, hi) == brute_force_scan(
         rows, rhs, lo, hi
     )
+
+
+def assert_count_matches(rows, rhs, lo, hi):
+    """count_box, the length of scan_box and the brute-force count agree."""
+    expected = len(brute_force_scan(rows, rhs, lo, hi))
+    assert len(_latticescan.scan_box(rows, rhs, lo, hi)) == expected
+    assert _latticescan.count_box(rows, rhs, lo, hi) == expected
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@pytest.mark.parametrize("rows,rhs,lo,hi", CASES)
+def test_count_matches_scan_and_brute_force(scale, rows, rhs, lo, hi):
+    assert_count_matches(*_scaled(SCALES[scale], rows, rhs), lo, hi)
+
+
+NEAR_2_70 = 2 ** 70
+EDGE_CASES = {
+    "empty-box": ([(1,)], [5], (3,), (2,)),
+    "empty-box-2d": ([(1, 1)], [5], (0, 3), (4, 2)),
+    "no-rows": ([], [], (-2, 1), (1, 3)),
+    "zero-columns": ([(0, 1), (0, -1)], [2, 0], (-3, -1), (2, 4)),
+    "all-zero-row-holds": ([(0, 0, 0)], [0], (0, 0, 0), (1, 2, 1)),
+    "all-zero-row-fails": ([(0, 0)], [-1], (0, 0), (3, 3)),
+    "contradictory-rows": ([(1, 0), (-1, 0)], [0, -1], (-2, -2), (2, 2)),
+    "last-coordinate-ruled-out": ([(0, 1), (0, -1)], [0, -1], (-2, -2), (2, 2)),
+    "near-2**70": (
+        [(NEAR_2_70 + 1, NEAR_2_70 - 1), (-NEAR_2_70, 0)],
+        [3 * NEAR_2_70 + 2, 2],
+        (-2, -3),
+        (3, 4),
+    ),
+    "near-2**70-rules-out-all": (
+        [(NEAR_2_70, 0), (-NEAR_2_70 - 1, 0)],
+        [-1, -1],
+        (-3, 0),
+        (3, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_count_on_edge_cases(case):
+    assert_count_matches(*EDGE_CASES[case])
+
+
+def test_edge_cases_cover_empty_and_nonempty_results():
+    counts = {k: _latticescan.count_box(*c) for k, c in EDGE_CASES.items()}
+    assert counts["empty-box"] == counts["all-zero-row-fails"] == 0
+    assert counts["contradictory-rows"] == counts["near-2**70-rules-out-all"] == 0
+    assert counts["last-coordinate-ruled-out"] == 0
+    assert counts["no-rows"] == 12 and counts["zero-columns"] == 18
+    assert counts["near-2**70"] > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_count_matches_scan_and_brute_force_on_random_systems(system):
+    assert_count_matches(*system)
+
+
+POLYTOPES = {
+    "square": square,
+    "square-7": lambda: square(7),
+    "triangle": triangle,
+    "triangle-6": lambda: triangle(6),
+    "bad-triangle": bad_triangle,
+    "pentagon": pentagon,
+    "hexagon": hexagon,
+    "half-triangle": half_triangle,
+    "trapezoid-3": lambda: trapezoid(3),
+    "box-2-3-1": lambda: box((2, 3, 1)),
+    "box-1-2-1-3": lambda: box((1, 2, 1, 3)),
+    "thin": lambda: make_polytope(
+        [((-1, 0), Fraction(-1, 4)), ((0, -1), Fraction(-1, 4)),
+         ((1, 1), Fraction(3, 4))]
+    ),
+    **{f"cube-{d}-{s}": (lambda d=d, s=s: cube(d, s))
+       for d in range(1, 5) for s in (1, 3)},
+    **{f"simplex-{d}-{k}": (lambda d=d, k=k: simplex(d, k))
+       for d in range(1, 5) for k in (1, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_polytope_lattice_count_matches_its_points(name):
+    P = POLYTOPES[name]()
+    assert P.lattice_count() == len(P.lattice_points())
 
 
 def _naive_lattice_count(P):
