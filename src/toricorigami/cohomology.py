@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ._value import Value, set_field
 from .errors import InconsistentIndex, NonorientableError, PreconditionError
-from .exactgeom import FaceRef, HPolytope, _dot
+from .exactgeom import FaceRef, HPolytope, _dot, _generic_vector
 from .template import OrigamiTemplate, orientation_signs
 
 
@@ -87,32 +87,35 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
     for i, P in enumerate(T.polytopes):
         fused = T._fused_facets[i]
         candidates = []
-        for face in P.faces():
-            if fused & set(face.active):
-                continue  # maps into the fold
+        for face in P._face_list:
+            if face.dim == n or fused.intersection(face.active):
+                continue  # the whole polytope, or a face mapping into the fold
             # xi lies in the span of the active normals iff it is orthogonal
-            # to the face, whose edges at any one vertex span its directions
-            w = P.face_vertices(face)[0]
-            if any(_dot(u, xi) for u in P.split_edges(w, face.active)[0]):
+            # to the face, whose edges at any one vertex span its directions;
+            # an edge lies in the face iff its far vertex does
+            vids = face.vids
+            if any(_dot(u, xi) for u, far in P._edges[vids[0]] if far in vids):
                 continue
-            candidates.append(face)
-        actives = [frozenset(face.active) for face in candidates]
+            candidates.append((frozenset(face.active), face))
         # a larger face has a smaller active set
         maximal = [
             face
-            for face, act in zip(candidates, actives)
-            if not any(other < act for other in actives)
+            for act, face in candidates
+            if not any(other < act for other, _ in candidates)
         ]
         for face in sorted(maximal, key=lambda f: f.active):
-            verts = P.face_vertices(face)
+            vids = frozenset(face.vids)
             counts = set()
-            for w in verts:
+            for vid in face.vids:
                 descending = 0
-                for u in P.split_edges(w, face.active)[1]:
+                for u, far in P._edges[vid]:
+                    if far in vids:
+                        continue
                     p = _dot(u, xi)
                     if p == 0:
                         raise InconsistentIndex(
-                            f"transverse edge {u} at {w} is level for {xi}"
+                            f"transverse edge {u} at {P.vertices[vid]} is level "
+                            f"for {xi}"
                         )
                     if p > 0:
                         descending += 1
@@ -124,9 +127,9 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
                 )
             ind = 2 * counts.pop()
             r = ind if signs[i] == 1 else 2 * (n - face.dim) - ind
-            out.append(
-                CriticalFace(i, face, verts, face.dim, signs[i], ind, r)
-            )
+            verts = tuple(P.vertices[vid] for vid in face.vids)
+            ref = FaceRef(P, face.active, face.dim)
+            out.append(CriticalFace(i, ref, verts, face.dim, signs[i], ind, r))
     return tuple(out)
 
 
@@ -142,10 +145,8 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
     P: HPolytope = X.face.polytope
     n = P.dim
     per_vertex = [P.split_edges(w, X.face.active)[0] for w in X.vertices]
-    all_dirs = [u for dirs in per_vertex for u in dirs]
     if xi_aux is None:
-        N = 1 + max((abs(c) for u in all_dirs for c in u), default=1)
-        xi_aux = tuple(N ** j for j in range(n))
+        xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
     else:
         xi_aux = tuple(int(c) for c in xi_aux)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ._value import Value, set_field
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization
-from .exactgeom import _dot, _eliminate, _lcd, as_point
+from .exactgeom import _dot, _eliminate, _generic_vector, _lcd, as_point
 from .invariants import dh_density
 from .template import OrigamiTemplate, fixed_points, orientation_signs
 
@@ -120,19 +120,13 @@ def weight_sets(T: OrigamiTemplate) -> tuple[WeightSet, ...]:
 
 
 def default_polarization(T: OrigamiTemplate) -> tuple[int, ...]:
-    """The vector (1, N, N^2, ...) with N = 1 + max |weight entry|.
-
-    Generic for every integer vector with entries below N in absolute
-    value, hence for all isotropy weights of the template.
-    """
-    entries = [
-        abs(c)
+    """(1, N, N^2, ...) with N = 1 + max |weight entry|: generic for every weight."""
+    weights = [
+        u
         for fp in fixed_points(T)
         for u in T.polytopes[fp.polytope].edge_directions(fp.vertex)
-        for c in u
     ]
-    N = 1 + max(entries, default=1)
-    return tuple(N ** j for j in range(T.dim))
+    return _generic_vector(weights, T.dim)
 
 
 def polarize(W: WeightSet, v) -> PolarizedCone:

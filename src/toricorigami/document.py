@@ -187,4 +187,6 @@ def load_template(path) -> OrigamiTemplate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{source}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{source}: JSON nested too deeply: {exc}") from exc
     return parse_template(doc)

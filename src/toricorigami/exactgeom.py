@@ -100,6 +100,16 @@ def _det(rows) -> int:
     return sign * d if len(pivots) == len(rows) else 0
 
 
+def _generic_vector(vectors, dim: int) -> IntVec:
+    """(1, N, ..., N^(dim-1)), N = 1 + max |entry| of ``vectors`` (2 if none).
+
+    It pairs to nonzero with every nonzero integer vector of entries below N
+    in absolute value, whose base-N expansion cannot be zero.
+    """
+    N = 1 + max((abs(c) for u in vectors for c in u), default=1)
+    return tuple(N ** j for j in range(dim))
+
+
 def _primitive(vec, d: int = 1) -> IntVec:
     """The nonzero integer vector ``vec`` divided by its gcd, negated if d < 0."""
     g = math.gcd(*vec)
@@ -591,15 +601,13 @@ def agrees_near(P1: HPolytope, F1, P2: HPolytope, F2) -> bool:
     """
     if P1.dim != P2.dim:
         raise DimensionMismatch(f"dimensions {P1.dim} and {P2.dim} differ")
-    F1 = _facet_ref(P1, F1)
-    F2 = _facet_ref(P2, F2)
-    verts1 = set(P1.face_vertices(F1))
-    verts2 = set(P2.face_vertices(F2))
-    if verts1 != verts2:
-        return False
-    for w in verts1:
-        active1 = {P1.halfspaces[i] for i in P1._vertex_active[P1._vid(w)]}
-        active2 = {P2.halfspaces[i] for i in P2._vertex_active[P2._vid(w)]}
-        if active1 != active2:
-            return False
-    return True
+
+    def near(P: HPolytope, F) -> set:
+        (j,) = _facet_ref(P, F).active
+        return {
+            (v, frozenset(P.halfspaces[i] for i in act))
+            for v, act in zip(P.vertices, P._vertex_active)
+            if j in act
+        }
+
+    return near(P1, F1) == near(P2, F2)

@@ -133,6 +133,38 @@ class OrigamiTemplate(Value):
         return self.orientation
 
     @cached_property
+    def _fusion_walk(self):
+        """Breadth-first 2-colouring of the graph of polytopes and pair fusions.
+
+        Returns (sign, parent, roots, clash): the signs, +1 at each root (the
+        least polytope not yet reached); the BFS parents, None at a root; the
+        number of roots; and the first (u, w) met on an edge with equal signs.
+        """
+        adj = [[] for _ in self.polytopes]
+        for fu in self.fusions:
+            if fu.is_pair:
+                adj[fu.a.polytope].append(fu.b.polytope)
+                adj[fu.b.polytope].append(fu.a.polytope)
+        sign, parent = [0] * len(adj), [None] * len(adj)
+        roots, clash = 0, None
+        for root in range(len(adj)):
+            if sign[root]:
+                continue
+            roots += 1
+            sign[root] = 1
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for w in adj[u]:
+                    if not sign[w]:
+                        sign[w] = -sign[u]
+                        parent[w] = u
+                        queue.append(w)
+                    elif clash is None and sign[w] == sign[u]:
+                        clash = (u, w)
+        return tuple(sign), tuple(parent), roots, clash
+
+    @cached_property
     def _fused_facets(self) -> tuple[frozenset[int], ...]:
         """Per polytope, the indices of its fused facets."""
         fused = [set() for _ in self.polytopes]
@@ -257,7 +289,7 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
             found.append((pos1, pos2, message))
     adjacency = [message for _, _, message in sorted(found)]
 
-    connected = _is_connected(T)
+    connected = T._fusion_walk[2] == 1
     self_pairs = tuple(
         idx
         for idx, fu in enumerate(T.fusions)
@@ -266,31 +298,6 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
     return ValidationReport(
         tuple(delzant), tuple(agreement), tuple(adjacency), connected, self_pairs
     )
-
-
-def _pair_edges(T: OrigamiTemplate):
-    return [
-        (fu.a.polytope, fu.b.polytope, idx)
-        for idx, fu in enumerate(T.fusions)
-        if fu.is_pair
-    ]
-
-
-def _is_connected(T: OrigamiTemplate) -> bool:
-    n = len(T.polytopes)
-    adj = {i: [] for i in range(n)}
-    for u, v, _ in _pair_edges(T):
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +313,13 @@ def orient(T: OrigamiTemplate) -> tuple[int, ...]:
     for idx, fu in enumerate(T.fusions):
         if not fu.is_pair:
             raise NonorientableError(single=idx)
-    n = len(T.polytopes)
-    adj = {i: [] for i in range(n)}
-    for u, v, idx in _pair_edges(T):
-        if u == v:
-            raise NonorientableError(odd_cycle=(u,))
-        adj[u].append(v)
-        adj[v].append(u)
-    sign = [0] * n
-    parent: dict[int, int | None] = {}
-    for root in range(n):
-        if sign[root]:
-            continue
-        sign[root] = 1
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if sign[w] == 0:
-                    sign[w] = -sign[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif sign[w] == sign[u]:
-                    raise NonorientableError(
-                        odd_cycle=_cycle_through(parent, u, w)
-                    )
-    return tuple(sign)
+    for fu in T.fusions:
+        if fu.a.polytope == fu.b.polytope:
+            raise NonorientableError(odd_cycle=(fu.a.polytope,))
+    sign, parent, _, clash = T._fusion_walk
+    if clash is not None:
+        raise NonorientableError(odd_cycle=_cycle_through(parent, *clash))
+    return sign
 
 
 def _cycle_through(parent, u, w) -> tuple[int, ...]:
@@ -437,20 +424,20 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
     if T.dim != 1:
         raise DimensionError(f"classification needs dimension 1, got {T.dim}")
     s = len(T.polytopes)
-    edges = _pair_edges(T)
     singles = [fu for fu in T.fusions if not fu.is_pair]
+    pairs = [fu for fu in T.fusions if fu.is_pair]
     degree = [0] * s
-    for u, v, _ in edges:
-        if u == v:
+    for fu in pairs:
+        if fu.a.polytope == fu.b.polytope:
             raise StructureError("segment fused to itself")
-        degree[u] += 1
-        degree[v] += 1
+        degree[fu.a.polytope] += 1
+        degree[fu.b.polytope] += 1
     if any(d > 2 for d in degree):
         raise StructureError("a segment carries more than two fusions")
-    if not _is_connected(T):
+    if T._fusion_walk[2] != 1:
         raise StructureError("template is not connected")
     folds = len(T.fusions)
-    if len(edges) == s:
+    if len(pairs) == s:
         if singles or any(d != 2 for d in degree):
             raise StructureError("mixed cycle and endpoint data")
         if s % 2:
@@ -458,7 +445,7 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
             # alternate left/right around a cycle
             raise StructureError("odd cycle of segments")
         return SurfaceClass(TORUS, 0, folds)
-    if len(edges) == s - 1:
+    if len(pairs) == s - 1:
         marked = len(singles)
         if marked > 2:
             raise StructureError("more than two marked endpoints on a path")

@@ -1,0 +1,223 @@
+"""Template structure as computed before the single fusion-graph walk.
+
+``toricorigami.template`` walks each template's graph of polytopes and pair
+fusions once (``OrigamiTemplate._fusion_walk``) and reads connectivity,
+orientation and the odd-cycle witness from that walk; ``agrees_near`` and
+``critical_faces`` read each polytope's vertex-facet incidence by vertex id.
+These are the functions they replaced, unchanged apart from their imports,
+so that the differential tests compare the new code with an independent
+one: ``_pair_edges``, ``_is_connected``, ``orient`` (with ``_cycle_through``)
+and ``classify_surface`` from ``template``, ``critical_faces`` from
+``cohomology`` (through ``faces``, ``face_vertices`` and ``split_edges``),
+and ``agrees_near`` from ``exactgeom`` (through ``face_vertices`` and
+``_vid``).
+"""
+
+from collections import deque
+
+from toricorigami.cohomology import CriticalFace
+from toricorigami.errors import (
+    DimensionError,
+    DimensionMismatch,
+    InconsistentIndex,
+    NonorientableError,
+    StructureError,
+)
+from toricorigami.exactgeom import HPolytope, _dot, _facet_ref
+from toricorigami.template import (
+    KLEIN_BOTTLE,
+    PROJECTIVE_PLANE,
+    SPHERE,
+    TORUS,
+    OrigamiTemplate,
+    SurfaceClass,
+    orientation_signs,
+)
+
+
+def _pair_edges(T: OrigamiTemplate):
+    return [
+        (fu.a.polytope, fu.b.polytope, idx)
+        for idx, fu in enumerate(T.fusions)
+        if fu.is_pair
+    ]
+
+
+def _is_connected(T: OrigamiTemplate) -> bool:
+    n = len(T.polytopes)
+    adj = {i: [] for i in range(n)}
+    for u, v, _ in _pair_edges(T):
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == n
+
+
+def orient(T: OrigamiTemplate) -> tuple[int, ...]:
+    """Propagate signs across pair fusions, +1 at each traversal root.
+
+    Raises NonorientableError carrying the offending single fusion or an
+    odd cycle of polytope indices.
+    """
+    for idx, fu in enumerate(T.fusions):
+        if not fu.is_pair:
+            raise NonorientableError(single=idx)
+    n = len(T.polytopes)
+    adj = {i: [] for i in range(n)}
+    for u, v, idx in _pair_edges(T):
+        if u == v:
+            raise NonorientableError(odd_cycle=(u,))
+        adj[u].append(v)
+        adj[v].append(u)
+    sign = [0] * n
+    parent: dict[int, int | None] = {}
+    for root in range(n):
+        if sign[root]:
+            continue
+        sign[root] = 1
+        parent[root] = None
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if sign[w] == 0:
+                    sign[w] = -sign[u]
+                    parent[w] = u
+                    queue.append(w)
+                elif sign[w] == sign[u]:
+                    raise NonorientableError(
+                        odd_cycle=_cycle_through(parent, u, w)
+                    )
+    return tuple(sign)
+
+
+def _cycle_through(parent, u, w) -> tuple[int, ...]:
+    def chain(x):
+        out = [x]
+        while parent[out[-1]] is not None:
+            out.append(parent[out[-1]])
+        return out
+
+    pu, pw = chain(u), chain(w)
+    in_pw = {node: i for i, node in enumerate(pw)}
+    iu = next(i for i, node in enumerate(pu) if node in in_pw)
+    lca = pu[iu]
+    return tuple(pu[: iu + 1] + pw[: in_pw[lca]][::-1])
+
+
+def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
+    """Classify a valid 1-dimensional template into its surface family."""
+    if T.dim != 1:
+        raise DimensionError(f"classification needs dimension 1, got {T.dim}")
+    s = len(T.polytopes)
+    edges = _pair_edges(T)
+    singles = [fu for fu in T.fusions if not fu.is_pair]
+    degree = [0] * s
+    for u, v, _ in edges:
+        if u == v:
+            raise StructureError("segment fused to itself")
+        degree[u] += 1
+        degree[v] += 1
+    if any(d > 2 for d in degree):
+        raise StructureError("a segment carries more than two fusions")
+    if not _is_connected(T):
+        raise StructureError("template is not connected")
+    folds = len(T.fusions)
+    if len(edges) == s:
+        if singles or any(d != 2 for d in degree):
+            raise StructureError("mixed cycle and endpoint data")
+        if s % 2:
+            # cannot occur for valid templates: agreeing endpoint fusions
+            # alternate left/right around a cycle
+            raise StructureError("odd cycle of segments")
+        return SurfaceClass(TORUS, 0, folds)
+    if len(edges) == s - 1:
+        marked = len(singles)
+        if marked > 2:
+            raise StructureError("more than two marked endpoints on a path")
+        family = {0: SPHERE, 1: PROJECTIVE_PLANE, 2: KLEIN_BOTTLE}[marked]
+        return SurfaceClass(family, 2 - marked, folds)
+    raise StructureError("segment template is neither a path nor a cycle")
+
+
+def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
+    """Maximal faces whose active normal span contains xi, off the fold."""
+    signs = orientation_signs(T)
+    xi = tuple(int(c) for c in xi)
+    n = T.dim
+    out = []
+    for i, P in enumerate(T.polytopes):
+        fused = T._fused_facets[i]
+        candidates = []
+        for face in P.faces():
+            if fused & set(face.active):
+                continue  # maps into the fold
+            # xi lies in the span of the active normals iff it is orthogonal
+            # to the face, whose edges at any one vertex span its directions
+            w = P.face_vertices(face)[0]
+            if any(_dot(u, xi) for u in P.split_edges(w, face.active)[0]):
+                continue
+            candidates.append(face)
+        actives = [frozenset(face.active) for face in candidates]
+        # a larger face has a smaller active set
+        maximal = [
+            face
+            for face, act in zip(candidates, actives)
+            if not any(other < act for other in actives)
+        ]
+        for face in sorted(maximal, key=lambda f: f.active):
+            verts = P.face_vertices(face)
+            counts = set()
+            for w in verts:
+                descending = 0
+                for u in P.split_edges(w, face.active)[1]:
+                    p = _dot(u, xi)
+                    if p == 0:
+                        raise InconsistentIndex(
+                            f"transverse edge {u} at {w} is level for {xi}"
+                        )
+                    if p > 0:
+                        descending += 1
+                counts.add(descending)
+            if len(counts) != 1:
+                raise InconsistentIndex(
+                    f"face {face.active} of polytope {i} has vertexwise "
+                    f"descending counts {sorted(counts)}"
+                )
+            ind = 2 * counts.pop()
+            r = ind if signs[i] == 1 else 2 * (n - face.dim) - ind
+            out.append(
+                CriticalFace(i, face, verts, face.dim, signs[i], ind, r)
+            )
+    return tuple(out)
+
+
+def agrees_near(P1: HPolytope, F1, P2: HPolytope, F2) -> bool:
+    """Do P1 and P2 coincide on a neighborhood of the shared facet?
+
+    True iff the two facets are equal point sets and, at every vertex of the
+    facet, the active halfspaces of P1 and P2 agree as reduced
+    (normal, offset) pairs.  That active-set equality is a finite certificate
+    for the existence of an open set U with U cap P1 = U cap P2.
+    """
+    if P1.dim != P2.dim:
+        raise DimensionMismatch(f"dimensions {P1.dim} and {P2.dim} differ")
+    F1 = _facet_ref(P1, F1)
+    F2 = _facet_ref(P2, F2)
+    verts1 = set(P1.face_vertices(F1))
+    verts2 = set(P2.face_vertices(F2))
+    if verts1 != verts2:
+        return False
+    for w in verts1:
+        active1 = {P1.halfspaces[i] for i in P1._vertex_active[P1._vid(w)]}
+        active2 = {P2.halfspaces[i] for i in P2._vertex_active[P2._vid(w)]}
+        if active1 != active2:
+            return False
+    return True

@@ -349,6 +349,23 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["kind"] == "EnumerationLimitError"
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_json_is_parse_error(self, tmp_path, source):
+        # deeper than the decoder's recursion limit: a parse error, not a crash
+        depth = 200_000
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        arg = str(path) if source == "file" else "-"
+        with open(path, encoding="utf-8") as stdin:
+            child = subprocess.run(
+                [sys.executable, "-m", "toricorigami.cli", "validate", arg],
+                stdin=stdin, capture_output=True, text=True, env=env,
+            )
+        assert child.returncode == 1
+        assert json.loads(child.stdout)["error"]["kind"] == "parse"
+        assert "Traceback" not in child.stderr
+
     def test_stdin_input(self, capsys, monkeypatch):
         doc = document_from_template(s4_template(2))
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
