@@ -35,7 +35,10 @@ DH_POINTS = {1: "1/3", 2: "1/2,1/3"}
 CONES_V = {1: "-1", 2: "-3,1"}
 # subcommands recorded on the valid templates of ``inputs/``, besides
 # validate and orient
-INPUT_COMMANDS = {"cube3_double.json": ("volume", "cones", "cohomology")}
+INPUT_COMMANDS = {
+    "blowup3_double.json": ("volume", "cones", "cohomology"),
+    "cube3_double.json": ("volume", "cones", "cohomology"),
+}
 # gallery templates without an orientation: cones exits 2 on them
 NONORIENTABLE = ("hexagon_3cycle", "rp4")
 
