@@ -52,10 +52,17 @@ def _int_vector(text: str):
         ) from exc
 
 
+# the largest ``cohomology --max-degree``: the series holds one coefficient
+# per degree, and this many take about 0.3 s
+MAX_DEGREE = 100_000
+
+
 def _even_int(text: str) -> int:
     value = int(text)
     if value < 0 or value % 2:
         raise argparse.ArgumentTypeError("must be an even nonnegative integer")
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}")
     return value
 
 

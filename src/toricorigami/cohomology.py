@@ -96,13 +96,11 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
             vids = face.vids
             if any(_dot(u, xi) for u, far in P._edges[vids[0]] if far in vids):
                 continue
-            candidates.append((frozenset(face.active), face))
-        # a larger face has a smaller active set
-        maximal = [
-            face
-            for act, face in candidates
-            if not any(other < act for other, _ in candidates)
-        ]
+            candidates.append(face)
+        # every face between two candidates is a candidate, so a candidate
+        # is maximal iff no candidate lists it among its facets
+        covered = {sub.active for face in candidates for sub in face.facets}
+        maximal = [face for face in candidates if face.active not in covered]
         for face in sorted(maximal, key=lambda f: f.active):
             vids = frozenset(face.vids)
             counts = set()

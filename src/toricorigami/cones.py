@@ -5,6 +5,11 @@ by its edge directions.  Polarizing against a generic vector orients the
 weights; the signed indicator sum of the resulting unimodular cones
 reproduces the polytope Duistermaat-Heckman density, which
 :func:`verify_dh_identity` checks pointwise on seeded rational samples.
+
+At a Delzant vertex each weight leaves exactly one tight facet and pairs to
+-1 with its normal, so the negated tight normals invert the weight matrix: a
+point's coordinate along a polarized weight is its flip (+-1) times the
+slack of the facet it leaves.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from fractions import Fraction
 
 from ._value import Value, set_field
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization
-from .exactgeom import _dot, _eliminate, _generic_vector, _lcd, as_point
+from .exactgeom import _det, _dot, _generic_vector, _lcd, _scaled, as_point
 from .invariants import dh_density
-from .template import OrigamiTemplate, fixed_points, orientation_signs
+from .template import OrigamiTemplate, _fixed_vertices, orientation_signs
 
 
 class WeightSet(Value):
@@ -105,26 +110,17 @@ class IdentityReport(Value):
 def weight_sets(T: OrigamiTemplate) -> tuple[WeightSet, ...]:
     """One weight set per fixed point of the oriented template."""
     signs = orientation_signs(T)
-    out = []
-    for fp in fixed_points(T):
-        P = T.polytopes[fp.polytope]
-        out.append(
-            WeightSet(
-                fp.polytope,
-                fp.vertex,
-                P.edge_directions(fp.vertex),
-                signs[fp.polytope],
-            )
-        )
-    return tuple(out)
+    return tuple(
+        WeightSet(i, P.vertices[vid], tuple(u for u, _ in P._edges[vid]), signs[i])
+        for i, vid in _fixed_vertices(T)
+        for P in (T.polytopes[i],)
+    )
 
 
 def default_polarization(T: OrigamiTemplate) -> tuple[int, ...]:
     """(1, N, N^2, ...) with N = 1 + max |weight entry|: generic for every weight."""
     weights = [
-        u
-        for fp in fixed_points(T)
-        for u in T.polytopes[fp.polytope].edge_directions(fp.vertex)
+        u for i, vid in _fixed_vertices(T) for u, _ in T.polytopes[i]._edges[vid]
     ]
     return _generic_vector(weights, T.dim)
 
@@ -157,57 +153,53 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
     )
 
 
-def _inverse(cone: PolarizedCone) -> tuple[tuple[int, ...], ...]:
-    """Rows of the inverse of the matrix whose columns are the generators.
+def _compile(T: OrigamiTemplate, v) -> list:
+    """Per polytope with fixed points: the polytope and its cones' walls.
 
-    The generators must form a lattice basis, so the inverse is integral.
-    One elimination of [M | I] leaves d [I | M^-1], where d = +-det M.
+    A cone is its sign and, per generator, (f, j): the generator is f = +-1
+    times the weight that leaves tight facet j.  Raises ValueError when the
+    weights at a fixed vertex are not the lattice basis dual to its tight
+    normals: the vertex is not simple, or a weight does not pair to -1 with
+    the facet it leaves.
     """
-    n = len(cone.apex)
-    mat, pivots, d, sign = _eliminate(
-        [[g[i] for g in cone.generators] + [int(i == k) for k in range(n)]
-         for i in range(n)]
-    )
-    det = sign * d if pivots == list(range(n)) else 0
-    if abs(det) != 1:
-        raise ValueError(f"cone generators are not a lattice basis (det {det})")
-    return tuple(tuple(d * c for c in row[n:]) for row in mat)
+    cones = [polarize(W, v) for W in weight_sets(T)]
+    compiled = {}
+    for (i, vid), cone in zip(_fixed_vertices(T), cones):
+        P = T.polytopes[i]
+        act = P._vertex_active[vid]
+        walls = []
+        for (u, far), g in zip(P._edges[vid], cone.generators):
+            j = min(act - P._vertex_active[far])
+            if len(act) != P.dim or _dot(P.halfspaces[j].normal, u) != -1:
+                det = _det(cone.generators[: P.dim])
+                raise ValueError(f"cone generators are not a lattice basis (det {det})")
+            walls.append((1 if g == u else -1, j))
+        compiled.setdefault(i, (P, []))[1].append((cone.sign, walls))
+    return list(compiled.values())
 
 
-def _compile(cones, scale: int) -> list:
-    """Per cone: its sign, its apex times scale and its integer inverse.
+def _cone_count(compiled, X, S: int) -> int | None:
+    """Signed count of the compiled cones containing X / S (open cones), S > 0.
 
-    ``scale`` must make every apex integral.
-    """
-    return [
-        (c.sign, [int(a * scale) for a in c.apex], _inverse(c)) for c in cones
-    ]
-
-
-def _cone_count(compiled, X) -> int | None:
-    """Signed count of the compiled cones containing X (open cones).
-
-    X is a point times the scale the cones were compiled with.  Returns None
-    when X lies on a wall of some cone: one of its coordinates in that
-    cone's generator basis is zero.
+    Returns None when X / S lies on a wall of some cone: on a facet that one
+    of its generators leaves.
     """
     count = 0
-    for sign, apex, inverse in compiled:
-        offset = [x - a for x, a in zip(X, apex)]
-        t = [_dot(row, offset) for row in inverse]
-        if 0 in t:
-            return None
-        if min(t) > 0:
-            count += sign
+    for P, cones in compiled:
+        slacks = P._slacks(X, S)
+        for sign, walls in cones:
+            t = [f * slacks[j] for f, j in walls]
+            if 0 in t:
+                return None
+            if min(t) > 0:
+                count += sign
     return count
 
 
 def cone_density(T: OrigamiTemplate, v, x) -> int:
     """Signed count of polarized weight cones containing x."""
     pt = as_point(x, T.dim)
-    cones = [polarize(W, v) for W in weight_sets(T)]
-    scale = _lcd(pt + tuple(a for c in cones for a in c.apex))
-    count = _cone_count(_compile(cones, scale), [int(c * scale) for c in pt])
+    count = _cone_count(_compile(T, v), *_scaled(pt))
     if count is None:
         raise BoundaryPoint(f"{pt} lies on a wall of a weight cone")
     return count
@@ -228,33 +220,25 @@ def verify_dh_identity(
     boundary; discarded points are redrawn, at most 10 * sample_count + 100
     draws of a point in all.  Every test is exact integer arithmetic on the
     point times S = D * 2^64, where D is the least common denominator of the
-    box and the cone apexes.
+    box: a cone wall test is a flip times a facet slack.
     """
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
     if v is None:
         v = default_polarization(T)
     v = tuple(int(c) for c in v)
-    cones = [polarize(W, v) for W in weight_sets(T)]
+    compiled = _compile(T, v)
 
-    dim = T.dim
-    lo = [
-        min(vert[j] for P in T.polytopes for vert in P.vertices)
-        for j in range(dim)
-    ]
-    hi = [
-        max(vert[j] for P in T.polytopes for vert in P.vertices)
-        for j in range(dim)
-    ]
+    lows, highs = zip(*(P.bounding_box() for P in T.polytopes))
+    lo, hi = list(map(min, zip(*lows))), list(map(max, zip(*highs)))
     margin = [(h - l) / 20 for l, h in zip(lo, hi)]
     lo = [l - m for l, m in zip(lo, margin)]
     span = [h + m - l for l, h, m in zip(lo, hi, margin)]
 
-    D = _lcd(lo + span + [a for c in cones for a in c.apex])
+    D = _lcd(lo + span)
     S = D * Lcg64.MODULUS
     base = [int(l * S) for l in lo]
     step = [int(s * D) for s in span]
-    compiled = _compile(cones, S)
 
     rng = Lcg64(seed)
     kept = agreements = disagreements = discards = 0
@@ -264,7 +248,7 @@ def verify_dh_identity(
         if kept == sample_count:
             break
         X = [b + s * rng.next_u64() for b, s in zip(base, step)]
-        cd = _cone_count(compiled, X)
+        cd = _cone_count(compiled, X, S)
         if cd is None:
             discards += 1
             continue

@@ -226,9 +226,11 @@ class _Face(Value):
 class HPolytope(Value):
     """Full-dimensional bounded polytope in Q^n, irredundant halfspaces.
 
-    Construct through :func:`make_polytope`; the constructor assumes the
-    invariants already hold.  Instances are immutable and hashable; equality
-    compares the halfspace systems.  ``repr`` also shows the vertices.
+    Construct through :func:`make_polytope`, whose double-description pass
+    gives each vertex as a primitive integer ray (X, t), the vertex X / t;
+    the constructor assumes the invariants already hold.  Instances are
+    immutable and hashable; equality compares the halfspace systems.
+    ``repr`` also shows the vertices.
     """
 
     _repr = ("dim", "halfspaces", "vertices")
@@ -238,15 +240,20 @@ class HPolytope(Value):
         self,
         dim: int,
         halfspaces: tuple[Halfspace, ...],
-        vertices: tuple[Point, ...],
+        _rays: tuple[tuple[IntVec, int], ...],
         kept_input_indices: tuple[int, ...],
         # indices of the halfspaces tight at each vertex: the vertex-facet incidence
         _vertex_active: tuple[frozenset, ...],
     ):
         vars(self).update(
-            dim=dim, halfspaces=halfspaces, vertices=vertices,
+            dim=dim, halfspaces=halfspaces, _rays=_rays,
             kept_input_indices=kept_input_indices, _vertex_active=_vertex_active,
         )
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices X / t, in the order of the rays (lex order)."""
+        return tuple(tuple(Fraction(c, t) for c in X) for X, t in self._rays)
 
     # -- derived structure ---------------------------------------------
 
@@ -276,7 +283,7 @@ class HPolytope(Value):
                 )
             return built[vids]
 
-        build(frozenset(range(len(self.vertices))), self.dim)
+        build(frozenset(range(len(acts))), self.dim)
         return tuple(sorted(built.values(), key=lambda f: (f.dim, f.active)))
 
     @cached_property
@@ -286,17 +293,16 @@ class HPolytope(Value):
         Two vertices span an edge iff they share at least n-1 facets and no
         third vertex lies on every facet they share.
         """
-        table = [[] for _ in self.vertices]
-        acts = self._vertex_active
-        for a, b in itertools.combinations(range(len(self.vertices)), 2):
+        rays, acts = self._rays, self._vertex_active
+        table = [[] for _ in rays]
+        for a, b in itertools.combinations(range(len(rays)), 2):
             common = acts[a] & acts[b]
             if len(common) < self.dim - 1 or any(
                 common <= act for c, act in enumerate(acts) if c != a and c != b
             ):
                 continue
-            u = _primitive(
-                _scaled([x - y for x, y in zip(self.vertices[b], self.vertices[a])])[0]
-            )
+            (Xa, ta), (Xb, tb) = rays[a], rays[b]
+            u = _primitive([ta * xb - tb * xa for xa, xb in zip(Xa, Xb)])
             table[a].append((u, b))
             table[b].append((tuple(-c for c in u), a))
         return tuple(tuple(sorted(edges)) for edges in table)
@@ -429,10 +435,10 @@ class HPolytope(Value):
     def volume(self) -> Fraction:
         """Exact Euclidean volume via fan triangulation from the lex-min vertex.
 
-        A simplex with vertices v = X_v / s_v has volume
-        |det [X_v | s_v]| / (n! * prod s_v), over its n + 1 integer rows.
+        A simplex with vertices X_v / t_v has volume
+        |det [X_v | t_v]| / (n! * prod t_v), over its n + 1 integer rows.
         """
-        homogeneous = [X + [s] for X, s in map(_scaled, self.vertices)]
+        homogeneous = [X + (t,) for X, t in self._rays]
         total = Fraction(0)
         for simplex in self._triangulation:
             rows = [homogeneous[vid] for vid in simplex]
@@ -483,10 +489,7 @@ def make_polytope(halfspaces) -> HPolytope:
     finite = [(ray, act) for ray, act in rays if ray[-1]]
     common = math.lcm(*(ray[-1] for ray, _ in finite))
     finite.sort(key=lambda item: [c * (common // item[0][-1]) for c in item[0][:-1]])
-    incidence = [
-        (tuple(Fraction(c, ray[-1]) for c in ray[:-1]), frozenset(act))
-        for ray, act in finite
-    ]
+    incidence = [((ray[:-1], ray[-1]), frozenset(act)) for ray, act in finite]
     if not incidence:
         raise EmptyError("no feasible point")
     if len(pivots) < dim:
@@ -524,8 +527,8 @@ def make_polytope(halfspaces) -> HPolytope:
     tight_sets = tuple(
         frozenset(renumber[j] for j in act if j in renumber) for _, act in incidence
     )
-    vertices = tuple(v for v, _ in incidence)
-    return HPolytope(dim, tuple(kept), vertices, tuple(kept_pos), tight_sets)
+    vertex_rays = tuple(ray for ray, _ in incidence)
+    return HPolytope(dim, tuple(kept), vertex_rays, tuple(kept_pos), tight_sets)
 
 
 def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:

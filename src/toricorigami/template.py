@@ -368,15 +368,20 @@ def fold_components(T: OrigamiTemplate) -> tuple[FoldComponent, ...]:
     )
 
 
-def fixed_points(T: OrigamiTemplate) -> tuple[FixedPoint, ...]:
-    """Vertices lying on no fused facet of their polytope."""
-    out = []
+def _fixed_vertices(T: OrigamiTemplate):
+    """(polytope index, vertex id) of each vertex on no fused facet of its polytope."""
     for i, P in enumerate(T.polytopes):
         fused = T._fused_facets[i]
-        for v, act in zip(P.vertices, P._vertex_active):
+        for vid, act in enumerate(P._vertex_active):
             if not fused & act:
-                out.append(FixedPoint(i, v))
-    return tuple(out)
+                yield i, vid
+
+
+def fixed_points(T: OrigamiTemplate) -> tuple[FixedPoint, ...]:
+    """Vertices lying on no fused facet of their polytope."""
+    return tuple(
+        FixedPoint(i, T.polytopes[i].vertices[vid]) for i, vid in _fixed_vertices(T)
+    )
 
 
 # ---------------------------------------------------------------------------

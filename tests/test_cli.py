@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ from factories import (
     square,
 )
 from toricorigami import OrigamiTemplate, pair
-from toricorigami.cli import main
+from toricorigami.cli import MAX_DEGREE, main
 from toricorigami.document import document_from_template
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -272,6 +273,36 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["cones", path, "--samples", "0"]) == 1
         capsys.readouterr()
+
+    def test_max_degree_above_the_bound_is_a_usage_error(self, capsys, tmp_path):
+        path = write_doc(tmp_path, s4_template(2))
+        assert main(["cohomology", path, "--max-degree", str(MAX_DEGREE)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["coefficients"]) == MAX_DEGREE + 1
+        assert main(["cohomology", path, "--max-degree", str(MAX_DEGREE + 2)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max-degree: must be at most {MAX_DEGREE}" in captured.err
+
+    def test_huge_max_degree_fails_cleanly(self, tmp_path):
+        # a series of 10^9 + 1 coefficients would need gigabytes: under a
+        # 1.5 GB address-space limit the child must still exit 1 with a usage
+        # error, not a MemoryError traceback
+        path = write_doc(tmp_path, s4_template(2))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        limit = 3 << 29
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        child = subprocess.run(
+            [sys.executable, "-m", "toricorigami.cli", "cohomology", path,
+             "--max-degree", "1000000000"],
+            capture_output=True, env=env, preexec_fn=cap_memory, timeout=60,
+        )
+        assert child.returncode == 1
+        assert child.stdout == b""
+        assert b"Traceback" not in child.stderr
+        assert b"--max-degree: must be at most 100000" in child.stderr
 
     def test_oversized_polytope_exits_2_quickly(self, capsys, tmp_path):
         d = 20

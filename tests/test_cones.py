@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
+import cone_reference as cref
 from exact_reference import _det, _solve_square
 from factories import (
+    bad_triangle,
     box,
     cycle_of_segments,
+    doubled,
     doubled_cube,
     fold_segments_template,
     hexagon_cycle,
@@ -20,6 +23,7 @@ from factories import (
     trapezoid_chain,
     triangle_template,
 )
+from test_incidence import square_pyramid
 from toricorigami import (
     BoundaryPoint,
     IdentityReport,
@@ -27,21 +31,21 @@ from toricorigami import (
     NonGenericPolarization,
     NonorientableError,
     OrigamiTemplate,
-    PolarizedCone,
     WeightSet,
     cone_density,
     default_polarization,
     dh_density,
     load_template,
+    make_polytope,
     orientation_signs,
     pair,
     polarize,
     verify_dh_identity,
     weight_sets,
 )
-from toricorigami.cones import _compile
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 ORIENTABLE_GALLERY = (
     "hirzebruch_pair", "s4", "sphere_fold_2segments", "torus_2segments",
     "trapezoid_chain", "unit_square",
@@ -276,12 +280,15 @@ class TestVerifyIdentity:
 
 
 # ---------------------------------------------------------------------------
-# the integer sampler against the rational reference
+# the integer sampler against the rational reference, and against the
+# inverse-matrix sampler that the facet-slack walls replaced
 # ---------------------------------------------------------------------------
 
 DIFFERENTIAL_TEMPLATES = {
     **{name: (lambda name=name: load_template(GALLERY / f"{name}.json"))
        for name in ORIENTABLE_GALLERY},
+    **{name: (lambda name=name: load_template(GOLDEN_INPUTS / f"{name}.json"))
+       for name in ("blowup3_double", "cube3_double")},
     **{f"cube-{d}": (lambda d=d: doubled_cube(d)) for d in range(1, 5)},
 }
 # generic for every weight of those templates; negative entries flip weights
@@ -299,6 +306,16 @@ def scripted_draws(monkeypatch, script):
     monkeypatch.setattr(Lcg64, "next_u64", next_u64)
 
 
+def outcome(f, *args):
+    """f(*args), "wall" if it raises BoundaryPoint, or a ValueError's message."""
+    try:
+        return f(*args)
+    except BoundaryPoint:
+        return "wall"
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TEMPLATES))
     @pytest.mark.parametrize("seed", [0, 5, 1000020])
@@ -309,7 +326,14 @@ class TestAgainstReference:
         samples = 40 if name == "cube-4" else 80
         report = verify_dh_identity(T, v, samples, seed)
         assert report == reference_verify_dh_identity(T, v, samples, seed)
+        assert report == cref.verify_dh_identity(T, v, samples, seed)
         assert report.success
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TEMPLATES))
+    def test_weights_and_polarization_equal(self, name):
+        T = DIFFERENTIAL_TEMPLATES[name]()
+        assert weight_sets(T) == cref.weight_sets(T)
+        assert default_polarization(T) == cref.default_polarization(T)
 
     @pytest.mark.parametrize("wide", [False, True], ids=["square", "wide"])
     def test_disagreement_near_the_fold(self, wide):
@@ -367,30 +391,62 @@ class TestAgainstReference:
         assert (report.samples, report.boundary_discards) == (0, 130)
         assert not report.success
 
-    @pytest.mark.parametrize("name", ["hirzebruch_pair", "trapezoid_chain", "cube-3"])
-    def test_cone_density_on_random_points(self, name):
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TEMPLATES))
+    @pytest.mark.parametrize("other_v", [False, True], ids=["default-v", "other-v"])
+    def test_cone_density_on_random_points(self, name, other_v):
         T = DIFFERENTIAL_TEMPLATES[name]()
-        v = default_polarization(T)
+        v = OTHER_V[T.dim] if other_v else default_polarization(T)
         cones = [polarize(W, v) for W in weight_sets(T)]
-        def outcome(count, x):
-            try:
-                return count(x)
-            except BoundaryPoint:
-                return "wall"
 
-        rng = random.Random(name)
+        def reference(T, v, x):
+            return sum(c.sign for c in cones if reference_cone_contains(c, x))
+
+        rng = random.Random(f"{name}-{other_v}")
+        # the apexes lie on walls, and small denominators put more points there
+        points = [c.apex for c in cones] + [
+            tuple(Fraction(rng.randint(-8, 40), rng.choice((1, 2, 7, 1 << 40)))
+                  for _ in range(T.dim))
+            for _ in range(80)
+        ]
         walls = 0
-        for _ in range(80):
-            x = tuple(Fraction(rng.randint(-8, 40), rng.choice((1, 2, 7, 1 << 40)))
-                      for _ in range(T.dim))
-            expected = outcome(
-                lambda x: sum(c.sign for c in cones if reference_cone_contains(c, x)), x
-            )
-            assert outcome(lambda x: cone_density(T, v, x), x) == expected
+        for x in points:
+            expected = outcome(reference, T, v, x)
+            assert outcome(cref.cone_density, T, v, x) == expected
+            assert outcome(cone_density, T, v, x) == expected
             walls += expected == "wall"
-        assert 0 < walls < 80
+        # the torus has no fixed point, so no cone and no wall
+        assert 0 < walls < len(points) or name == "torus_2segments" and walls == 0
 
-    def test_non_unimodular_generators_rejected(self):
-        cone = PolarizedCone((Fraction(0), Fraction(0)), ((2, 0), (0, 1)), 0, 1)
-        with pytest.raises(ValueError, match="not a lattice basis"):
-            _compile([cone], 1)
+    @pytest.mark.parametrize("make, det", [
+        # the bad triangle doubled along x2 >= 0 keeps (0, 1), whose edges
+        # (0, -1) and (2, -1) span a sublattice of index 2
+        (lambda: doubled(bad_triangle(), 1), 2),
+        # the apex of a square pyramid has four edges
+        (lambda: OrigamiTemplate((square_pyramid(),)), -4),
+    ], ids=["bad-triangle", "pyramid-apex"])
+    def test_non_delzant_fixed_point_rejected(self, make, det):
+        T = make()
+        message = f"cone generators are not a lattice basis (det {det})"
+        v = default_polarization(T)
+        x = (Fraction(1, 3),) * T.dim
+        for verify, density in ((verify_dh_identity, cone_density),
+                                (cref.verify_dh_identity, cref.cone_density)):
+            assert outcome(verify, T) == message
+            assert outcome(density, T, v, x) == message
+
+    def test_non_simple_fixed_point_rejected(self):
+        # the apex of this pyramid has four edges, and each pairs to -1 with
+        # the first tight facet it leaves; four generators in Q^3 are no
+        # basis, whatever the determinant of the first three
+        T = OrigamiTemplate((make_polytope(
+            [((0, -1, 0), 0), ((1, 0, -1), 0), ((0, 1, -1), 0), ((-1, 0, 0), 0),
+             ((0, 0, 1), 1)]
+        ),))
+        v = default_polarization(T)
+        (apex,) = [polarize(W, v) for W in weight_sets(T) if len(W.weights) == 4]
+        message = (
+            "cone generators are not a lattice basis "
+            f"(det {_det(apex.generators[:3])})"
+        )
+        assert outcome(verify_dh_identity, T) == message
+        assert outcome(cone_density, T, v, (Fraction(1, 3),) * 3) == message

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import exact_reference as ref
-from toricorigami.cones import PolarizedCone, _inverse
+from cone_reference import _inverse
+from toricorigami.cones import PolarizedCone
 from toricorigami.exactgeom import _det, _eliminate, _kernel_direction
 
 BOUNDS = (1, 3, 100, 2 ** 40)

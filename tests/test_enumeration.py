@@ -10,6 +10,7 @@ type and message of every error.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -72,6 +73,12 @@ def check_recession(hss, dim) -> None:
                 raise UnboundedError(cand)
 
 
+def vertex_ray(v):
+    """(X, t): the integer vector X and the least t > 0 with v = X / t."""
+    t = math.lcm(*(c.denominator for c in v))
+    return tuple(int(c * t) for c in v), t
+
+
 def reference_make_polytope(halfspaces) -> HPolytope:
     """make_polytope by subset enumeration, with no size limit."""
     seen = {}
@@ -108,7 +115,7 @@ def reference_make_polytope(halfspaces) -> HPolytope:
     return HPolytope(
         dim,
         tuple(hss[j] for j in kept),
-        tuple(v for v, _ in incidence),
+        tuple(vertex_ray(v) for v, _ in incidence),
         tuple(seen[hss[j]] for j in kept),
         tuple(
             frozenset(k for k, j in enumerate(kept) if j in act)
@@ -189,6 +196,7 @@ def test_make_polytope_matches_subset_reference_on_random_systems():
         P = make_polytope(system)
         assert P.halfspaces == expected.halfspaces
         assert P.vertices == expected.vertices
+        assert P._rays == expected._rays
         assert P._vertex_active == expected._vertex_active
         assert P.kept_input_indices == expected.kept_input_indices
         outcomes["polytope"] += 1
@@ -216,6 +224,7 @@ def test_diagonal_corners_of_a_square_face_are_not_joined():
     expected = reference_make_polytope(system)
     assert len(P.vertices) == 12
     assert P.vertices == expected.vertices
+    assert P._rays == expected._rays
     assert P._vertex_active == expected._vertex_active
 
 

@@ -48,7 +48,7 @@ FACE_REPR = f"FaceRef(polytope={SEG_REPR}, active=(0,), dim=0)"
 def _reordered(P):
     """P with its vertices (and their tight sets) listed in reverse."""
     return HPolytope(
-        P.dim, P.halfspaces, P.vertices[::-1], P.kept_input_indices[::-1],
+        P.dim, P.halfspaces, P._rays[::-1], P.kept_input_indices[::-1],
         P._vertex_active[::-1],
     )
 
@@ -70,7 +70,8 @@ CASES = {
         lambda: SEG,
         lambda: _reordered(SEG),
         lambda: segment(0, 2),
-        ("dim", "halfspaces", "vertices", "kept_input_indices", "_vertex_active"),
+        ("dim", "halfspaces", "_rays", "vertices", "kept_input_indices",
+         "_vertex_active"),
         SEG_REPR,
     ),
     "FaceRef": (
@@ -278,6 +279,7 @@ def test_repr_leaves_out_hidden_fields(name):
 
 def test_uncompared_fields_are_kept():
     P = _reordered(SEG)
+    assert P._rays == SEG._rays[::-1]
     assert P.vertices == SEG.vertices[::-1]
     assert P.kept_input_indices == SEG.kept_input_indices[::-1]
     assert P._vertex_active == SEG._vertex_active[::-1]
@@ -288,6 +290,7 @@ def test_uncompared_fields_are_kept():
 
 def test_cached_structure_survives_freezing():
     P = square()
+    assert P.vertices is P.vertices
     assert P._face_list is P._face_list
     assert P._edges is P._edges
     T = _template()
