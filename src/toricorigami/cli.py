@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 # Handlers import the modules only they use (invariants, cones, cohomology,
 # render), so that a call loads what it runs and no more.
-from .document import format_rational, load_template
+from .document import format_rational, load_template, parse_rational
 from .errors import DocumentError, NonorientableError, OrigamiError, ValidationError
 from .template import classify_surface, orient, validate
 
@@ -36,8 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational_point(text: str):
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(parse_rational(part, "--point") for part in text.split(","))
+    except DocumentError as exc:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated rationals, got {text!r}"
         ) from exc

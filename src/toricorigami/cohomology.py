@@ -26,13 +26,15 @@ class CriticalFace(Value):
     ``ind`` twice the count of descending transverse edges, and ``r`` the
     degree shift: ind on the +1 side and the complementary transverse index
     2(n - m) - ind on the -1 side, where the height is climbed instead.
+    ``vids``, not shown or compared, are the vertex ids that ``face_ht_series`` reads.
     """
 
-    __slots__ = _repr = ("polytope", "face", "vertices", "m", "side", "ind", "r")
+    _repr = ("polytope", "face", "vertices", "m", "side", "ind", "r")
+    __slots__ = _repr + ("vids",)
 
     def __init__(
         self, polytope: int, face: FaceRef, vertices: tuple, m: int, side: int,
-        ind: int, r: int,
+        ind: int, r: int, vids: tuple | None = None,
     ):
         set_field(self, "polytope", polytope)
         set_field(self, "face", face)
@@ -41,6 +43,7 @@ class CriticalFace(Value):
         set_field(self, "side", side)
         set_field(self, "ind", ind)
         set_field(self, "r", r)
+        set_field(self, "vids", vids)
 
 
 class PoincareSeries(Value):
@@ -127,7 +130,9 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
             r = ind if signs[i] == 1 else 2 * (n - face.dim) - ind
             verts = tuple(P.vertices[vid] for vid in face.vids)
             ref = FaceRef(P, face.active, face.dim)
-            out.append(CriticalFace(i, ref, verts, face.dim, signs[i], ind, r))
+            out.append(
+                CriticalFace(i, ref, verts, face.dim, signs[i], ind, r, face.vids)
+            )
     return tuple(out)
 
 
@@ -142,7 +147,8 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
         raise ValueError("cap must be a nonnegative even integer")
     P: HPolytope = X.face.polytope
     n = P.dim
-    per_vertex = [P.split_edges(w, X.face.active)[0] for w in X.vertices]
+    vids = frozenset(X.vids)
+    per_vertex = [[u for u, far in P._edges[vid] if far in vids] for vid in X.vids]
     if xi_aux is None:
         xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
     else:

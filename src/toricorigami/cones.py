@@ -157,23 +157,20 @@ def _compile(T: OrigamiTemplate, v) -> list:
     """Per polytope with fixed points: the polytope and its cones' walls.
 
     A cone is its sign and, per generator, (f, j): the generator is f = +-1
-    times the weight that leaves tight facet j.  Raises ValueError when the
-    weights at a fixed vertex are not the lattice basis dual to its tight
-    normals: the vertex is not simple, or a weight does not pair to -1 with
-    the facet it leaves.
+    times the weight that leaves tight facet j.  Raises ValueError when a
+    fixed vertex is not Delzant (its ``is_delzant()`` record is not ok).
     """
     cones = [polarize(W, v) for W in weight_sets(T)]
     compiled = {}
     for (i, vid), cone in zip(_fixed_vertices(T), cones):
         P = T.polytopes[i]
+        if not P.is_delzant().vertex_records[vid].ok:
+            det = _det(cone.generators[: P.dim])
+            raise ValueError(f"cone generators are not a lattice basis (det {det})")
         act = P._vertex_active[vid]
         walls = []
         for (u, far), g in zip(P._edges[vid], cone.generators):
-            j = min(act - P._vertex_active[far])
-            if len(act) != P.dim or _dot(P.halfspaces[j].normal, u) != -1:
-                det = _det(cone.generators[: P.dim])
-                raise ValueError(f"cone generators are not a lattice basis (det {det})")
-            walls.append((1 if g == u else -1, j))
+            walls.append((1 if g == u else -1, min(act - P._vertex_active[far])))
         compiled.setdefault(i, (P, []))[1].append((cone.sign, walls))
     return list(compiled.values())
 

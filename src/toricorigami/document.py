@@ -19,6 +19,10 @@ from .exactgeom import HPolytope, make_polytope
 from .template import FacetAddress, Fusion, OrigamiTemplate
 
 
+# parse_rational refuses |exponent| > MAX_EXPONENT before Fraction builds 10^exponent
+MAX_EXPONENT = 4300  # the number of digits int() reads from text
+
+
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a rational, got a boolean")
@@ -26,6 +30,8 @@ def parse_rational(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if abs(float(value.lower().partition("e")[2] or 0)) > MAX_EXPONENT:
+                raise DocumentError(f"{where}: |exponent| > {MAX_EXPONENT}: {value!r}")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{where}: bad rational {value!r}") from exc
@@ -185,7 +191,7 @@ def load_template(path) -> OrigamiTemplate:
             raise DocumentError(f"{source}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise DocumentError(f"{source}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError(f"{source}: JSON nested too deeply: {exc}") from exc

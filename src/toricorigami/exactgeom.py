@@ -353,22 +353,19 @@ class HPolytope(Value):
         return tuple(along), tuple(leaving)
 
     def is_delzant(self) -> DelzantReport:
-        """Check n edges per vertex and unimodular edge direction matrices."""
-        records = []
-        failure = None
+        """Check n edges per vertex and unimodular edge matrices, once per polytope."""
+        return self._delzant
+
+    @cached_property
+    def _delzant(self) -> DelzantReport:
+        n, records, failure = self.dim, [], None
         for v, edges in zip(self.vertices, self._edges):
             dirs = tuple(u for u, _ in edges)
-            if len(dirs) != self.dim:
-                records.append(DelzantVertexRecord(v, dirs, None, False))
-                if failure is None:
-                    failure = (
-                        f"vertex {v} has {len(dirs)} edges, expected {self.dim}"
-                    )
-                continue
-            det = _det(dirs)
-            ok = abs(det) == 1
-            records.append(DelzantVertexRecord(v, dirs, det, ok))
-            if not ok and failure is None:
+            det = _det(dirs) if len(dirs) == n else None
+            records.append(DelzantVertexRecord(v, dirs, det, det in (1, -1)))
+            if failure is None and det is None:
+                failure = f"vertex {v} has {len(dirs)} edges, expected {n}"
+            elif failure is None and det not in (1, -1):
                 failure = f"vertex {v} has edge determinant {det}"
         return DelzantReport(failure is None, tuple(records), failure)
 

@@ -20,7 +20,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .exactgeom import HPolytope, agrees_near, as_point
+from .exactgeom import HPolytope, _scaled, agrees_near, as_point
 
 SPHERE = "sphere"
 PROJECTIVE_PLANE = "projective-plane"
@@ -358,8 +358,8 @@ def reversed_orientation(T: OrigamiTemplate) -> OrigamiTemplate:
 
 def multiplicity(T: OrigamiTemplate, x) -> int:
     """How many template polytopes contain x (boundary included)."""
-    pt = as_point(x, T.dim)
-    return sum(P.contains(pt).inside for P in T.polytopes)
+    X, s = _scaled(as_point(x, T.dim))
+    return sum(min(P._slacks(X, s)) >= 0 for P in T.polytopes)
 
 
 def fold_components(T: OrigamiTemplate) -> tuple[FoldComponent, ...]:

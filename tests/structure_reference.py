@@ -10,9 +10,13 @@ one: ``_pair_edges``, ``_is_connected``, ``orient`` (with ``_cycle_through``)
 and ``classify_surface`` from ``template``, ``critical_faces`` from
 ``cohomology`` (through ``faces``, ``face_vertices`` and ``split_edges``),
 and ``agrees_near`` from ``exactgeom`` (through ``face_vertices`` and
-``_vid``).
+``_vid``).  ``face_ht_series`` from ``cohomology``, which found each face
+vertex by its point and its edges through ``split_edges``, is here too; the
+package's reads the vertex ids that ``critical_faces`` takes from the face
+lattice.
 """
 
+import math
 from collections import deque
 
 from toricorigami.cohomology import CriticalFace
@@ -23,7 +27,7 @@ from toricorigami.errors import (
     NonorientableError,
     StructureError,
 )
-from toricorigami.exactgeom import HPolytope, _dot, _facet_ref
+from toricorigami.exactgeom import HPolytope, _dot, _facet_ref, _generic_vector
 from toricorigami.template import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
@@ -221,3 +225,45 @@ def agrees_near(P1: HPolytope, F1, P2: HPolytope, F2) -> bool:
         if active1 != active2:
             return False
     return True
+
+
+def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
+    """Coefficients up to cap of the face's equivariant Poincare series.
+
+    The face is a Delzant polytope in its own affine lattice; a generic
+    auxiliary vector sorts its vertices by index and the series is
+    sum_w t^(2 ind(w)) / (1 - t^2)^n, n the ambient torus rank.
+    """
+    if cap < 0 or cap % 2:
+        raise ValueError("cap must be a nonnegative even integer")
+    P: HPolytope = X.face.polytope
+    n = P.dim
+    per_vertex = [P.split_edges(w, X.face.active)[0] for w in X.vertices]
+    if xi_aux is None:
+        xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
+    else:
+        xi_aux = tuple(int(c) for c in xi_aux)
+
+    numerator = [0] * (cap + 1)
+    for dirs in per_vertex:
+        index = 0
+        for u in dirs:
+            p = _dot(u, xi_aux)
+            if p == 0:
+                raise ValueError(
+                    f"auxiliary vector {xi_aux} pairs to zero with face edge {u}"
+                )
+            if p > 0:
+                index += 1
+        if 2 * index <= cap:
+            numerator[2 * index] += 1
+
+    base = [0] * (cap + 1)
+    for k in range(0, cap + 1, 2):
+        base[k] = math.comb(k // 2 + n - 1, n - 1)
+    coeffs = [0] * (cap + 1)
+    for j, c in enumerate(numerator):
+        if c:
+            for k in range(j, cap + 1):
+                coeffs[k] += c * base[k - j]
+    return tuple(coeffs)

@@ -397,8 +397,62 @@ class TestExitCodes:
         assert json.loads(child.stdout)["error"]["kind"] == "parse"
         assert "Traceback" not in child.stderr
 
+    @pytest.mark.parametrize("text", ["1/0", "x", "1,,2"])
+    def test_malformed_point_is_a_usage_error(self, capsys, tmp_path, text):
+        path = write_doc(tmp_path, s4_template(2))
+        assert main(["dh", path, "--point", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected comma-separated rationals, got {text!r}" in captured.err
+
     def test_stdin_input(self, capsys, monkeypatch):
         doc = document_from_template(s4_template(2))
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
         code, report = run(capsys, "validate", "-")
         assert code == 0 and report["valid"]
+
+
+class TestHostileNumbers:
+    """Numbers that Python's own parsers take seconds or refuse: exit 1 fast.
+
+    Each case runs in a child process under a timeout, since a regression
+    here hangs: ``Fraction("1e30000000")`` computes 10^30000000.
+    """
+
+    def child(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "toricorigami.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+
+    def s4_with_offsets(self, tmp_path, offset):
+        """s4 with both hypotenuse offsets replaced by raw JSON text."""
+        doc = document_from_template(s4_template(2))
+        for polytope in doc["polytopes"]:
+            polytope["halfspaces"][2]["offset"] = "OFFSET"
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc).replace('"OFFSET"', offset), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("offset", [
+        '"1e30000000"', '"1e-30000000"', "1" * 5000,
+    ], ids=["huge-exponent", "tiny-exponent", "5000-digits"])
+    def test_offset_is_a_parse_error(self, tmp_path, offset):
+        child = self.child("validate", self.s4_with_offsets(tmp_path, offset))
+        assert child.returncode == 1
+        assert json.loads(child.stdout)["error"]["kind"] == "parse"
+        assert "Traceback" not in child.stderr
+
+    def test_exponent_at_the_bound_is_accepted(self, tmp_path):
+        child = self.child("validate", self.s4_with_offsets(tmp_path, '"1e4300"'))
+        assert child.returncode == 0
+        assert json.loads(child.stdout)["valid"] is True
+
+    @pytest.mark.parametrize("point", ["1e30000000,0", "1e-30000000,0"])
+    def test_point_is_a_usage_error(self, tmp_path, point):
+        child = self.child("dh", write_doc(tmp_path, s4_template(2)), "--point", point)
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert f"expected comma-separated rationals, got {point!r}" in child.stderr
+        assert "Traceback" not in child.stderr

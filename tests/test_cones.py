@@ -23,7 +23,8 @@ from factories import (
     trapezoid_chain,
     triangle_template,
 )
-from test_incidence import square_pyramid
+from test_incidence import pyramid_times_square, square_pyramid
+from test_properties import random_delzant_polygon, transform
 from toricorigami import (
     BoundaryPoint,
     IdentityReport,
@@ -43,6 +44,7 @@ from toricorigami import (
     verify_dh_identity,
     weight_sets,
 )
+from toricorigami.exactgeom import DelzantReport, DelzantVertexRecord, _dot
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -450,3 +452,70 @@ class TestAgainstReference:
         )
         assert outcome(verify_dh_identity, T) == message
         assert outcome(cone_density, T, v, (Fraction(1, 3),) * 3) == message
+
+
+# ---------------------------------------------------------------------------
+# the compiler's unimodularity test is the Delzant record
+# ---------------------------------------------------------------------------
+
+def pairs_to_minus_one(P, vid) -> bool:
+    """The test ``_compile`` made before it read ``is_delzant()``.
+
+    The vertex lies on n facets, and each edge pairs to -1 with the one
+    tight facet it leaves.
+    """
+    act = P._vertex_active[vid]
+    return len(act) == P.dim and all(
+        _dot(P.halfspaces[min(act - P._vertex_active[far])].normal, u) == -1
+        for u, far in P._edges[vid]
+    )
+
+
+def unimodularity_polytopes():
+    rng = random.Random(20261021)
+    out = [
+        bad_triangle(), square(), square_pyramid(), pyramid_times_square(),
+        box((2, 1, 3)),
+    ]
+    out.append(make_polytope(
+        [((0, -1, 0), 0), ((1, 0, -1), 0), ((0, 1, -1), 0), ((-1, 0, 0), 0),
+         ((0, 0, 1), 1)]
+    ))
+    out += [transform(*random_delzant_polygon(rng)) for _ in range(10)]
+    # [-3, 3]^d cut by three random halfspaces that keep the origin: mostly
+    # not Delzant
+    for d in (2, 2, 3, 3, 3):
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        system = [(u, 3) for u in units] + [(tuple(-c for c in u), 3) for u in units]
+        while len(system) < 2 * d + 3:
+            normal = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(normal):
+                system.append((normal, rng.randint(1, 4)))
+        out.append(make_polytope(system))
+    return out
+
+
+class TestCompilerReadsTheDelzantRecord:
+    def test_pairing_test_agrees_with_the_record_at_every_vertex(self):
+        seen = set()
+        for P in unimodularity_polytopes():
+            records = P.is_delzant().vertex_records
+            for vid, record in enumerate(records):
+                assert pairs_to_minus_one(P, vid) == record.ok
+                seen.add((record.ok, len(record.directions) == P.dim))
+        # Delzant vertices, simple ones of larger determinant, non-simple ones
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_compiler_reads_the_record(self):
+        # mark the fixed vertex (0, 0) of s4's shared triangle as failing: the
+        # compiler refuses it although its weights are a lattice basis
+        T = s4_template(2)
+        P = T.polytopes[0]
+        records = list(P.is_delzant().vertex_records)
+        assert records[0].vertex == (0, 0) and records[0].ok
+        records[0] = DelzantVertexRecord(
+            records[0].vertex, records[0].directions, records[0].determinant, False
+        )
+        vars(P)["_delzant"] = DelzantReport(False, tuple(records), "marked")
+        with pytest.raises(ValueError, match=r"not a lattice basis \(det -?1\)"):
+            verify_dh_identity(T)

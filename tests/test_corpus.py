@@ -1,15 +1,26 @@
-"""A seeded corpus of Delzant polytopes in dimensions 3 and 4.
+"""A seeded corpus of Delzant polytopes in dimensions 3, 4 and 5.
 
 Each polytope starts as a box or a dilated simplex, takes toric blow-ups at
 simple vertices (at a vertex with tight halfspaces <a_i, x> <= b_i, the cut
 <sum a_i, x> <= sum b_i - k for k = 1 or 2, kept when the result is still
 Delzant), and is then moved by a random unimodular map and an integer
 translation.  Doubled along a random facet, each becomes a valid oriented
-template.  The edges, volumes, weight cones and critical faces of the corpus
-are checked against the independent references of the other test modules.
+template.  The edges, volumes, weight cones, critical faces and face series
+of the corpus are checked against the independent references of the other
+test modules.
+
+Chains are three copies of a blown-up polytope before its move, fused
+alternately along two facets that share no vertex: their signed volume is
+the polytope's volume, and their signed lattice counts of dilates lead with
+it.  Every double and chain also goes through a document round trip that
+shuffles its polytopes, halfspaces and fusions, which may change nothing but
+the numbering and one global orientation sign.
 """
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,12 +29,29 @@ import structure_reference as sref
 from exact_reference import primitive_vector
 from factories import box, doubled, simplex
 from test_cohomology import expand_binomial_power
+from test_cones import pairs_to_minus_one
+from test_ehrhart import dilate, ehrhart_diffs
 from test_incidence import edge_pairs, reference_edges, reference_faces, reference_volume
-from test_structure_differential import outcome
-from toricorigami import PolytopeError, fixed_points, make_polytope, validate
-from toricorigami.cohomology import critical_faces, fold_direction, ht_poincare
+from test_structure_differential import outcome, series_cases, series_outcome
+from toricorigami import (
+    OrigamiTemplate,
+    PolytopeError,
+    fixed_points,
+    make_polytope,
+    pair,
+    validate,
+)
+from toricorigami.cohomology import (
+    critical_faces,
+    face_ht_series,
+    fold_direction,
+    ht_poincare,
+)
 from toricorigami.cones import verify_dh_identity
+from toricorigami.document import document_from_template, parse_template
 from toricorigami.exactgeom import _dot
+from toricorigami.invariants import quantize, signed_volume
+from toricorigami.template import orientation_signs
 
 
 def blow_up(P, rng):
@@ -90,7 +118,7 @@ def corpus_polytope(rng, d):
 def build_corpus():
     rng = random.Random(20261018)
     out = []
-    for d, count in ((3, 12), (4, 6)):
+    for d, count in ((3, 12), (4, 6), (5, 2)):
         for k in range(count):
             name, base, P = corpus_polytope(rng, d)
             facet = rng.randrange(len(P.halfspaces))
@@ -103,7 +131,7 @@ IDS = [name for name, *_ in CORPUS]
 
 
 def test_corpus_is_varied():
-    for d in (3, 4):
+    for d in (3, 4, 5):
         names = [name for name in IDS if name.startswith(f"d{d}-")]
         assert any("-box-" in name for name in names)
         assert any("-simplex-" in name for name in names)
@@ -144,7 +172,7 @@ class TestCorpus:
 
     def test_critical_faces_match_reference(self, name, base, P, T):
         normal, _ = fold_direction(T)
-        generic = (1, 7, 53, 419)[: T.dim]
+        generic = (1, 7, 53, 419, 3307)[: T.dim]
         for xi in (normal, generic):
             assert outcome(critical_faces, T, xi) == outcome(sref.critical_faces, T, xi)
 
@@ -161,3 +189,150 @@ class TestCorpus:
         assert product[2 * n + 1:] == [0] * (cap - 2 * n)
         assert poly == poly[::-1] and all(c >= 0 for c in poly)
         assert sum(poly) == len(fixed_points(T))
+
+    def test_face_series_match_reference(self, name, base, P, T):
+        cap = 2 * T.dim + 2
+        kinds = set()
+        for X, xi_aux in series_cases(T):
+            expected = series_outcome(sref.face_ht_series, X, cap, xi_aux)
+            assert series_outcome(face_ht_series, X, cap, xi_aux) == expected
+            kinds.add(expected[0])
+        assert "value" in kinds
+
+    def test_every_vertex_pairs_to_minus_one(self, name, base, P, T):
+        # the Delzant records the cone compiler reads agree with the pairing
+        # test it made before
+        for vid, record in enumerate(P.is_delzant().vertex_records):
+            assert record.ok and pairs_to_minus_one(P, vid)
+
+    def test_shuffled_round_trip(self, name, base, P, T):
+        # the signed counts of a double vanish, so quantize is left to the chains
+        shuffled_round_trip(T, random.Random(name))
+
+
+# ---------------------------------------------------------------------------
+# chains
+# ---------------------------------------------------------------------------
+
+def disjoint_facets(P):
+    """The first two facets of P, in index order, that share no vertex."""
+    return next(
+        (f, g)
+        for f, g in itertools.combinations(range(len(P.halfspaces)), 2)
+        if not any(f in act and g in act for act in P._vertex_active)
+    )
+
+
+def chain(P, copies):
+    """copies of P in a path, fused alternately along two facets sharing no vertex."""
+    f, g = disjoint_facets(P)
+    facets = [(f, g)[i % 2] for i in range(copies - 1)]
+    fusions = tuple(pair((i, j), (i + 1, j)) for i, j in enumerate(facets))
+    return OrigamiTemplate((P,) * copies, fusions)
+
+
+CHAINS = [(name, base, chain(base, 3)) for name, base, _, _ in CORPUS]
+
+
+@pytest.mark.parametrize("name, base, T", CHAINS, ids=IDS)
+class TestChains:
+    def test_valid_with_alternating_signs(self, name, base, T):
+        assert validate(T).valid
+        assert orientation_signs(T) == (1, -1, 1)
+
+    def test_odd_chain_has_the_volume_of_one_copy(self, name, base, T):
+        assert signed_volume(T) == base.volume() != 0
+
+    def test_quantize_counts_without_points(self, name, base, T):
+        # the signs 1, -1, 1 leave each lattice point of one copy once
+        full = quantize(T)
+        assert full.per_point == {p: 1 for p in base.lattice_points()}
+        assert quantize(T, points=False).virtual_dimension == full.virtual_dimension
+
+    def test_cones(self, name, base, T):
+        assert verify_dh_identity(T, None, 20, 3).success
+
+    def test_shuffled_round_trip(self, name, base, T):
+        U, perm, sign = shuffled_round_trip(T, random.Random(name))
+        full, shuffled = quantize(T), quantize(U)
+        assert shuffled.per_point == {p: sign * m for p, m in full.per_point.items()}
+        assert shuffled.virtual_dimension == sign * full.virtual_dimension
+
+
+# the dilates of the 5-dimensional chains would take seconds to count
+@pytest.mark.parametrize(
+    "name, base, T", [c for c in CHAINS if c[2].dim <= 4],
+    ids=[name for name, _, T in CHAINS if T.dim <= 4],
+)
+def test_chain_ehrhart_polynomial_leads_with_signed_volume(name, base, T):
+    d = T.dim
+
+    def signed_count(k):
+        # kT is the chain of k base: the facets and fusions carry over
+        return quantize(chain(dilate(base, k), 3), points=False).virtual_dimension
+
+    diffs = ehrhart_diffs(signed_count, d)
+    assert Fraction(diffs[d], math.factorial(d)) == signed_volume(T)
+    assert diffs[0] == base.lattice_count()
+
+
+# ---------------------------------------------------------------------------
+# document round trip with shuffled numbering
+# ---------------------------------------------------------------------------
+
+def shuffled_document(T, rng):
+    """T's document with polytopes, halfspaces and fusions shuffled and pairs swapped.
+
+    Returns the document and ``perm``: polytope i of T is polytope perm[i]
+    of the document.
+    """
+    doc = document_from_template(T)
+    count = len(doc["polytopes"])
+    perm = rng.sample(range(count), count)
+    polytopes, renumber = [None] * count, []
+    for i, spec in enumerate(doc["polytopes"]):
+        order = rng.sample(range(len(spec["halfspaces"])), len(spec["halfspaces"]))
+        renumber.append({old: new for new, old in enumerate(order)})
+        halfspaces = [spec["halfspaces"][j] for j in order]
+        polytopes[perm[i]] = dict(spec, halfspaces=halfspaces)
+    fusions = []
+    for spec in doc["fusions"]:
+        ends = [
+            {"polytope": perm[end["polytope"]],
+             "facet": renumber[end["polytope"]][end["facet"]]}
+            for end in (spec.get("a"), spec.get("b")) if end is not None
+        ]
+        if rng.random() < 0.5:
+            ends.reverse()
+        fusions.append(dict(spec, **dict(zip(("a", "b"), ends))))
+    rng.shuffle(fusions)
+    return dict(doc, polytopes=polytopes, fusions=fusions), perm
+
+
+def shuffled_round_trip(T, rng):
+    """U, perm and sign: T through a shuffled document, checked against T.
+
+    U must be valid iff T is, carry T's orientation up to one global sign,
+    and have the same signed volume up to that sign, the same Poincare
+    series (or the same error) and the same cone identity report.
+    """
+    doc, perm = shuffled_document(T, rng)
+    U = parse_template(doc)
+    assert validate(U).valid == validate(T).valid
+    signs, moved = orientation_signs(T), orientation_signs(U)
+    sign = moved[perm[0]] * signs[0]
+    assert [moved[perm[i]] for i in range(len(perm))] == [sign * s for s in signs]
+    assert signed_volume(U) == sign * signed_volume(T)
+    cap = 2 * T.dim + 2
+    assert outcome(ht_poincare, U, cap) == outcome(ht_poincare, T, cap)
+    assert verify_dh_identity(U, None, 20, 5) == verify_dh_identity(T, None, 20, 5)
+    return U, perm, sign
+
+
+def test_shuffles_reach_both_global_signs():
+    signs = set()
+    for name, _, T in CHAINS:
+        doc, perm = shuffled_document(T, random.Random(name))
+        U = parse_template(doc)
+        signs.add(orientation_signs(U)[perm[0]] * orientation_signs(T)[0])
+    assert signs == {1, -1}

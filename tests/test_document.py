@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from toricorigami import (
     validate,
 )
 from toricorigami.document import (
+    MAX_EXPONENT,
     document_from_template,
     format_rational,
     parse_rational,
@@ -45,6 +47,26 @@ class TestRationals:
     def test_garbage_rejected(self):
         with pytest.raises(DocumentError):
             parse_rational("1/0", "x")
+
+    def test_exponents_up_to_the_bound(self):
+        assert MAX_EXPONENT == 4300
+        assert parse_rational("1e4300", "x") == 10 ** 4300
+        assert parse_rational(" 3E-4300 ", "x") == Fraction(3, 10 ** 4300)
+        assert parse_rational("25e-1", "x") == Fraction(5, 2)
+        assert parse_rational("1e0_0_1", "x") == 10
+
+    @pytest.mark.parametrize("text", [
+        "1e4301", "1e-4301", "1E+30000000", "1.5e-30000000", "1e" + "9" * 10_000,
+    ])
+    def test_larger_exponents_refused_before_the_power(self, text):
+        # 10^30000000 alone takes seconds to compute
+        with pytest.raises(DocumentError, match=r"x: \|exponent\| > 4300"):
+            parse_rational(text, "x")
+
+    @pytest.mark.parametrize("text", ["1e", "e5", "1enan", "1e5/2", "1/2e5"])
+    def test_malformed_exponents_rejected(self, text):
+        with pytest.raises(DocumentError, match="bad rational"):
+            parse_rational(text, "x")
 
 
 class TestRoundTrip:

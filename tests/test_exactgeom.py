@@ -160,6 +160,11 @@ class TestDelzant:
     def test_blowup_family(self, make):
         assert make().is_delzant().is_delzant
 
+    @pytest.mark.parametrize("make", [square, bad_triangle])
+    def test_report_is_computed_once(self, make):
+        P = make()
+        assert P.is_delzant() is P.is_delzant()
+
 
 class TestAgreesNear:
     def test_hirzebruch_left_edges(self):

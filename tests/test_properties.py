@@ -224,6 +224,36 @@ class TestMultiplicityDecomposition:
             direct = sum(P.contains(x).inside for P in T.polytopes)
             assert multiplicity(T, x) == direct
 
+    @pytest.mark.parametrize("make", [
+        s4_template, hirzebruch_pair, trapezoid_chain, lambda: hexagon_cycle(4),
+    ])
+    def test_counts_by_slacks_without_the_face_lattice(self, make):
+        # random points, the vertices, the edge midpoints and the centroids
+        # of the vertices, counted first on fresh polytopes, whose face
+        # lattice must stay unbuilt
+        T = make()
+        rng = random.Random(5)
+        points = [
+            (Fraction(rng.randint(-40, 40), 8), Fraction(rng.randint(-40, 40), 7))
+            for _ in range(40)
+        ]
+        for P in T.polytopes:
+            points += P.vertices
+            points.append(tuple(sum(c) / len(P.vertices) for c in zip(*P.vertices)))
+            points += [
+                tuple((a + b) / 2 for a, b in zip(P.vertices[v], P.vertices[far]))
+                for v, edges in enumerate(P._edges)
+                for _, far in edges
+            ]
+        counts = [multiplicity(T, x) for x in points]
+        assert not any("_face_list" in vars(P) for P in T.polytopes)
+        assert counts == [
+            sum(P.contains(x).inside for P in T.polytopes) for x in points
+        ]
+        assert {"interior", "boundary", "outside"} <= {
+            P.contains(x).kind for P in T.polytopes for x in points
+        }
+
 
 # ---------------------------------------------------------------------------
 # exact integral of the DH density by cell decomposition (2D)

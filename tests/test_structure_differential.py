@@ -1,8 +1,9 @@
 """The fusion-graph walk and the incidence reads against the code they replaced.
 
 ``structure_reference`` holds the earlier graph builders, orientation,
-classification, ``critical_faces`` and ``agrees_near``; every outcome here,
-a value or an error with its message and witness, must match it exactly.
+classification, ``critical_faces``, ``face_ht_series`` and ``agrees_near``;
+every outcome here, a value or an error with its message and witness, must
+match it exactly.
 """
 
 import itertools
@@ -28,13 +29,20 @@ from factories import (
 )
 from test_properties import random_delzant_polygon, transform
 from toricorigami import OrigamiTemplate, pair, single
-from toricorigami.cohomology import critical_faces, fold_direction
+from toricorigami.cohomology import (
+    critical_faces,
+    face_ht_series,
+    fold_direction,
+    ht_poincare,
+)
 from toricorigami.document import load_template
 from toricorigami.errors import OrigamiError
-from toricorigami.exactgeom import _generic_vector, agrees_near
+from toricorigami.exactgeom import HPolytope, _generic_vector, agrees_near
 from toricorigami.template import classify_surface, orient, validate
 
-GALLERY = Path(__file__).resolve().parent.parent / "gallery"
+HERE = Path(__file__).resolve().parent
+GALLERY = HERE.parent / "gallery"
+GOLDEN_INPUTS = HERE / "golden" / "inputs"
 
 
 def outcome(f, *args):
@@ -179,3 +187,85 @@ class TestAgreesNear:
                     agreeing.add(i == j)
         # both a polygon with itself and two different polygons agree somewhere
         assert agreeing == {True, False}
+
+
+def series_outcome(f, X, cap, xi_aux):
+    """("value", f(X, cap, xi_aux)), or the ValueError it raises with its message."""
+    try:
+        return "value", f(X, cap, xi_aux)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def series_cases(T):
+    """(critical face, auxiliary vector) pairs on T's faces, among them failing ones.
+
+    The faces are those of the fold normal, when T has one fold, and of a
+    generic vector; the auxiliary vectors are the default, the default
+    reversed with alternating signs (generic too) and the first unit vector,
+    which pairs to zero with many face edges.
+    """
+    normals = [hs.normal for P in T.polytopes for hs in P.halfspaces]
+    xis = [_generic_vector(normals, T.dim)]
+    if outcome(fold_direction, T)[0] == "value":
+        xis.append(fold_direction(T)[0])
+    for xi in xis:
+        if outcome(critical_faces, T, xi)[0] != "value":
+            continue
+        for X in critical_faces(T, xi):
+            edges = [u for vid in X.vids for u, _ in X.face.polytope._edges[vid]]
+            default = _generic_vector(edges, T.dim)
+            flipped = tuple((-1) ** j * c for j, c in enumerate(default[::-1]))
+            unit = (1,) + (0,) * (T.dim - 1)
+            for xi_aux in (None, flipped, unit):
+                yield X, xi_aux
+
+
+def series_templates():
+    documents = sorted(GALLERY.glob("*.json")) + sorted(GOLDEN_INPUTS.glob("*.json"))
+    templates = {path.stem: load_template(path) for path in documents}
+    templates.update({f"doubled-cube-{d}": doubled_cube(d) for d in range(1, 7)})
+    return templates
+
+
+SERIES_TEMPLATES = series_templates()
+
+
+class TestFaceSeries:
+    @pytest.mark.parametrize("name", sorted(SERIES_TEMPLATES))
+    def test_matches_reference(self, name):
+        T = SERIES_TEMPLATES[name]
+        cap = 2 * T.dim + 4
+        kinds = set()
+        for X, xi_aux in series_cases(T):
+            expected = series_outcome(ref.face_ht_series, X, cap, xi_aux)
+            assert series_outcome(face_ht_series, X, cap, xi_aux) == expected
+            kinds.add(expected[0])
+        # the nonorientable files have no critical faces, and neither has the
+        # torus, whose every vertex lies on a fold
+        assert kinds or name in {"adjacency_interleaved", "hexagon_3cycle", "rp4",
+                                 "torus_2segments"}
+
+    def test_reference_cases_include_errors(self):
+        T = doubled_cube(3)
+        kinds = {
+            series_outcome(ref.face_ht_series, X, 8, xi_aux)[0]
+            for X, xi_aux in series_cases(T)
+        }
+        assert kinds == {"value", "ValueError"}
+
+    @pytest.mark.parametrize("name", sorted(ONE_FOLD))
+    def test_ht_poincare_finds_no_vertex_by_its_point(self, name, monkeypatch):
+        T = ONE_FOLD[name]
+        xi, _ = fold_direction(T)
+        expected = [0] * 11
+        for X in ref.critical_faces(T, xi):
+            series = ref.face_ht_series(X, 10)
+            for k in range(X.r, 11, 2):
+                expected[k] += series[k - X.r]
+
+        def refuse(self, v):
+            raise AssertionError(f"vertex {v} searched by its point")
+
+        monkeypatch.setattr(HPolytope, "_vid", refuse)
+        assert ht_poincare(T, 10).coefficients == tuple(expected)
