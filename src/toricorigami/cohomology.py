@@ -26,15 +26,13 @@ class CriticalFace(Value):
     ``ind`` twice the count of descending transverse edges, and ``r`` the
     degree shift: ind on the +1 side and the complementary transverse index
     2(n - m) - ind on the -1 side, where the height is climbed instead.
-    ``vids``, not shown or compared, are the vertex ids that ``face_ht_series`` reads.
     """
 
-    _repr = ("polytope", "face", "vertices", "m", "side", "ind", "r")
-    __slots__ = _repr + ("vids",)
+    __slots__ = _repr = ("polytope", "face", "vertices", "m", "side", "ind", "r")
 
     def __init__(
         self, polytope: int, face: FaceRef, vertices: tuple, m: int, side: int,
-        ind: int, r: int, vids: tuple | None = None,
+        ind: int, r: int,
     ):
         set_field(self, "polytope", polytope)
         set_field(self, "face", face)
@@ -43,7 +41,6 @@ class CriticalFace(Value):
         set_field(self, "side", side)
         set_field(self, "ind", ind)
         set_field(self, "r", r)
-        set_field(self, "vids", vids)
 
 
 class PoincareSeries(Value):
@@ -130,9 +127,7 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
             r = ind if signs[i] == 1 else 2 * (n - face.dim) - ind
             verts = tuple(P.vertices[vid] for vid in face.vids)
             ref = FaceRef(P, face.active, face.dim)
-            out.append(
-                CriticalFace(i, ref, verts, face.dim, signs[i], ind, r, face.vids)
-            )
+            out.append(CriticalFace(i, ref, verts, face.dim, signs[i], ind, r))
     return tuple(out)
 
 
@@ -147,8 +142,10 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
         raise ValueError("cap must be a nonnegative even integer")
     P: HPolytope = X.face.polytope
     n = P.dim
-    vids = frozenset(X.vids)
-    per_vertex = [[u for u, far in P._edges[vid] if far in vids] for vid in X.vids]
+    # the face's vertices are those tight on its active set, as in the lattice
+    acts = P._vertex_active
+    vids = {v for v, act in enumerate(acts) if act.issuperset(X.face.active)}
+    per_vertex = [[u for u, far in P._edges[v] if far in vids] for v in sorted(vids)]
     if xi_aux is None:
         xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
     else:

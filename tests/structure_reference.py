@@ -12,8 +12,7 @@ and ``classify_surface`` from ``template``, ``critical_faces`` from
 and ``agrees_near`` from ``exactgeom`` (through ``face_vertices`` and
 ``_vid``).  ``face_ht_series`` from ``cohomology``, which found each face
 vertex by its point and its edges through ``split_edges``, is here too; the
-package's reads the vertex ids that ``critical_faces`` takes from the face
-lattice.
+package's reads the ids of the vertices tight on the face's active set.
 """
 
 import math

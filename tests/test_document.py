@@ -53,10 +53,10 @@ class TestRationals:
         assert parse_rational("1e4300", "x") == 10 ** 4300
         assert parse_rational(" 3E-4300 ", "x") == Fraction(3, 10 ** 4300)
         assert parse_rational("25e-1", "x") == Fraction(5, 2)
-        assert parse_rational("1e0_0_1", "x") == 10
 
     @pytest.mark.parametrize("text", [
-        "1e4301", "1e-4301", "1E+30000000", "1.5e-30000000", "1e" + "9" * 10_000,
+        "1e4301", "1e-4301", "1E+30000000", "1.5e-30000000", "1e3_000_000_0",
+        "1e" + "9" * 10_000,
     ])
     def test_larger_exponents_refused_before_the_power(self, text):
         # 10^30000000 alone takes seconds to compute

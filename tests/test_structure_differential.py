@@ -30,6 +30,7 @@ from factories import (
 from test_properties import random_delzant_polygon, transform
 from toricorigami import OrigamiTemplate, pair, single
 from toricorigami.cohomology import (
+    CriticalFace,
     critical_faces,
     face_ht_series,
     fold_direction,
@@ -213,7 +214,11 @@ def series_cases(T):
         if outcome(critical_faces, T, xi)[0] != "value":
             continue
         for X in critical_faces(T, xi):
-            edges = [u for vid in X.vids for u, _ in X.face.polytope._edges[vid]]
+            P = X.face.polytope
+            edges = [
+                u for vid, act in enumerate(P._vertex_active)
+                if act.issuperset(X.face.active) for u, _ in P._edges[vid]
+            ]
             default = _generic_vector(edges, T.dim)
             flipped = tuple((-1) ** j * c for j, c in enumerate(default[::-1]))
             unit = (1,) + (0,) * (T.dim - 1)
@@ -245,6 +250,17 @@ class TestFaceSeries:
         # torus, whose every vertex lies on a fold
         assert kinds or name in {"adjacency_interleaved", "hexagon_3cycle", "rp4",
                                  "torus_2segments"}
+
+    @pytest.mark.parametrize("P", [pentagon(), cube(3), trapezoid(2)])
+    def test_hand_built_faces(self, P):
+        # records built without critical_faces, on full active sets and on
+        # the single halfspace of each facet
+        refs = list(P.faces()) + [P.facet(j) for j in range(len(P.halfspaces))]
+        for face in refs:
+            X = CriticalFace(0, face, P.face_vertices(face), face.dim, 1, 0, 0)
+            for xi_aux in (None, (1,) + (0,) * (P.dim - 1)):
+                expected = series_outcome(ref.face_ht_series, X, 8, xi_aux)
+                assert series_outcome(face_ht_series, X, 8, xi_aux) == expected
 
     def test_reference_cases_include_errors(self):
         T = doubled_cube(3)

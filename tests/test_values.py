@@ -4,8 +4,8 @@ Every record compares and hashes over its compared fields only, is unequal
 to a record of another class with the same field values, refuses assignment
 and deletion, and prints as ``Name(field=value, ...)`` without its hidden
 fields.  ``HPolytope.vertices``, ``HPolytope.kept_input_indices``,
-``HPolytope._vertex_active``, ``_Face.facets``, ``CriticalFace.vids`` and
-``OrigamiTemplate.names`` are not compared.
+``HPolytope._vertex_active``, ``_Face.facets`` and ``OrigamiTemplate.names``
+are not compared.
 """
 
 from fractions import Fraction as F
@@ -286,9 +286,6 @@ def test_uncompared_fields_are_kept():
     inner = _Face((0, 1), -1, (), ())
     assert _Face((0,), 0, (0,), (inner,)).facets == (inner,)
     assert _template(["c", "d"]).names == ("c", "d")
-    face = CriticalFace(0, FaceRef(SEG, (0,), 0), ((F(0),),), 0, 1, 0, 0, (0,))
-    assert face.vids == (0,) and face == CASES["CriticalFace"][0]()
-    assert repr(face) == CASES["CriticalFace"][4]
 
 
 def test_cached_structure_survives_freezing():
