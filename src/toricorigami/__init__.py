@@ -12,8 +12,8 @@ _EXPORTS = {
         "BoundaryPoint", "DegenerateError", "DimensionError", "DimensionMismatch",
         "DocumentError", "EmptyError", "EnumerationLimitError", "InconsistentIndex",
         "NonGenericPolarization", "NonIntegralError", "NonorientableError",
-        "OrigamiError", "PolytopeError", "PreconditionError", "StructureError",
-        "UnboundedError", "ValidationError",
+        "OrigamiError", "OutputLimitError", "PolytopeError", "PreconditionError",
+        "StructureError", "UnboundedError", "ValidationError",
     ),
     "exactgeom": (
         "DelzantReport", "FaceRef", "Halfspace", "HPolytope", "Location",

@@ -4,7 +4,7 @@ Reads a JSON template document (path or ``-`` for stdin), runs one
 computation per subcommand and prints a JSON report on stdout.  All numbers
 in reports are exact (rationals as ``p/q`` strings).  Exit codes: 0 success,
 1 usage, parse or output-file failure, 2 semantic failure (invalid template,
-unmet precondition, failed identity check).
+unmet precondition, failed identity check, a number too long to write).
 """
 
 from __future__ import annotations
@@ -80,70 +80,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def command(name, help_text):
+    def command(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="template JSON document (or - for stdin)")
+        p.set_defaults(handler=handler)
         return p
 
-    command("validate", "check the template conditions").set_defaults(
-        handler=_cmd_validate
-    )
-    command("orient", "orientation signs or a nonorientability witness").set_defaults(
-        handler=_cmd_orient
-    )
-    command("classify", "surface family of a 1-dimensional template").set_defaults(
-        handler=_cmd_classify
-    )
-    p = command("quantize", "signed lattice-point count")
+    command("validate", "check the template conditions", None)
+    command("orient", "orientation signs or a nonorientability witness", _cmd_orient)
+    command("classify", "surface family of a 1-dimensional template", _cmd_classify)
+    p = command("quantize", "signed lattice-point count", _cmd_quantize)
     p.add_argument(
         "--points", action="store_true", help="include the per-point table"
     )
-    p.set_defaults(handler=_cmd_quantize)
 
-    p = command("dh", "Duistermaat-Heckman density at a point")
+    p = command("dh", "Duistermaat-Heckman density at a point", _cmd_dh)
     p.add_argument("--point", required=True, type=_rational_point)
-    p.set_defaults(handler=_cmd_dh)
 
-    command("volume", "signed volume of the template").set_defaults(
-        handler=_cmd_volume
-    )
+    command("volume", "signed volume of the template", _cmd_volume)
 
-    p = command("cones", "check the weight-cone form of the DH density")
+    p = command("cones", "check the weight-cone form of the DH density", _cmd_cones)
     p.add_argument("--v", type=_int_vector, default=None,
                    help="polarizing vector (default: built-in generic choice)")
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_cones)
 
-    p = command("cohomology", "equivariant Poincare series coefficients")
+    p = command("cohomology", "equivariant Poincare series coefficients",
+                _cmd_cohomology)
     p.add_argument("--max-degree", type=_even_int, default=20)
-    p.set_defaults(handler=_cmd_cohomology)
 
-    p = command("render", "draw a 2-dimensional template as SVG")
+    p = command("render", "draw a 2-dimensional template as SVG", _cmd_render)
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument(
         "--lattice", action="store_true",
         help="mark signed lattice points (needs an orientable template)",
     )
-    p.set_defaults(handler=_cmd_render)
 
     return parser
 
 
 # --- handlers ---------------------------------------------------------------
+# ``main`` loads and validates the document; ``validate`` reports the check,
+# every other handler gets the valid template and the parsed arguments.
 
-def _load_valid(path):
-    """Parse the document and insist on a valid template."""
-    T = load_template(path)
-    report = validate(T)
-    if not report.valid:
-        raise ValidationError(report)
-    return T
-
-
-def _cmd_validate(args):
-    T = load_template(args.file)
-    report = validate(T)
+def _cmd_validate(report):
     payload = {
         "valid": report.valid,
         "delzant_failures": [
@@ -159,8 +139,7 @@ def _cmd_validate(args):
     return payload, EXIT_OK if report.valid else EXIT_SEMANTIC
 
 
-def _cmd_orient(args):
-    T = _load_valid(args.file)
+def _cmd_orient(T, args):
     try:
         signs = orient(T)
     except NonorientableError as exc:
@@ -173,8 +152,7 @@ def _cmd_orient(args):
     return {"orientable": True, "orientation": list(signs)}, EXIT_OK
 
 
-def _cmd_classify(args):
-    T = _load_valid(args.file)
+def _cmd_classify(T, args):
     result = classify_surface(T)
     return {
         "family": result.family,
@@ -183,10 +161,9 @@ def _cmd_classify(args):
     }, EXIT_OK
 
 
-def _cmd_quantize(args):
+def _cmd_quantize(T, args):
     from .invariants import quantize
 
-    T = _load_valid(args.file)
     result = quantize(T, points=args.points)
     payload = {"virtual_dimension": result.virtual_dimension}
     if args.points:
@@ -197,10 +174,9 @@ def _cmd_quantize(args):
     return payload, EXIT_OK
 
 
-def _cmd_dh(args):
+def _cmd_dh(T, args):
     from .invariants import dh_density
 
-    T = _load_valid(args.file)
     value = dh_density(T, args.point)
     return {
         "point": [format_rational(c) for c in value.point],
@@ -209,19 +185,16 @@ def _cmd_dh(args):
     }, EXIT_OK
 
 
-def _cmd_volume(args):
+def _cmd_volume(T, args):
     from .invariants import signed_volume
 
-    T = _load_valid(args.file)
     return {"signed_volume": format_rational(signed_volume(T))}, EXIT_OK
 
 
-def _cmd_cones(args):
-    from .cones import default_polarization, verify_dh_identity
+def _cmd_cones(T, args):
+    from .cones import verify_dh_identity
 
-    T = _load_valid(args.file)
-    v = args.v if args.v is not None else default_polarization(T)
-    report = verify_dh_identity(T, v, args.samples, args.seed)
+    report = verify_dh_identity(T, args.v, args.samples, args.seed)
     payload = {
         "v": list(report.v),
         "requested_samples": report.requested,
@@ -243,10 +216,9 @@ def _cmd_cones(args):
     return payload, EXIT_OK if report.success else EXIT_SEMANTIC
 
 
-def _cmd_cohomology(args):
+def _cmd_cohomology(T, args):
     from .cohomology import ht_poincare
 
-    T = _load_valid(args.file)
     series = ht_poincare(T, args.max_degree)
     return {
         "max_degree": series.cap,
@@ -254,10 +226,9 @@ def _cmd_cohomology(args):
     }, EXIT_OK
 
 
-def _cmd_render(args):
+def _cmd_render(T, args):
     from .render import render_svg
 
-    T = _load_valid(args.file)
     svg = render_svg(T, lattice=args.lattice)
     try:
         Path(args.out).write_text(svg, encoding="utf-8")
@@ -276,7 +247,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        payload, code = args.handler(args)
+        T = load_template(args.file)
+        checked = validate(T)
+        if args.command == "validate":
+            payload, code = _cmd_validate(checked)
+        elif not checked.valid:
+            raise ValidationError(checked)
+        else:
+            payload, code = args.handler(T, args)
     except DocumentError as exc:
         payload, code = {"error": {"kind": "parse", "message": str(exc)}}, EXIT_USAGE
     except OrigamiError as exc:

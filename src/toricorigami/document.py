@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DocumentError
+from .errors import DocumentError, OutputLimitError
 from .exactgeom import HPolytope, make_polytope
 from .template import FacetAddress, Fusion, OrigamiTemplate
 
@@ -42,7 +42,14 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    return str(Fraction(x))
+    """``p/q`` or ``p``, refusing what ``str()`` cannot write (OutputLimitError)."""
+    x = Fraction(x)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or absent): no limit
+    big = max(abs(x.numerator), x.denominator)
+    # under 3 * limit bits a number is below 2^(3 limit) < 10^limit: at most limit digits
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise OutputLimitError(f"a result number has more than {limit} digits")
+    return str(x)
 
 
 def _expect(cond: bool, message: str) -> None:

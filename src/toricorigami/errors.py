@@ -9,6 +9,10 @@ class DocumentError(OrigamiError):
     """A template document fails to parse (bad JSON shape or field)."""
 
 
+class OutputLimitError(OrigamiError):
+    """A result number has more digits than Python writes as text."""
+
+
 # --- polytope construction ------------------------------------------------
 
 class PolytopeError(OrigamiError):

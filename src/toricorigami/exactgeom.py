@@ -290,21 +290,18 @@ class HPolytope(Value):
     def _edges(self) -> tuple[tuple[tuple[IntVec, int], ...], ...]:
         """Per vertex id, (primitive direction, far vertex id) sorted by direction.
 
-        Two vertices span an edge iff they share at least n-1 facets and no
-        third vertex lies on every facet they share.
+        Two vertices span an edge iff they are adjacent rays (:func:`_adjacent`)
+        of the cone over P, read on bitmasks of their tight facets.
         """
-        rays, acts = self._rays, self._vertex_active
+        rays = self._rays
+        masks = [sum(1 << j for j in act) for act in self._vertex_active]
         table = [[] for _ in rays]
         for a, b in itertools.combinations(range(len(rays)), 2):
-            common = acts[a] & acts[b]
-            if len(common) < self.dim - 1 or any(
-                common <= act for c, act in enumerate(acts) if c != a and c != b
-            ):
-                continue
-            (Xa, ta), (Xb, tb) = rays[a], rays[b]
-            u = _primitive([ta * xb - tb * xa for xa, xb in zip(Xa, Xb)])
-            table[a].append((u, b))
-            table[b].append((tuple(-c for c in u), a))
+            if _adjacent(masks[a] & masks[b], masks, self.dim):
+                (Xa, ta), (Xb, tb) = rays[a], rays[b]
+                u = _primitive([ta * xb - tb * xa for xa, xb in zip(Xa, Xb)])
+                table[a].append((u, b))
+                table[b].append((tuple(-c for c in u), a))
         return tuple(tuple(sorted(edges)) for edges in table)
 
     def faces(self, dim: int | None = None) -> tuple[FaceRef, ...]:
@@ -528,6 +525,18 @@ def make_polytope(halfspaces) -> HPolytope:
     return HPolytope(dim, tuple(kept), vertex_rays, tuple(kept_pos), tight_sets)
 
 
+def _adjacent(common: int, zero_sets, rank: int) -> bool:
+    """Are two extreme rays of a pointed cone of rank ``rank`` + 1 adjacent?
+
+    ``common`` is the bitmask of the rows zero on both, ``zero_sets`` every
+    ray's (the two included): adjacent iff ``common`` holds at least
+    ``rank`` - 1 rows and no third ray is zero on all of them.
+    """
+    return common.bit_count() >= rank - 1 and sum(
+        common & z == common for z in zero_sets
+    ) <= 2
+
+
 def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
     """Extreme rays of {(x, t) : t >= 0, q <a, x> <= p t} and their tight sets.
 
@@ -565,15 +574,12 @@ def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
         held = [(ray, z | (v == 0) << k) for (ray, z), v in zip(rays, vals) if v >= 0]
         positive = [(ray, z, v) for (ray, z), v in zip(rays, vals) if v > 0]
         negative = [(ray, z, v) for (ray, z), v in zip(rays, vals) if v < 0]
+        zero_sets = [z for _, z in rays]
         for (a, za, va), (b, zb, vb) in itertools.product(positive, negative):
-            # adjacent iff no third ray is zero on all (>= n - 1) rows they share
-            common = za & zb
-            if common.bit_count() < dim - 1 or sum(
-                common & z == common for _, z in rays
-            ) > 2:
+            if not _adjacent(za & zb, zero_sets, dim):
                 continue
             ray = [va * y - vb * x for x, y in zip(a, b)]
-            held.append((_primitive(ray), common | 1 << k))
+            held.append((_primitive(ray), (za & zb) | 1 << k))
             if len(held) > MAX_RAYS:
                 raise EnumerationLimitError(limit)
         rays = held

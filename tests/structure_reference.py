@@ -13,8 +13,11 @@ and ``agrees_near`` from ``exactgeom`` (through ``face_vertices`` and
 ``_vid``).  ``face_ht_series`` from ``cohomology``, which found each face
 vertex by its point and its edges through ``split_edges``, is here too; the
 package's reads the ids of the vertices tight on the face's active set.
+``edges`` is ``HPolytope._edges`` with its own adjacency rule on frozensets;
+the package's reads the rule that vertex enumeration uses, on bitmasks.
 """
 
+import itertools
 import math
 from collections import deque
 
@@ -26,7 +29,13 @@ from toricorigami.errors import (
     NonorientableError,
     StructureError,
 )
-from toricorigami.exactgeom import HPolytope, _dot, _facet_ref, _generic_vector
+from toricorigami.exactgeom import (
+    HPolytope,
+    _dot,
+    _facet_ref,
+    _generic_vector,
+    _primitive,
+)
 from toricorigami.template import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
@@ -266,3 +275,24 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
             for k in range(j, cap + 1):
                 coeffs[k] += c * base[k - j]
     return tuple(coeffs)
+
+
+def edges(self) -> tuple:
+    """Per vertex id, (primitive direction, far vertex id) sorted by direction.
+
+    Two vertices span an edge iff they share at least n-1 facets and no
+    third vertex lies on every facet they share.
+    """
+    rays, acts = self._rays, self._vertex_active
+    table = [[] for _ in rays]
+    for a, b in itertools.combinations(range(len(rays)), 2):
+        common = acts[a] & acts[b]
+        if len(common) < self.dim - 1 or any(
+            common <= act for c, act in enumerate(acts) if c != a and c != b
+        ):
+            continue
+        (Xa, ta), (Xb, tb) = rays[a], rays[b]
+        u = _primitive([ta * xb - tb * xa for xa, xb in zip(Xa, Xb)])
+        table[a].append((u, b))
+        table[b].append((tuple(-c for c in u), a))
+    return tuple(tuple(sorted(edges)) for edges in table)

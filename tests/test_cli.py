@@ -1,3 +1,4 @@
+import importlib
 import io
 import itertools
 import json
@@ -7,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from toricorigami.document import document_from_template
 
 ROOT = Path(__file__).resolve().parent.parent
 GALLERY = ROOT / "gallery"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def write_doc(tmp_path, T, name="t.json"):
@@ -412,6 +415,73 @@ class TestExitCodes:
         assert code == 0 and report["valid"]
 
 
+def argv_for(command, path, tmp_path):
+    """A call of ``command`` on ``path`` with the options it needs."""
+    extra = {
+        "dh": ["--point", "1/3,1/3"],
+        "cones": ["--samples", "5"],
+        "cohomology": ["--max-degree", "4"],
+        "render": ["--out", str(tmp_path / "out.svg")],
+    }
+    return [command, str(path), *extra.get(command, [])]
+
+
+COMMANDS = ("validate", "orient", "classify", "quantize", "dh", "volume", "cones",
+            "cohomology", "render")
+
+
+class TestPipeline:
+    """``main`` loads and validates the document once, for every subcommand."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``load_template`` and ``validate`` calls through any binding."""
+        from toricorigami.document import load_template
+        from toricorigami.template import validate
+
+        for name in ("invariants", "cones", "cohomology", "render"):
+            importlib.import_module(f"toricorigami.{name}")
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, original in (("load_template", load_template), ("validate", validate)):
+            wrapped = counting(name, original)
+            for key, module in list(sys.modules.items()):
+                if key == "toricorigami" or key.startswith("toricorigami."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, wrapped)
+        return counts
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_loads_and_validates_once(self, capsys, tmp_path, calls, command):
+        name = "sphere_fold_2segments" if command == "classify" else "s4"
+        code, _ = run(capsys, *argv_for(command, GALLERY / f"{name}.json", tmp_path))
+        assert code == 0
+        assert calls == {"load_template": 1, "validate": 1}
+
+    @pytest.mark.parametrize("command", COMMANDS[1:])
+    def test_invalid_template_report(self, capsys, tmp_path, monkeypatch, calls, command):
+        """Every subcommand but ``validate`` reports what ``orient`` records."""
+        monkeypatch.chdir(GOLDEN / "inputs")
+        argv = argv_for(command, "agreement_failure.json", tmp_path)
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        expected = json.loads(
+            (GOLDEN / "expected" / "agreement_failure.orient.out").read_text("utf-8")
+        )
+        assert expected["error"]["kind"] == "ValidationError"
+        expected["command"] = command
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert calls == {"load_template": 1, "validate": 1}
+        assert not (tmp_path / "out.svg").exists()
+
+
 class TestHostileNumbers:
     """Numbers that Python's own parsers take seconds or refuse: exit 1 fast.
 
@@ -455,4 +525,40 @@ class TestHostileNumbers:
         assert child.returncode == 1
         assert child.stdout == ""
         assert f"expected comma-separated rationals, got {point!r}" in child.stderr
+        assert "Traceback" not in child.stderr
+
+    def test_oversized_point_is_a_json_error(self, tmp_path):
+        child = self.child("dh", str(GALLERY / "s4.json"), "--point", "1e4300,0")
+        assert child.returncode == 2
+        error = json.loads(child.stdout)["error"]
+        assert error == {
+            "kind": "OutputLimitError",
+            "message": "a result number has more than 4300 digits",
+        }
+        assert "Traceback" not in child.stderr
+
+    def test_oversized_volume_is_a_json_error(self, tmp_path):
+        """[0, 10^2200]^2 and [0, 2 10^2200] x [0, 10^2200] fused along x1 = 0.
+
+        The template is valid; its signed volume -10^4400 has 4401 digits.
+        """
+        def box(a, b):
+            normals = [[-1, 0], [0, -1], [1, 0], [0, 1]]
+            offsets = ["0", "0", a, b]
+            return {"halfspaces": [
+                {"normal": n, "offset": o} for n, o in zip(normals, offsets)
+            ]}
+
+        doc = {
+            "dimension": 2,
+            "polytopes": [box("1e2200", "1e2200"), box("2e2200", "1e2200")],
+            "fusions": [{"type": "pair", "a": {"polytope": 0, "facet": 0},
+                         "b": {"polytope": 1, "facet": 0}}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.child("validate", str(path)).returncode == 0
+        child = self.child("volume", str(path))
+        assert child.returncode == 2
+        assert json.loads(child.stdout)["error"]["kind"] == "OutputLimitError"
         assert "Traceback" not in child.stderr

@@ -84,10 +84,19 @@ def random_unimodular(rng, d):
     return U, V
 
 
+def random_motion(rng, d):
+    """(U^-1, t) for a random unimodular U and integer translation t."""
+    _, V = random_unimodular(rng, d)
+    return V, [rng.randint(-3, 3) for _ in range(d)]
+
+
 def moved(P, rng):
     """The image U P + t under a random unimodular U and integer t."""
-    U, V = random_unimodular(rng, P.dim)
-    t = [rng.randint(-3, 3) for _ in range(P.dim)]
+    return image(P, *random_motion(rng, P.dim))
+
+
+def image(P, V, t):
+    """The image U P + t, given V = U^-1; halfspaces keep their order."""
     # <a, x> <= b becomes <a U^-1, y> <= b + <a U^-1, t> for y = U x + t
     system = []
     for hs in P.halfspaces:
@@ -274,6 +283,39 @@ def test_chain_ehrhart_polynomial_leads_with_signed_volume(name, base, T):
     diffs = ehrhart_diffs(signed_count, d)
     assert Fraction(diffs[d], math.factorial(d)) == signed_volume(T)
     assert diffs[0] == base.lattice_count()
+
+
+# ---------------------------------------------------------------------------
+# lattice-affine invariance
+# ---------------------------------------------------------------------------
+
+AFFINE = [(name, T) for name, _, _, T in CORPUS] + [
+    (f"{name}-chain", T) for name, _, T in CHAINS
+]
+
+
+@pytest.mark.parametrize("name, T", AFFINE, ids=[name for name, _ in AFFINE])
+def test_lattice_affine_image_has_the_same_invariants(name, T):
+    """Every polytope of T moved by one fresh unimodular map and translation.
+
+    The facet numbering is kept, so the fusions and the orientation carry
+    over unchanged.
+    """
+    V, t = random_motion(random.Random(f"{name}-affine"), T.dim)
+    U = OrigamiTemplate(tuple(image(P, V, t) for P in T.polytopes), T.fusions)
+    assert U.polytopes != T.polytopes
+    assert validate(U).valid and validate(T).valid
+    assert orientation_signs(U) == orientation_signs(T)
+    assert signed_volume(U) == signed_volume(T)
+    if len(T.fusions) == 1:
+        cap = 2 * T.dim + 2
+        assert ht_poincare(U, cap) == ht_poincare(T, cap)
+    else:
+        # the two equal copies of a double cancel, whatever their count
+        assert (quantize(U, points=False).virtual_dimension
+                == quantize(T, points=False).virtual_dimension != 0)
+    # T's own identity holds by TestCorpus and TestChains
+    assert verify_dh_identity(U, None, 20, 9).success
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from factories import hirzebruch_pair, rp4_template, s4_template
 from toricorigami import (
     DocumentError,
     OrigamiTemplate,
+    OutputLimitError,
     UnboundedError,
     validate,
 )
@@ -67,6 +70,43 @@ class TestRationals:
     def test_malformed_exponents_rejected(self, text):
         with pytest.raises(DocumentError, match="bad rational"):
             parse_rational(text, "x")
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    """Python's int-to-text digit limit set to ``limit`` (0: none) for the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestOutputLimit:
+    """``format_rational`` refuses what ``str()`` would fail on, as an OrigamiError."""
+
+    @pytest.mark.parametrize("x", [
+        10 ** 4300, -(10 ** 4300), Fraction(1, 10 ** 4300), Fraction(10 ** 4301, 3),
+    ], ids=["numerator", "negative", "denominator", "both"])
+    def test_more_digits_than_the_limit_refused(self, x):
+        with int_max_str_digits(4300):
+            with pytest.raises(OutputLimitError, match="more than 4300 digits"):
+                format_rational(x)
+
+    def test_digits_up_to_the_limit_written(self):
+        with int_max_str_digits(4300):
+            assert format_rational(10 ** 4300 - 1) == "9" * 4300
+            assert format_rational(Fraction(-1, 10 ** 4300 - 1)) == "-1/" + "9" * 4300
+            assert format_rational(2 ** (3 * 4300)) == str(2 ** (3 * 4300))
+
+    def test_the_current_limit_applies(self):
+        with int_max_str_digits(0):
+            assert format_rational(10 ** 4300) == "1" + "0" * 4300
+        with int_max_str_digits(5000):
+            assert format_rational(Fraction(1, 10 ** 4300)) == "1/1" + "0" * 4300
+            with pytest.raises(OutputLimitError, match="more than 5000 digits"):
+                format_rational(10 ** 5000)
 
 
 class TestRoundTrip:

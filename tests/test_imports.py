@@ -26,17 +26,17 @@ PUBLIC = [
     "EnumerationLimitError", "FaceRef", "FacetAddress", "FixedPoint", "FoldComponent",
     "Fusion", "HPolytope", "Halfspace", "IdentityReport", "InconsistentIndex", "Lcg64",
     "Location", "NonGenericPolarization", "NonIntegralError", "NonorientableError",
-    "OrigamiError", "OrigamiTemplate", "PoincareSeries", "PolarizedCone",
-    "PolytopeError", "PreconditionError", "QuantizationResult", "StructureError",
-    "SurfaceClass", "UnboundedError", "ValidationError", "ValidationReport",
-    "WeightSet", "agrees_near", "classify_surface", "cohomology", "cone_density",
-    "cones", "critical_faces", "cut", "default_polarization", "dh_density", "document",
-    "document_from_template", "errors", "exactgeom", "face_ht_series", "fixed_points",
-    "fold_components", "fold_direction", "glue", "ht_poincare", "invariants",
-    "load_template", "make_polytope", "multiplicity", "orient", "orientation_signs",
-    "pair", "parse_template", "polarize", "quantize", "render", "render_svg",
-    "reversed_orientation", "signed_volume", "single", "template", "validate",
-    "verify_dh_identity", "weight_sets",
+    "OrigamiError", "OrigamiTemplate", "OutputLimitError", "PoincareSeries",
+    "PolarizedCone", "PolytopeError", "PreconditionError", "QuantizationResult",
+    "StructureError", "SurfaceClass", "UnboundedError", "ValidationError",
+    "ValidationReport", "WeightSet", "agrees_near", "classify_surface", "cohomology",
+    "cone_density", "cones", "critical_faces", "cut", "default_polarization",
+    "dh_density", "document", "document_from_template", "errors", "exactgeom",
+    "face_ht_series", "fixed_points", "fold_components", "fold_direction", "glue",
+    "ht_poincare", "invariants", "load_template", "make_polytope", "multiplicity",
+    "orient", "orientation_signs", "pair", "parse_template", "polarize", "quantize",
+    "render", "render_svg", "reversed_orientation", "signed_volume", "single",
+    "template", "validate", "verify_dh_identity", "weight_sets",
 ]
 
 
