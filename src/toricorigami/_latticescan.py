@@ -12,10 +12,18 @@ interval lengths and builds no point.
 
 All arithmetic is on Python integers, so the scan is exact for coefficients
 of any size.  The walk holds one prefix and one slack list per fixed
-coordinate; only ``scan_box``'s output grows with the number of points.
+coordinate; only ``scan_box``'s output grows with the number of points, and
+``MAX_POINTS`` bounds it.
 """
 
 from __future__ import annotations
+
+from .errors import OutputLimitError
+
+# the most points one ``scan_box`` lists; a fiber that would take the list
+# past it raises OutputLimitError before it is built.  A million 2-D points
+# take about 100 MB as tuples.
+MAX_POINTS = 1_000_000
 
 
 def _fibers(rows, rhs, lo, hi, visit):
@@ -60,11 +68,26 @@ def _fibers(rows, rhs, lo, hi, visit):
     fix(0, (), rhs)
 
 
+def _count_text(n: int) -> str:
+    # str() refuses an int of more than sys.get_int_max_str_digits() digits
+    # (640 at least); 2000 bits are at most 603 digits
+    return str(n) if n.bit_length() <= 2000 else f"at least 2^{n.bit_length() - 1}"
+
+
 def scan_box(rows, rhs, lo, hi):
-    """Integer points x with lo <= x <= hi and rows . x <= rhs, lex order."""
+    """Integer points x with lo <= x <= hi and rows . x <= rhs, lex order.
+
+    Raises OutputLimitError rather than list more than ``MAX_POINTS`` points.
+    """
     out = []
 
     def expand(prefix, first, last):
+        reach = len(out) + last - first + 1
+        if reach > MAX_POINTS:
+            raise OutputLimitError(
+                f"a lattice scan would list {_count_text(reach)} points, "
+                f"past MAX_POINTS ({MAX_POINTS})"
+            )
         out.extend(prefix + (x,) for x in range(first, last + 1))
 
     _fibers(rows, rhs, lo, hi, expand)

@@ -167,10 +167,8 @@ def _cmd_quantize(T, args):
     result = quantize(T, points=args.points)
     payload = {"virtual_dimension": result.virtual_dimension}
     if args.points:
-        payload["points"] = [
-            {"point": list(p), "multiplicity": m}
-            for p, m in result.per_point.items()
-        ]
+        # the point -> multiplicity dict; _dumps writes it as the points array
+        payload["points"] = result.per_point
     return payload, EXIT_OK
 
 
@@ -240,6 +238,41 @@ def _cmd_render(T, args):
 
 # --- entry ------------------------------------------------------------------
 
+def _points_json(per_point: dict) -> str:
+    """The points array as ``json.dumps(indent=2, sort_keys=True)`` nests it.
+
+    Each ``{"multiplicity": m, "point": p}`` object comes from one
+    %-template built for the dimension, not from a dict per point through
+    the encoder, which is pure Python whenever ``indent`` is set.
+    """
+    if not per_point:
+        return "[]"
+    dim = len(next(iter(per_point)))
+    item = (
+        '    {\n      "multiplicity": %d,\n      "point": [\n'
+        + ",\n".join(["        %d"] * dim)
+        + "\n      ]\n    }"
+    )
+    return "[\n" + ",\n".join(
+        item % (m, *p) for p, m in per_point.items()
+    ) + "\n  ]"
+
+
+def _dumps(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)``, where a ``points``
+    entry is quantize's per-point dict, written by ``_points_json``."""
+    if "points" not in report:
+        return json.dumps(report, indent=2, sort_keys=True)
+    rest = dict(report)
+    points = _points_json(rest.pop("points"))
+    # sorted keys: "points" is the last key before "virtual_dimension"; a
+    # string value holds no raw newline, so the split finds the key itself
+    head, key, tail = json.dumps(rest, indent=2, sort_keys=True).partition(
+        '\n  "virtual_dimension": '
+    )
+    return f'{head}\n  "points": {points},{key}{tail}'
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -264,7 +297,7 @@ def main(argv=None) -> int:
         )
     report = {"command": args.command, "file": args.file}
     report.update(payload)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_dumps(report))
     return code
 
 

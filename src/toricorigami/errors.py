@@ -10,7 +10,11 @@ class DocumentError(OrigamiError):
 
 
 class OutputLimitError(OrigamiError):
-    """A result number has more digits than Python writes as text."""
+    """A result too large to write.
+
+    A number with more digits than Python writes as text, or a lattice scan
+    past ``_latticescan.MAX_POINTS`` points.
+    """
 
 
 # --- polytope construction ------------------------------------------------

@@ -29,9 +29,6 @@ class QuantizationResult(Value):
         set_field(self, "per_point", per_point)
         set_field(self, "virtual_dimension", virtual_dimension)
 
-    def items(self):
-        return tuple(self.per_point.items())
-
 
 class DHValue(Value):
     __slots__ = _repr = ("point", "density", "generic")

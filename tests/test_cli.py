@@ -23,7 +23,7 @@ from factories import (
     s4_template,
     square,
 )
-from toricorigami import OrigamiTemplate, pair
+from toricorigami import OrigamiTemplate, _latticescan, pair
 from toricorigami.cli import MAX_DEGREE, main
 from toricorigami.document import document_from_template
 
@@ -229,6 +229,36 @@ class TestRenderCommand:
         code, report = run(capsys, "render", path, "--out", out)
         assert code == 1 and report["error"]["kind"] == "io"
         assert report["error"]["message"].startswith(out)
+
+
+class TestPointLimit:
+    """Past ``_latticescan.MAX_POINTS`` the point listings exit 2, JSON error."""
+
+    @pytest.fixture
+    def path(self, tmp_path, monkeypatch):
+        # hirzebruch_pair's trapezoids hold 5 and 7 points
+        monkeypatch.setattr(_latticescan, "MAX_POINTS", 6)
+        return write_doc(tmp_path, hirzebruch_pair())
+
+    def test_quantize_points(self, capsys, path):
+        code, report = run(capsys, "quantize", path, "--points")
+        assert code == 2
+        assert report["error"] == {
+            "kind": "OutputLimitError",
+            "message": "a lattice scan would list 7 points, past MAX_POINTS (6)",
+        }
+        assert "points" not in report
+
+    def test_quantize_count_is_not_limited(self, capsys, path):
+        assert run(capsys, "quantize", path) == (0, {
+            "command": "quantize", "file": path, "virtual_dimension": -2,
+        })
+
+    def test_render_lattice_writes_no_svg(self, capsys, tmp_path, path):
+        out = tmp_path / "fig.svg"
+        code, report = run(capsys, "render", path, "--out", str(out), "--lattice")
+        assert code == 2 and report["error"]["kind"] == "OutputLimitError"
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -535,6 +565,17 @@ class TestHostileNumbers:
             "kind": "OutputLimitError",
             "message": "a result number has more than 4300 digits",
         }
+        assert "Traceback" not in child.stderr
+
+    def test_oversized_point_table_is_a_json_error(self, tmp_path):
+        # x1 + x2 <= 10^4300 holds about 10^8600 points; the first fiber is
+        # refused before it is built
+        path = self.s4_with_offsets(tmp_path, '"1e4300"')
+        child = self.child("quantize", path, "--points")
+        assert child.returncode == 2
+        error = json.loads(child.stdout)["error"]
+        assert error["kind"] == "OutputLimitError"
+        assert error["message"].startswith("a lattice scan would list at least 2^")
         assert "Traceback" not in child.stderr
 
     def test_oversized_volume_is_a_json_error(self, tmp_path):

@@ -22,7 +22,7 @@ from factories import (
     trapezoid,
     triangle,
 )
-from toricorigami import _latticescan, load_template, make_polytope
+from toricorigami import OutputLimitError, _latticescan, load_template, make_polytope
 
 ROOT = Path(__file__).resolve().parent.parent
 GALLERY = ROOT / "gallery"
@@ -265,6 +265,36 @@ def test_pick_theorem_on_dilated_polygons(make, t):
 def test_pick_theorem_on_gallery_polygons(P):
     assert all(c.denominator == 1 for v in P.vertices for c in v)
     assert len(P.lattice_points()) == _pick_count(P)
+
+
+class TestPointLimit:
+    """``scan_box`` lists at most MAX_POINTS points; ``count_box`` is unbounded."""
+
+    @pytest.fixture(autouse=True)
+    def nine_points(self, monkeypatch):
+        monkeypatch.setattr(_latticescan, "MAX_POINTS", 9)
+
+    def test_exactly_the_limit_scans(self):
+        # [0, 2]^2 has 9 points
+        assert len(square(2).lattice_points()) == 9
+
+    def test_one_point_more_raises(self):
+        # the triangle x1 + x2 <= 3 has 10 points: 4 + 3 + 2 + 1
+        with pytest.raises(OutputLimitError, match=r"would list 10 points, past MAX_POINTS \(9\)"):
+            triangle(3).lattice_points()
+
+    def test_the_count_is_not_limited(self):
+        assert triangle(3).lattice_count() == 10
+
+    def test_a_huge_fiber_raises_before_it_is_built(self):
+        # x1 + x2 <= 10^4300: the first fiber alone holds 10^4300 + 1 points,
+        # whose count str() cannot write
+        with pytest.raises(OutputLimitError, match=r"at least 2\^14284 points"):
+            triangle(10**4300).lattice_points()
+
+
+def test_default_point_limit():
+    assert _latticescan.MAX_POINTS == 1_000_000
 
 
 def test_import_loads_no_numpy():
