@@ -16,7 +16,7 @@ from pathlib import Path
 
 # Handlers import the modules only they use (invariants, cones, cohomology,
 # render), so that a call loads what it runs and no more.
-from .document import format_rational, load_template, parse_rational
+from .document import check_digits, format_rational, load_template, parse_rational
 from .errors import DocumentError, NonorientableError, OrigamiError, ValidationError
 from .template import classify_surface, orient, validate
 
@@ -167,6 +167,11 @@ def _cmd_quantize(T, args):
     result = quantize(T, points=args.points)
     payload = {"virtual_dimension": result.virtual_dimension}
     if args.points:
+        # every vertex is a point of the table, so each polytope's box
+        # corners hold its longest coordinates: one check per polytope
+        for P in T.polytopes:
+            lo, hi = P.bounding_box()
+            check_digits(max(map(abs, lo + hi)).numerator)
         # the point -> multiplicity dict; _dumps writes it as the points array
         payload["points"] = result.per_point
     return payload, EXIT_OK

@@ -41,14 +41,18 @@ def parse_rational(value, where: str) -> Fraction:
     )
 
 
-def format_rational(x) -> str:
-    """``p/q`` or ``p``, refusing what ``str()`` cannot write (OutputLimitError)."""
-    x = Fraction(x)
+def check_digits(big: int) -> None:
+    """Refuse (OutputLimitError) a nonnegative integer too long for ``str()``."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or absent): no limit
-    big = max(abs(x.numerator), x.denominator)
     # under 3 * limit bits a number is below 2^(3 limit) < 10^limit: at most limit digits
     if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
         raise OutputLimitError(f"a result number has more than {limit} digits")
+
+
+def format_rational(x) -> str:
+    """``p/q`` or ``p``, refusing what ``str()`` cannot write (OutputLimitError)."""
+    x = Fraction(x)
+    check_digits(max(abs(x.numerator), x.denominator))
     return str(x)
 
 
@@ -72,6 +76,8 @@ def parse_template(doc) -> OrigamiTemplate:
     )
 
     polytopes: list[HPolytope] = []
+    # equal halfspace lists share one polytope, built and checked once
+    built: dict = {}
     names: list[str] = []
     index_maps: list[dict[int, int]] = []
     for pi, spec in enumerate(specs):
@@ -101,7 +107,7 @@ def parse_template(doc) -> OrigamiTemplate:
             offset = parse_rational(hs.get("offset"), f"{hw}.offset")
             pairs.append((tuple(normal), offset))
         try:
-            P = make_polytope(pairs)
+            P = make_polytope(pairs, shared=built)
         except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from exc
         polytopes.append(P)

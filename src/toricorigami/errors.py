@@ -12,8 +12,9 @@ class DocumentError(OrigamiError):
 class OutputLimitError(OrigamiError):
     """A result too large to write.
 
-    A number with more digits than Python writes as text, or a lattice scan
-    past ``_latticescan.MAX_POINTS`` points.
+    A number with more digits than Python writes as text, a lattice scan
+    past ``_latticescan.MAX_POINTS`` points, or a drawing whose extent no
+    float scale fits.
     """
 
 

@@ -367,6 +367,17 @@ class HPolytope(Value):
         return DelzantReport(failure is None, tuple(records), failure)
 
     @cached_property
+    def _near_facet(self) -> tuple[frozenset, ...]:
+        """Per halfspace j, the pairs (vertex, its tight halfspaces) of the
+        vertices on facet j: what :func:`agrees_near` compares."""
+        near = [[] for _ in self.halfspaces]
+        for v, act in zip(self.vertices, self._vertex_active):
+            item = (v, frozenset(self.halfspaces[i] for i in act))
+            for j in act:
+                near[j].append(item)
+        return tuple(map(frozenset, near))
+
+    @cached_property
     def _integer_rows(self) -> tuple[tuple[int, IntVec], ...]:
         """Each halfspace <normal, x> <= p/q as the integer row (p, q * normal)."""
         return tuple(
@@ -444,7 +455,7 @@ class HPolytope(Value):
 # construction
 # ---------------------------------------------------------------------------
 
-def make_polytope(halfspaces) -> HPolytope:
+def make_polytope(halfspaces, *, shared: dict | None = None) -> HPolytope:
     """Build an HPolytope from (normal, offset) pairs or Halfspace values.
 
     Normals are reduced to primitive form, exact duplicates dropped and
@@ -453,7 +464,23 @@ def make_polytope(halfspaces) -> HPolytope:
     DegenerateError when the data does not describe a full-dimensional
     bounded polytope, and EnumerationLimitError when its double-description
     pass (:func:`_extreme_rays`) would hold more than MAX_RAYS rays.
+
+    ``shared`` is a dict that the caller keeps across calls, keyed on the
+    tuple of the (hashable) input items: a list equal, item by item, to one
+    already built returns that same instance, with its cached structure.
+    A reordered or differently written list is built again.
     """
+    if shared is None:
+        return _build_polytope(halfspaces)
+    key = tuple(halfspaces)
+    P = shared.get(key)
+    if P is None:
+        P = shared[key] = _build_polytope(key)
+    return P
+
+
+def _build_polytope(halfspaces) -> HPolytope:
+    """:func:`make_polytope` without sharing."""
     items = list(halfspaces)
     if not items:
         raise ValueError("need at least one halfspace")
@@ -608,12 +635,6 @@ def agrees_near(P1: HPolytope, F1, P2: HPolytope, F2) -> bool:
     if P1.dim != P2.dim:
         raise DimensionMismatch(f"dimensions {P1.dim} and {P2.dim} differ")
 
-    def near(P: HPolytope, F) -> set:
-        (j,) = _facet_ref(P, F).active
-        return {
-            (v, frozenset(P.halfspaces[i] for i in act))
-            for v, act in zip(P.vertices, P._vertex_active)
-            if j in act
-        }
-
-    return near(P1, F1) == near(P2, F2)
+    (j1,) = _facet_ref(P1, F1).active
+    (j2,) = _facet_ref(P2, F2).active
+    return P1._near_facet[j1] == P2._near_facet[j2]

@@ -11,13 +11,18 @@ renders to identical bytes.
 from __future__ import annotations
 
 import functools
+import sys
 from fractions import Fraction
 
-from .errors import DimensionError
+from .errors import DimensionError, OutputLimitError
 from .template import OrigamiTemplate, fixed_points
 
 _SIZE = 640.0
 _FILL = "#4477aa"
+# float() of a larger extent overflows; below _MIN_EXTENT the scale
+# _SIZE / float(extent) is infinite, or a division by zero
+_MAX_EXTENT = Fraction(sys.float_info.max)
+_MIN_EXTENT = 2 * _SIZE / _MAX_EXTENT
 
 
 def _fmt(x: float) -> str:
@@ -60,7 +65,13 @@ def render_svg(T: OrigamiTemplate, lattice: bool = False) -> str:
     margin = span * Fraction(1, 20)
     width = hi[0] - lo[0] + 2 * margin
     height = hi[1] - lo[1] + 2 * margin
-    scale = _SIZE / float(max(width, height))
+    extent = max(width, height)
+    if not _MIN_EXTENT <= extent <= _MAX_EXTENT:
+        raise OutputLimitError(
+            f"the drawing's extent is outside what a float scale draws "
+            f"({_MIN_EXTENT:.3g} to {float(_MAX_EXTENT):.3g})"
+        )
+    scale = _SIZE / float(extent)
 
     def project(p):
         x = float(p[0] - lo[0] + margin) * scale

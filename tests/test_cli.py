@@ -1,3 +1,4 @@
+import functools
 import importlib
 import io
 import itertools
@@ -18,11 +19,14 @@ from factories import (
     box,
     cube,
     doubled,
+    hexagon_cycle,
     hirzebruch_pair,
+    path_of_segments,
     rp4_template,
     s4_template,
     square,
 )
+from test_corpus import shuffled_document
 from toricorigami import OrigamiTemplate, _latticescan, pair
 from toricorigami.cli import MAX_DEGREE, main
 from toricorigami.document import document_from_template
@@ -512,6 +516,59 @@ class TestPipeline:
         assert not (tmp_path / "out.svg").exists()
 
 
+class TestSharedBuilds:
+    """One ``validate`` builds and checks each distinct halfspace list once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from toricorigami import document, exactgeom
+
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            document, "make_polytope", counting("make_polytope", document.make_polytope)
+        )
+        monkeypatch.setattr(
+            exactgeom, "_extreme_rays", counting("_extreme_rays", exactgeom._extreme_rays)
+        )
+        delzant = functools.cached_property(
+            counting("_delzant", exactgeom.HPolytope._delzant.func)
+        )
+        delzant.__set_name__(exactgeom.HPolytope, "_delzant")
+        monkeypatch.setattr(exactgeom.HPolytope, "_delzant", delzant)
+        return counts
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["copies", "shuffled"])
+    @pytest.mark.parametrize(
+        "make", [lambda: path_of_segments(300), lambda: hexagon_cycle(40)],
+        ids=["path-300", "hexagons-40"],
+    )
+    def test_once_per_distinct_list(self, capsys, tmp_path, counts, make, shuffle):
+        T = make()
+        doc = (
+            shuffled_document(T, random.Random(1))[0] if shuffle
+            else document_from_template(T)
+        )
+        lists = [json.dumps(spec["halfspaces"]) for spec in doc["polytopes"]]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        counts.clear()  # building T counted too
+        code, report = run(capsys, "validate", str(path))
+        assert code == 0 and report["valid"] is True
+        distinct = len(set(lists))
+        assert counts == {
+            "make_polytope": len(lists),
+            "_extreme_rays": distinct,
+            "_delzant": distinct,
+        }
+
+
 class TestHostileNumbers:
     """Numbers that Python's own parsers take seconds or refuse: exit 1 fast.
 
@@ -577,6 +634,52 @@ class TestHostileNumbers:
         assert error["kind"] == "OutputLimitError"
         assert error["message"].startswith("a lattice scan would list at least 2^")
         assert "Traceback" not in child.stderr
+
+    def test_oversized_lattice_point_is_a_json_error(self, tmp_path):
+        """[10^4300 - 1, 10^4300] x [0, 1] doubled along x2 = 0.
+
+        Its four lattice points fit the scan, but 10^4300 has 4301 digits.
+        """
+        box = {"halfspaces": [
+            {"normal": n, "offset": o}
+            for n, o in zip([[-1, 0], [0, -1], [1, 0], [0, 1]],
+                            ["-" + "9" * 4300, "0", "1e4300", "1"])
+        ]}
+        doc = {
+            "dimension": 2,
+            "polytopes": [box, box],
+            "fusions": [{"type": "pair", "a": {"polytope": 0, "facet": 1},
+                         "b": {"polytope": 1, "facet": 1}}],
+        }
+        path = tmp_path / "wide-box.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        child = self.child("quantize", str(path))
+        assert child.returncode == 0
+        assert json.loads(child.stdout)["virtual_dimension"] == 0
+        child = self.child("quantize", str(path), "--points")
+        assert child.returncode == 2
+        assert json.loads(child.stdout)["error"] == {
+            "kind": "OutputLimitError",
+            "message": "a result number has more than 4300 digits",
+        }
+        assert "Traceback" not in child.stderr
+
+    @pytest.mark.parametrize("offset", ['"1e4300"', '"1e-4300"', '"1e-310"'])
+    @pytest.mark.parametrize("lattice", [[], ["--lattice"]], ids=["plain", "lattice"])
+    def test_render_outside_the_float_range_is_a_json_error(
+        self, tmp_path, offset, lattice,
+    ):
+        # float() of 1e4300 overflows; a float scale of 1e-4300 divides by
+        # zero, and one of 1e-310 is infinite
+        out = tmp_path / "huge.svg"
+        path = self.s4_with_offsets(tmp_path, offset)
+        child = self.child("render", path, "--out", str(out), *lattice)
+        assert child.returncode == 2
+        error = json.loads(child.stdout)["error"]
+        assert error["kind"] == "OutputLimitError"
+        assert error["message"].startswith("the drawing's extent is outside")
+        assert "Traceback" not in child.stderr
+        assert not out.exists()
 
     def test_oversized_volume_is_a_json_error(self, tmp_path):
         """[0, 10^2200]^2 and [0, 2 10^2200] x [0, 10^2200] fused along x1 = 0.

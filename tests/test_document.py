@@ -1,16 +1,20 @@
 import contextlib
 import json
+import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from factories import hirzebruch_pair, rp4_template, s4_template
+from test_corpus import CHAINS, CORPUS, shuffled_document
 from toricorigami import (
     DocumentError,
     OrigamiTemplate,
     OutputLimitError,
     UnboundedError,
+    make_polytope,
     validate,
 )
 from toricorigami.document import (
@@ -20,6 +24,8 @@ from toricorigami.document import (
     parse_rational,
     parse_template,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def doc_of(T):
@@ -249,4 +255,94 @@ class TestFacetRemapping:
             ],
         }
         with pytest.raises(DocumentError, match="redundant"):
+            parse_template(doc)
+
+
+def halfspace_pairs(spec):
+    """A polytope entry's (normal, offset) pairs, parsed as parse_template does."""
+    return [
+        (tuple(hs["normal"]), parse_rational(hs["offset"], "offset"))
+        for hs in spec["halfspaces"]
+    ]
+
+
+def documents():
+    """(id, document) for every gallery file, golden input and corpus round trip."""
+    files = sorted((ROOT / "gallery").glob("*.json")) + sorted(
+        (ROOT / "tests" / "golden" / "inputs").glob("*.json")
+    )
+    for path in files:
+        yield path.stem, json.loads(path.read_text(encoding="utf-8"))
+    templates = [(name, T) for name, _, _, T in CORPUS]
+    templates += [(f"{name}-chain", T) for name, _, T in CHAINS]
+    for name, T in templates:
+        yield name, document_from_template(T)
+        yield f"{name}-shuffled", shuffled_document(T, random.Random(name))[0]
+
+
+DOCUMENTS = list(documents())
+
+
+class TestSharedPolytopes:
+    """Equal halfspace lists of one document share one built polytope."""
+
+    def test_repeated_entries_are_one_instance(self):
+        T = parse_template(doc_of(s4_template()))
+        assert T.polytopes[0] is T.polytopes[1]
+
+    def test_reordered_copy_is_built_again(self):
+        doc = doc_of(s4_template())
+        # the second triangle lists its hypotenuse first
+        second = doc["polytopes"][1]["halfspaces"]
+        second.insert(0, second.pop())
+        doc["fusions"][0]["b"]["facet"] = 0
+        T = parse_template(doc)
+        first, again = T.polytopes
+        assert again.halfspaces == first.halfspaces[2:] + first.halfspaces[:2]
+        assert again.kept_input_indices == first.kept_input_indices == (0, 1, 2)
+        assert T.fusions[0].a.facet == 2 and T.fusions[0].b.facet == 0
+        assert validate(T).valid
+
+    def test_differently_written_copy_is_built_again(self):
+        doc = doc_of(s4_template())
+        # the same triangle, with an unreduced normal and a redundant halfspace
+        doc["polytopes"][1]["halfspaces"][:0] = [
+            {"normal": [1, 1], "offset": "9"},
+            {"normal": [-2, 0], "offset": "0"},
+        ]
+        doc["fusions"][0]["b"]["facet"] = 4
+        T = parse_template(doc)
+        first, again = T.polytopes
+        assert first is not again and first == again
+        assert again.kept_input_indices == (1, 3, 4)
+        assert T.fusions[0].b.facet == 2
+        assert validate(T).valid
+
+    @pytest.mark.parametrize("name, doc", DOCUMENTS, ids=[n for n, _ in DOCUMENTS])
+    def test_each_polytope_is_the_one_built_alone(self, name, doc):
+        T = parse_template(doc)
+        pairs = [halfspace_pairs(spec) for spec in doc["polytopes"]]
+        for P, own in zip(T.polytopes, pairs):
+            alone = make_polytope(own)
+            assert P == alone
+            assert P._rays == alone._rays
+            assert P._vertex_active == alone._vertex_active
+            assert P.kept_input_indices == alone.kept_input_indices
+        for i in range(len(pairs)):
+            for j in range(i):
+                assert (T.polytopes[i] is T.polytopes[j]) == (pairs[i] == pairs[j])
+
+    def test_documents_repeat_lists(self):
+        # the cases above include shared polytopes
+        assert any(
+            len({json.dumps(spec["halfspaces"]) for spec in doc["polytopes"]})
+            < len(doc["polytopes"])
+            for _, doc in DOCUMENTS
+        )
+
+    def test_invalid_repeated_polytope_reports_the_first_index(self):
+        doc = doc_of(s4_template())
+        for spec in doc["polytopes"]:
+            spec["halfspaces"][0]["normal"] = [0, 0]
+        with pytest.raises(DocumentError, match=r"^polytopes\[0\]: .* nonzero"):
             parse_template(doc)

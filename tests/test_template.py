@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import structure_reference
 from factories import (
     bad_triangle,
     cycle_of_segments,
@@ -37,6 +38,9 @@ from toricorigami import (
     single,
     validate,
 )
+from test_document import DOCUMENTS
+from toricorigami.document import parse_template
+from toricorigami.exactgeom import agrees_near
 
 KLEIN_BOTTLE = "klein-bottle"
 PROJECTIVE_PLANE = "projective-plane"
@@ -93,6 +97,19 @@ class TestValidate:
         report = validate(T)
         assert not report.valid
         assert report.agreement_failures[0][0] == 0
+
+    @pytest.mark.parametrize("name, doc", DOCUMENTS, ids=[n for n, _ in DOCUMENTS])
+    def test_agreement_matches_reference_on_every_fusion(self, name, doc):
+        T = parse_template(doc)
+        for fu in T.fusions:
+            if fu.is_pair:
+                ends = (T.polytopes[fu.a.polytope], fu.a.facet,
+                        T.polytopes[fu.b.polytope], fu.b.facet)
+                assert agrees_near(*ends) == structure_reference.agrees_near(*ends)
+
+    def test_agreement_cases_include_a_failure(self):
+        doc = dict(DOCUMENTS)["agreement_failure"]
+        assert validate(parse_template(doc)).agreement_failures
 
     def test_adjacent_fused_facets_invalid(self):
         # two pairs fusing two adjacent facet pairs of two unit squares
