@@ -1,9 +1,10 @@
 """Equivariant Poincare series for templates with one coorientable fold.
 
 The fold facet's outward normal defines a height function that is zero on
-the fold and positive inside both polytopes.  Its critical loci are read off
-combinatorially: the maximal faces whose active normals span the height
-direction, excluding faces inside the fold facet.  Each contributes a
+the fold and positive inside both polytopes.  Its critical loci are the
+maximal faces off the fold facet whose active normals span the height
+direction: on each Delzant polytope, the face spanned at a vertex by its
+level edges, those the height is constant along.  Each contributes a
 shifted vertex-counting series; the shift is the Morse index on the positive
 side and its complement on the negative side.
 """
@@ -14,7 +15,9 @@ import math
 from fractions import Fraction
 
 from ._value import Value, set_field
-from .errors import InconsistentIndex, NonorientableError, PreconditionError
+from .errors import (
+    DimensionMismatch, InconsistentIndex, NonorientableError, PreconditionError,
+)
 from .exactgeom import FaceRef, HPolytope, _dot, _generic_vector
 from .template import OrigamiTemplate, orientation_signs
 
@@ -79,32 +82,35 @@ def fold_direction(T: OrigamiTemplate) -> tuple[tuple[int, ...], Fraction]:
 
 
 def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
-    """Maximal faces whose active normal span contains xi, off the fold."""
+    """Maximal faces whose active normal span contains xi, off the fold.
+
+    On a simple polytope the largest such face through a vertex is spanned
+    by its level edges, <u, xi> = 0; PreconditionError if not simple.
+    """
     signs = orientation_signs(T)
     xi = tuple(int(c) for c in xi)
     n = T.dim
+    if len(xi) != n:
+        raise DimensionMismatch(f"height vector {xi} is not a {n}-vector")
     out = []
     for i, P in enumerate(T.polytopes):
         fused = T._fused_facets[i]
-        candidates = []
-        for face in P._face_list:
-            if face.dim == n or fused.intersection(face.active):
-                continue  # the whole polytope, or a face mapping into the fold
-            # xi lies in the span of the active normals iff it is orthogonal
-            # to the face, whose edges at any one vertex span its directions;
-            # an edge lies in the face iff its far vertex does
-            vids = face.vids
-            if any(_dot(u, xi) for u, far in P._edges[vids[0]] if far in vids):
-                continue
-            candidates.append(face)
-        # every face between two candidates is a candidate, so a candidate
-        # is maximal iff no candidate lists it among its facets
-        covered = {sub.active for face in candidates for sub in face.facets}
-        maximal = [face for face in candidates if face.active not in covered]
-        for face in sorted(maximal, key=lambda f: f.active):
-            vids = frozenset(face.vids)
+        acts = P._vertex_active
+        maximal = {}  # active set -> vertex ids, ascending
+        for vid, (act, edges) in enumerate(zip(acts, P._edges)):
+            if len(edges) > n:
+                raise PreconditionError(
+                    f"vertex {P.vertices[vid]} of polytope {i} is not simple"
+                )
+            level = act.intersection(*(acts[far] for u, far in edges if not _dot(u, xi)))
+            # xi = 0 levels every edge: the largest proper faces at v are its facets
+            for active in [level] if level else map(frozenset, zip(act)):
+                if not fused & active:  # else the face maps into the fold
+                    maximal.setdefault(tuple(sorted(active)), []).append(vid)
+        for active, face_vids in sorted(maximal.items()):
+            vids = frozenset(face_vids)
             counts = set()
-            for vid in face.vids:
+            for vid in face_vids:
                 descending = 0
                 for u, far in P._edges[vid]:
                     if far in vids:
@@ -120,14 +126,15 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
                 counts.add(descending)
             if len(counts) != 1:
                 raise InconsistentIndex(
-                    f"face {face.active} of polytope {i} has vertexwise "
+                    f"face {active} of polytope {i} has vertexwise "
                     f"descending counts {sorted(counts)}"
                 )
             ind = 2 * counts.pop()
-            r = ind if signs[i] == 1 else 2 * (n - face.dim) - ind
-            verts = tuple(P.vertices[vid] for vid in face.vids)
-            ref = FaceRef(P, face.active, face.dim)
-            out.append(CriticalFace(i, ref, verts, face.dim, signs[i], ind, r))
+            m = n - len(active)  # a simple polytope's faces lie on n - m facets
+            r = ind if signs[i] == 1 else 2 * (n - m) - ind
+            verts = tuple(P.vertices[vid] for vid in face_vids)
+            ref = FaceRef(P, active, m)
+            out.append(CriticalFace(i, ref, verts, m, signs[i], ind, r))
     return tuple(out)
 
 
@@ -150,6 +157,8 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
         xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
     else:
         xi_aux = tuple(int(c) for c in xi_aux)
+        if len(xi_aux) != n:
+            raise DimensionMismatch(f"auxiliary vector {xi_aux} is not a {n}-vector")
 
     numerator = [0] * (cap + 1)
     for dirs in per_vertex:

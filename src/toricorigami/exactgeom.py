@@ -211,16 +211,14 @@ class DelzantReport(Value):
 
 
 class _Face(Value):
-    """A face by its active set, dimension and vertex ids; ``facets`` is not compared."""
+    """A face by its active set, dimension and vertex ids."""
 
-    _repr = ("active", "dim", "vids")
-    __slots__ = _repr + ("facets",)
+    __slots__ = _repr = ("active", "dim", "vids")
 
-    def __init__(self, active: IntVec, dim: int, vids: IntVec, facets: tuple[_Face, ...]):
+    def __init__(self, active: IntVec, dim: int, vids: IntVec):
         set_field(self, "active", active)
         set_field(self, "dim", dim)
         set_field(self, "vids", vids)
-        set_field(self, "facets", facets)
 
 
 class HPolytope(Value):
@@ -258,30 +256,35 @@ class HPolytope(Value):
     # -- derived structure ---------------------------------------------
 
     @cached_property
+    def _tight(self) -> tuple[frozenset, ...]:
+        """Per halfspace j, the ids V(j) of the vertices tight on it."""
+        acts = self._vertex_active
+        return tuple(
+            frozenset(v for v, act in enumerate(acts) if j in act)
+            for j in range(len(self.halfspaces))
+        )
+
+    def _facets_of(self, vids: frozenset) -> list[frozenset]:
+        """The vertex sets of the facets of the face with vertex set ``vids``:
+        the inclusion-maximal sets vids & V(j) other than vids and the empty set."""
+        meets = {vids & t for t in self._tight} - {vids, frozenset()}
+        return [m for m in meets if not any(m < other for other in meets)]
+
+    @cached_property
     def _face_list(self) -> tuple[_Face, ...]:
         """All faces (including the whole polytope), sorted by (dim, active set).
 
-        Built top down: the facets of a face with vertex set W are the
-        inclusion-maximal sets W & V(j) other than W and the empty set, where
-        V(j) holds the vertices tight on halfspace j.
+        Built top down through :meth:`_facets_of`, each face once.
         """
         acts = self._vertex_active
-        tight = [
-            frozenset(v for v, act in enumerate(acts) if j in act)
-            for j in range(len(self.halfspaces))
-        ]
         built = {}
 
-        def build(vids: frozenset, dim: int) -> _Face:
+        def build(vids: frozenset, dim: int):
             if vids not in built:
-                meets = {vids & t for t in tight} - {vids, frozenset()}
-                facets = (m for m in meets if not any(m < other for other in meets))
                 active = frozenset.intersection(*(acts[v] for v in vids))
-                built[vids] = _Face(
-                    tuple(sorted(active)), dim, tuple(sorted(vids)),
-                    tuple(build(m, dim - 1) for m in facets),
-                )
-            return built[vids]
+                built[vids] = _Face(tuple(sorted(active)), dim, tuple(sorted(vids)))
+                for m in self._facets_of(vids):
+                    build(m, dim - 1)
 
         build(frozenset(range(len(acts))), self.dim)
         return tuple(sorted(built.values(), key=lambda f: (f.dim, f.active)))
@@ -398,8 +401,8 @@ class HPolytope(Value):
         if not active:
             return Location("interior")
         # the tight set at a point of P is the active set of its smallest face
-        dim = next(f.dim for f in self._face_list if f.active == active)
-        return Location("boundary", FaceRef(self, active, dim))
+        rank = len(_eliminate([self.halfspaces[j].normal for j in active])[1])
+        return Location("boundary", FaceRef(self, active, self.dim - rank))
 
     def bounding_box(self) -> tuple[Point, Point]:
         lo = tuple(min(v[j] for v in self.vertices) for j in range(self.dim))
@@ -422,20 +425,20 @@ class HPolytope(Value):
 
     @cached_property
     def _triangulation(self) -> tuple[tuple[int, ...], ...]:
-        """Fan triangulation (by vertex ids) from the lex-first vertex."""
+        """Fan triangulation (vertex ids), each face coned from its lex-first vertex."""
 
-        def rec(face: _Face):
-            if face.dim <= 1:
-                return [face.vids]
-            apex = face.vids[0]  # vertices are lex sorted, vids ascending
+        def rec(vids: frozenset, dim: int):
+            if dim <= 1:
+                return [tuple(sorted(vids))]
+            apex = min(vids)  # vertices are lex sorted, so ids are too
             return [
                 (apex,) + s
-                for facet in face.facets
-                if apex not in facet.vids
-                for s in rec(facet)
+                for facet in self._facets_of(vids)
+                if apex not in facet
+                for s in rec(facet, dim - 1)
             ]
 
-        return tuple(rec(self._face_list[-1]))  # the whole polytope sorts last
+        return tuple(rec(frozenset(range(len(self._rays))), self.dim))
 
     def volume(self) -> Fraction:
         """Exact Euclidean volume via fan triangulation from the lex-min vertex.

@@ -15,6 +15,11 @@ vertex by its point and its edges through ``split_edges``, is here too; the
 package's reads the ids of the vertices tight on the face's active set.
 ``edges`` is ``HPolytope._edges`` with its own adjacency rule on frozensets;
 the package's reads the rule that vertex enumeration uses, on bitmasks.
+``face_list`` and ``triangulation`` are ``HPolytope._face_list`` and
+``HPolytope._triangulation`` as they were when every face record held its
+facets and the volume fan read the whole lattice; the package's fan builds
+only the faces it descends into, and ``critical_faces`` and ``contains``
+read no lattice.
 """
 
 import itertools
@@ -296,3 +301,59 @@ def edges(self) -> tuple:
         table[a].append((u, b))
         table[b].append((tuple(-c for c in u), a))
     return tuple(tuple(sorted(edges)) for edges in table)
+
+
+class _Face:
+    """A face by its active set, dimension, vertex ids and facet records."""
+
+    def __init__(self, active, dim, vids, facets):
+        self.active = active
+        self.dim = dim
+        self.vids = vids
+        self.facets = facets
+
+
+def face_list(self) -> tuple:
+    """All faces (including the whole polytope), sorted by (dim, active set).
+
+    Built top down: the facets of a face with vertex set W are the
+    inclusion-maximal sets W & V(j) other than W and the empty set, where
+    V(j) holds the vertices tight on halfspace j.
+    """
+    acts = self._vertex_active
+    tight = [
+        frozenset(v for v, act in enumerate(acts) if j in act)
+        for j in range(len(self.halfspaces))
+    ]
+    built = {}
+
+    def build(vids: frozenset, dim: int) -> _Face:
+        if vids not in built:
+            meets = {vids & t for t in tight} - {vids, frozenset()}
+            facets = (m for m in meets if not any(m < other for other in meets))
+            active = frozenset.intersection(*(acts[v] for v in vids))
+            built[vids] = _Face(
+                tuple(sorted(active)), dim, tuple(sorted(vids)),
+                tuple(build(m, dim - 1) for m in facets),
+            )
+        return built[vids]
+
+    build(frozenset(range(len(acts))), self.dim)
+    return tuple(sorted(built.values(), key=lambda f: (f.dim, f.active)))
+
+
+def triangulation(self) -> tuple:
+    """Fan triangulation (by vertex ids) from the lex-first vertex."""
+
+    def rec(face: _Face):
+        if face.dim <= 1:
+            return [face.vids]
+        apex = face.vids[0]  # vertices are lex sorted, vids ascending
+        return [
+            (apex,) + s
+            for facet in face.facets
+            if apex not in facet.vids
+            for s in rec(facet)
+        ]
+
+    return tuple(rec(face_list(self)[-1]))  # the whole polytope sorts last

@@ -3,6 +3,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import resource
@@ -19,6 +20,7 @@ from factories import (
     box,
     cube,
     doubled,
+    doubled_simplex,
     hexagon_cycle,
     hirzebruch_pair,
     path_of_segments,
@@ -149,6 +151,26 @@ class TestComputeCommands:
         assert code == 0 and report["valid"]
         code, report = run(capsys, "volume", path)
         assert code == 0 and report["signed_volume"] == "-1"
+
+    @pytest.mark.parametrize("command", ["volume", "cohomology"])
+    def test_doubled_20_simplex_in_a_child(self, tmp_path, command):
+        # a valid document of 42 halfspaces; the full face lattice of each
+        # copy would hold 2^21 - 1 faces
+        path = write_doc(tmp_path, doubled_simplex(20, 1))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        child = subprocess.run(
+            [sys.executable, "-m", "toricorigami.cli", command, path],
+            capture_output=True, env=env, timeout=10,
+        )
+        assert child.returncode == 0
+        report = json.loads(child.stdout)
+        if command == "volume":
+            assert report["signed_volume"] == "0"
+        else:
+            # the series of S^40: 1 / (1 - t^2)^20 below degree 40
+            assert report["coefficients"] == [
+                0 if k % 2 else math.comb(k // 2 + 19, 19) for k in range(21)
+            ]
 
     def test_classify(self, capsys):
         code, report = run(capsys, "classify", str(GALLERY / "torus_2segments.json"))

@@ -14,6 +14,7 @@ from factories import (
     square_template,
 )
 from toricorigami import (
+    DimensionMismatch,
     OrigamiTemplate,
     PreconditionError,
     critical_faces,
@@ -126,6 +127,11 @@ class TestCriticalFaces:
         assert all(X.ind == 2 for X in faces)
         assert sorted(X.r for X in faces) == [0, 2]
 
+    @pytest.mark.parametrize("xi", [(1,), (0, 1, 5)])
+    def test_height_vector_of_another_length_rejected(self, xi):
+        with pytest.raises(DimensionMismatch, match="is not a 2-vector"):
+            critical_faces(hirzebruch_pair(), xi)
+
     def test_exactly_one_minimum(self):
         for T in (s4_template(2), fold_segments_template()):
             xi, _ = fold_direction(T)
@@ -165,6 +171,12 @@ class TestFaceSeries:
         X = critical_faces(T, (1, 0))[0]
         with pytest.raises(ValueError):
             face_ht_series(X, 4, xi_aux=(1, 0))
+
+    def test_auxiliary_vector_of_another_length_rejected(self):
+        T = hirzebruch_pair()
+        X = critical_faces(T, fold_direction(T)[0])[0]
+        with pytest.raises(DimensionMismatch, match="is not a 2-vector"):
+            face_ht_series(X, 6, (1,))
 
     def test_odd_cap_rejected(self):
         X = critical_faces(fold_segments_template(), (1,))[0]

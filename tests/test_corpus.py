@@ -168,6 +168,9 @@ class TestCorpus:
         # a unimodular map keeps the volume
         assert P.volume() == base.volume()
 
+    def test_fan_matches_reference(self, name, base, P, T):
+        assert sorted(P._triangulation) == sorted(sref.triangulation(P))
+
     @pytest.mark.parametrize("seed", [0, 11])
     def test_cones_match_reference(self, name, base, P, T, seed):
         # (-N^(n-1), N^(n-2), ..., +-1) is generic for the same reason as

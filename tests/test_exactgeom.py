@@ -277,6 +277,10 @@ class TestVolume:
     def test_dilated_simplex(self, d, k):
         assert simplex(d, k).volume() == Fraction(k ** d, math.factorial(d))
 
+    def test_unit_20_simplex(self):
+        # the fan descends into one facet per dimension, not into 2^21 faces
+        assert simplex(20, 1).volume() == Fraction(1, math.factorial(20))
+
     def test_segment_length(self):
         seg = make_polytope([((-1,), 1), ((1,), Fraction(5, 2))])
         assert seg.volume() == Fraction(7, 2)

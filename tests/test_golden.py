@@ -8,10 +8,12 @@ import json
 
 import pytest
 
-from golden.record import EXPECTED, cases, run_case, stage
+from golden.record import EXPECTED, cases, documents, run_case, stage
+from toricorigami import document
 from toricorigami.cli import main
 
 MANIFEST = json.loads((EXPECTED / "manifest.json").read_text(encoding="utf-8"))
+RECORDED = {tuple(c["argv"]): c for c in MANIFEST}
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +37,23 @@ def test_golden_case(case, workdir):
         assert svg == (EXPECTED / f"{case['case']}.svg").read_bytes()
     else:
         assert svg is None
+
+
+@pytest.mark.parametrize("command", ["volume", "cohomology"])
+@pytest.mark.parametrize("name", [path.name for path in documents()])
+def test_volume_and_cohomology_build_no_face_lattice(
+    name, command, workdir, monkeypatch
+):
+    built, make = [], document.make_polytope
+
+    def recording(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(document, "make_polytope", recording)
+    code, stdout, _ = run_case(main, [command, name], workdir)
+    assert built and not any("_face_list" in vars(P) for P in built)
+    case = RECORDED.get((command, name))
+    if case is not None:
+        expected = (EXPECTED / f"{case['case']}.out").read_text(encoding="utf-8")
+        assert (code, stdout) == (case["exit"], expected)

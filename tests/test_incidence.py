@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import structure_reference as sref
 from exact_reference import _det, primitive_vector
 from factories import (
     bad_triangle,
@@ -265,6 +266,7 @@ class TestRankReferences:
             face = P.contains(centroid).face
             assert face.active == f.active
             assert face.dim == P.dim - rank([normals[k] for k in f.active])
+            assert face.dim == f.dim  # the lattice's dimension of that face
 
     def test_every_kept_halfspace_is_a_facet(self, P):
         for j in range(len(P.halfspaces)):
@@ -280,6 +282,12 @@ class TestRankReferences:
     def test_euler_poincare(self, P):
         alternating = sum((-1) ** f.dim for f in P.faces())
         assert alternating == 1 - (-1) ** P.dim
+
+    def test_faces_and_fan_match_the_full_lattice(self, P):
+        assert [(f.active, f.dim, f.vids) for f in P._face_list] == [
+            (f.active, f.dim, f.vids) for f in sref.face_list(P)
+        ]
+        assert sorted(P._triangulation) == sorted(sref.triangulation(P))
 
     def test_volume_matches_reference_triangulation(self, P):
         normals = [hs.normal for hs in P.halfspaces]

@@ -6,6 +6,7 @@ import pytest
 
 from toricorigami import (
     OrigamiTemplate,
+    PreconditionError,
     critical_faces,
     dh_density,
     fold_direction,
@@ -79,6 +80,14 @@ class TestPyramid:
     def test_volume(self):
         # base 2x2 square at height 0, apex height 1
         assert square_pyramid().volume() == Fraction(4, 3)
+
+    def test_critical_faces_need_a_simple_polytope(self):
+        # doubled along its base: the apex has four edges in Q^3
+        P = square_pyramid()
+        T = OrigamiTemplate((P, P), (pair((0, 0), (1, 0)),))
+        xi, _ = fold_direction(T)
+        with pytest.raises(PreconditionError, match="is not simple"):
+            critical_faces(T, xi)
 
 
 class TestCubePairTemplate:

@@ -4,8 +4,8 @@ Every record compares and hashes over its compared fields only, is unequal
 to a record of another class with the same field values, refuses assignment
 and deletion, and prints as ``Name(field=value, ...)`` without its hidden
 fields.  ``HPolytope.vertices``, ``HPolytope.kept_input_indices``,
-``HPolytope._vertex_active``, ``_Face.facets`` and ``OrigamiTemplate.names``
-are not compared.
+``HPolytope._vertex_active`` and ``OrigamiTemplate.names`` are not
+compared.
 """
 
 from fractions import Fraction as F
@@ -104,10 +104,10 @@ CASES = {
         "DelzantReport(is_delzant=False, vertex_records=(), failure='bad')",
     ),
     "_Face": (
-        lambda: _Face((0,), 0, (0,), ()),
-        lambda: _Face((0,), 0, (0,), (_Face((0, 1), -1, (), ()),)),
-        lambda: _Face((1,), 0, (1,), ()),
-        ("active", "dim", "vids", "facets"),
+        lambda: _Face((0,), 0, (0,)),
+        lambda: _Face((0,), 0, (0,)),
+        lambda: _Face((1,), 0, (1,)),
+        ("active", "dim", "vids"),
         "_Face(active=(0,), dim=0, vids=(0,))",
     ),
     "FacetAddress": (
@@ -283,8 +283,6 @@ def test_uncompared_fields_are_kept():
     assert P.vertices == SEG.vertices[::-1]
     assert P.kept_input_indices == SEG.kept_input_indices[::-1]
     assert P._vertex_active == SEG._vertex_active[::-1]
-    inner = _Face((0, 1), -1, (), ())
-    assert _Face((0,), 0, (0,), (inner,)).facets == (inner,)
     assert _template(["c", "d"]).names == ("c", "d")
 
 
