@@ -9,10 +9,10 @@ unmet precondition, failed identity check, a number too long to write).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # Handlers import the modules only they use (invariants, cones, cohomology,
 # render), so that a call loads what it runs and no more.
@@ -25,30 +25,29 @@ EXIT_USAGE = 1
 EXIT_SEMANTIC = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the documented usage-error exit code (1, not 2)."""
+def _refusal(message: str):
+    """argparse's ArgumentTypeError for a refused option value.
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+    argparse is imported only here and in :func:`build_parser`, so that a
+    plain argv that every converter accepts never loads it.
+    """
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
 
 
 def _rational_point(text: str):
     try:
         return tuple(parse_rational(part, "--point") for part in text.split(","))
     except DocumentError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated rationals, got {text!r}"
-        ) from exc
+        raise _refusal(f"expected comma-separated rationals, got {text!r}") from exc
 
 
 def _int_vector(text: str):
     try:
         return tuple(int(part.strip()) for part in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from exc
+        raise _refusal(f"expected comma-separated integers, got {text!r}") from exc
 
 
 # the largest ``cohomology --max-degree``: the series holds one coefficient
@@ -59,64 +58,17 @@ MAX_DEGREE = 100_000
 def _even_int(text: str) -> int:
     value = int(text)
     if value < 0 or value % 2:
-        raise argparse.ArgumentTypeError("must be an even nonnegative integer")
+        raise _refusal("must be an even nonnegative integer")
     if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}")
+        raise _refusal(f"must be at most {MAX_DEGREE}")
     return value
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+        raise _refusal("must be positive")
     return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="toricorigami",
-        description="origami templates of Delzant polytopes: validation, "
-        "orientation, quantization, DH densities, weight cones, cohomology",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name, help_text, handler):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="template JSON document (or - for stdin)")
-        p.set_defaults(handler=handler)
-        return p
-
-    command("validate", "check the template conditions", None)
-    command("orient", "orientation signs or a nonorientability witness", _cmd_orient)
-    command("classify", "surface family of a 1-dimensional template", _cmd_classify)
-    p = command("quantize", "signed lattice-point count", _cmd_quantize)
-    p.add_argument(
-        "--points", action="store_true", help="include the per-point table"
-    )
-
-    p = command("dh", "Duistermaat-Heckman density at a point", _cmd_dh)
-    p.add_argument("--point", required=True, type=_rational_point)
-
-    command("volume", "signed volume of the template", _cmd_volume)
-
-    p = command("cones", "check the weight-cone form of the DH density", _cmd_cones)
-    p.add_argument("--v", type=_int_vector, default=None,
-                   help="polarizing vector (default: built-in generic choice)")
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = command("cohomology", "equivariant Poincare series coefficients",
-                _cmd_cohomology)
-    p.add_argument("--max-degree", type=_even_int, default=20)
-
-    p = command("render", "draw a 2-dimensional template as SVG", _cmd_render)
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument(
-        "--lattice", action="store_true",
-        help="mark signed lattice points (needs an orientable template)",
-    )
-
-    return parser
 
 
 # --- handlers ---------------------------------------------------------------
@@ -168,8 +120,8 @@ def _cmd_quantize(T, args):
     payload = {"virtual_dimension": result.virtual_dimension}
     if args.points:
         # every vertex is a point of the table, so each polytope's box
-        # corners hold its longest coordinates: one check per polytope
-        for P in T.polytopes:
+        # corners hold its longest coordinates: one check per distinct polytope
+        for P in dict.fromkeys(T.polytopes):
             lo, hi = P.bounding_box()
             check_digits(max(map(abs, lo + hi)).numerator)
         # the point -> multiplicity dict; _dumps writes it as the points array
@@ -241,6 +193,119 @@ def _cmd_render(T, args):
     return {"out": args.out, "bytes": len(svg.encode("utf-8"))}, EXIT_OK
 
 
+# --- commands ---------------------------------------------------------------
+# Each command once: name, help, handler and its options.  An option is
+# (option string, dest, converter, default, required, help); a converter of
+# None marks a flag, which stores True and defaults to False.  argparse
+# (build_parser) and the plain-argv reader (_plain_args) both read this table.
+
+COMMANDS = (
+    ("validate", "check the template conditions", None, ()),
+    ("orient", "orientation signs or a nonorientability witness", _cmd_orient, ()),
+    ("classify", "surface family of a 1-dimensional template", _cmd_classify, ()),
+    ("quantize", "signed lattice-point count", _cmd_quantize, (
+        ("--points", "points", None, False, False, "include the per-point table"),
+    )),
+    ("dh", "Duistermaat-Heckman density at a point", _cmd_dh, (
+        ("--point", "point", _rational_point, None, True, None),
+    )),
+    ("volume", "signed volume of the template", _cmd_volume, ()),
+    ("cones", "check the weight-cone form of the DH density", _cmd_cones, (
+        ("--v", "v", _int_vector, None, False,
+         "polarizing vector (default: built-in generic choice)"),
+        ("--samples", "samples", _positive_int, 200, False, None),
+        ("--seed", "seed", int, 0, False, None),
+    )),
+    ("cohomology", "equivariant Poincare series coefficients", _cmd_cohomology, (
+        ("--max-degree", "max_degree", _even_int, 20, False, None),
+    )),
+    ("render", "draw a 2-dimensional template as SVG", _cmd_render, (
+        ("--out", "out", str, None, True, "output SVG path"),
+        ("--lattice", "lattice", None, False, False,
+         "mark signed lattice points (needs an orientable template)"),
+    )),
+)
+
+
+def build_parser():
+    """The argparse parser of :data:`COMMANDS`: help, usage and every error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse with the documented usage-error exit code (1, not 2)."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = _Parser(
+        prog="toricorigami",
+        description="origami templates of Delzant polytopes: validation, "
+        "orientation, quantization, DH densities, weight cones, cohomology",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command_help, handler, options in COMMANDS:
+        p = sub.add_parser(name, help=command_help)
+        p.add_argument("file", help="template JSON document (or - for stdin)")
+        p.set_defaults(handler=handler)
+        for option, dest, convert, default, required, help_text in options:
+            if convert is None:
+                p.add_argument(option, dest=dest, action="store_true", help=help_text)
+            else:
+                p.add_argument(option, dest=dest, type=convert, default=default,
+                               required=required, help=help_text)
+    return parser
+
+
+def _plain_args(argv):
+    """What ``build_parser().parse_args(argv)`` returns for a plain argv, or None.
+
+    A plain argv is ``<command> <file>`` and then exact option strings of
+    that command, each at most once, each one that takes a value followed by
+    a value that does not start with ``-``.  The file does not start with
+    ``-`` unless it is ``-``, every required option is given and every
+    converter accepts its value.  For anything else (help, abbreviations,
+    ``--seed=5``, a negative value, a repeat, every error) this returns None
+    and argparse reads the argv.  It never prints and never exits.
+    """
+    if len(argv) < 2 or not all(isinstance(word, str) for word in argv):
+        return None
+    command, file, *rest = argv
+    if file.startswith("-") and file != "-":
+        return None
+    for name, _help, handler, options in COMMANDS:
+        if name == command:
+            break
+    else:
+        return None
+    by_string = {option[0]: option for option in options}
+    values = {}
+    words = iter(rest)
+    for word in words:
+        option = by_string.get(word)
+        if option is None or option[1] in values:
+            return None
+        _string, dest, convert = option[:3]
+        if convert is None:
+            values[dest] = True
+            continue
+        text = next(words, "-")  # a missing value declines like a dash
+        if text.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(text)
+        except Exception:
+            # argparse runs the converter again; it reports a refusal and lets
+            # any other error propagate, so nothing is hidden here
+            return None
+    args = SimpleNamespace(command=command, file=file, handler=handler)
+    for _string, dest, _convert, default, required, _help in options:
+        if dest not in values and required:
+            return None
+        setattr(args, dest, values.get(dest, default))
+    return args
+
+
 # --- entry ------------------------------------------------------------------
 
 def _points_json(per_point: dict) -> str:
@@ -279,11 +344,13 @@ def _dumps(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         T = load_template(args.file)
         checked = validate(T)

@@ -56,83 +56,99 @@ def format_rational(x) -> str:
     return str(x)
 
 
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise DocumentError(message)
+def _raw_key(hs_specs):
+    """A raw halfspace list as a hashable key, or None.
+
+    The key holds each normal and offset as the document wrote them, and it
+    exists only when every normal is a list of plain ints and every offset a
+    plain int or string: so ``true``, ``1.0`` and ``"1"`` never match ``1``,
+    no number is written as text, and hashing the key cannot fail.
+    """
+    if type(hs_specs) is not list:
+        return None
+    key = []
+    for hs in hs_specs:
+        if type(hs) is not dict:
+            return None
+        normal, offset = hs.get("normal"), hs.get("offset")
+        if (
+            type(normal) is not list
+            or type(offset) not in (int, str)
+            or any(type(c) is not int for c in normal)
+        ):
+            return None
+        key.append((tuple(normal), offset))
+    return tuple(key)
 
 
 def parse_template(doc) -> OrigamiTemplate:
-    """Build a template from a decoded JSON document (dict)."""
-    _expect(isinstance(doc, dict), "document must be a JSON object")
+    """Build a template from a decoded JSON document (dict).
+
+    Each distinct raw halfspace list is parsed and checked once: a repeat
+    reuses its first occurrence's pairs and index map.  Only a first
+    occurrence can fail, so every message names the entry it named when
+    each list was parsed on its own.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError("document must be a JSON object")
     dim = doc.get("dimension")
-    _expect(
-        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
-        "dimension: expected a positive integer",
-    )
+    if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1):
+        raise DocumentError("dimension: expected a positive integer")
     specs = doc.get("polytopes")
-    _expect(
-        isinstance(specs, list) and specs,
-        "polytopes: expected a nonempty array",
-    )
+    if not (isinstance(specs, list) and specs):
+        raise DocumentError("polytopes: expected a nonempty array")
 
     polytopes: list[HPolytope] = []
     # equal halfspace lists share one polytope, built and checked once
     built: dict = {}
+    # raw key -> (pairs, index map) of the list's first occurrence
+    parsed: dict = {}
     names: list[str] = []
     index_maps: list[dict[int, int]] = []
     for pi, spec in enumerate(specs):
-        where = f"polytopes[{pi}]"
-        _expect(isinstance(spec, dict), f"{where}: expected an object")
+        if not isinstance(spec, dict):
+            raise DocumentError(f"polytopes[{pi}]: expected an object")
         name = spec.get("name", f"polytope-{pi}")
-        _expect(isinstance(name, str), f"{where}.name: expected a string")
+        if not isinstance(name, str):
+            raise DocumentError(f"polytopes[{pi}].name: expected a string")
         hs_specs = spec.get("halfspaces")
-        _expect(
-            isinstance(hs_specs, list) and hs_specs,
-            f"{where}.halfspaces: expected a nonempty array",
+        key = _raw_key(hs_specs)
+        pairs, index_map = parsed.get(key) or (
+            _parse_halfspaces(hs_specs, dim, pi), None
         )
-        pairs = []
-        for hi, hs in enumerate(hs_specs):
-            hw = f"{where}.halfspaces[{hi}]"
-            _expect(isinstance(hs, dict), f"{hw}: expected an object")
-            normal = hs.get("normal")
-            _expect(
-                isinstance(normal, list)
-                and len(normal) == dim
-                and all(
-                    isinstance(c, int) and not isinstance(c, bool)
-                    for c in normal
-                ),
-                f"{hw}.normal: expected an array of {dim} integers",
-            )
-            offset = parse_rational(hs.get("offset"), f"{hw}.offset")
-            pairs.append((tuple(normal), offset))
         try:
             P = make_polytope(pairs, shared=built)
         except ValueError as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
+            raise DocumentError(f"polytopes[{pi}]: {exc}") from exc
+        if index_map is None:
+            index_map = {old: new for new, old in enumerate(P.kept_input_indices)}
+            if key is not None:
+                parsed[key] = pairs, index_map
         polytopes.append(P)
         names.append(name)
-        index_maps.append(
-            {old: new for new, old in enumerate(P.kept_input_indices)}
-        )
+        index_maps.append(index_map)
 
     fusions: list[Fusion] = []
     fusion_specs = doc.get("fusions", [])
-    _expect(isinstance(fusion_specs, list), "fusions: expected an array")
+    if not isinstance(fusion_specs, list):
+        raise DocumentError("fusions: expected an array")
     for fi, spec in enumerate(fusion_specs):
-        where = f"fusions[{fi}]"
-        _expect(isinstance(spec, dict), f"{where}: expected an object")
+        if not isinstance(spec, dict):
+            raise DocumentError(f"fusions[{fi}]: expected an object")
         kind = spec.get("type")
-        _expect(kind in ("pair", "single"), f"{where}.type: 'pair' or 'single'")
-        a = _parse_address(spec.get("a"), f"{where}.a", polytopes, index_maps)
+        if kind not in ("pair", "single"):
+            raise DocumentError(f"fusions[{fi}].type: 'pair' or 'single'")
+        a = _parse_address(spec.get("a"), fi, "a", polytopes, index_maps)
         if kind == "pair":
-            b = _parse_address(
-                spec.get("b"), f"{where}.b", polytopes, index_maps
-            )
-            _expect(a != b, f"{where}: a pair must join two distinct facets")
+            b = _parse_address(spec.get("b"), fi, "b", polytopes, index_maps)
+            if a == b:
+                raise DocumentError(
+                    f"fusions[{fi}]: a pair must join two distinct facets"
+                )
             fusions.append(Fusion(a, b))
         else:
-            _expect(spec.get("b") is None, f"{where}: singles take no 'b'")
+            if spec.get("b") is not None:
+                raise DocumentError(f"fusions[{fi}]: singles take no 'b'")
             fusions.append(Fusion(a))
 
     try:
@@ -143,25 +159,54 @@ def parse_template(doc) -> OrigamiTemplate:
         raise DocumentError(str(exc)) from exc
 
 
-def _parse_address(spec, where, polytopes, index_maps) -> FacetAddress:
-    _expect(isinstance(spec, dict), f"{where}: expected an object")
+def _parse_halfspaces(hs_specs, dim: int, pi: int) -> tuple:
+    """Check ``polytopes[pi].halfspaces`` and read its (normal, offset) pairs."""
+    if not (isinstance(hs_specs, list) and hs_specs):
+        raise DocumentError(f"polytopes[{pi}].halfspaces: expected a nonempty array")
+    pairs = []
+    for hi, hs in enumerate(hs_specs):
+        if not isinstance(hs, dict):
+            raise DocumentError(f"polytopes[{pi}].halfspaces[{hi}]: expected an object")
+        normal = hs.get("normal")
+        if not (
+            isinstance(normal, list)
+            and len(normal) == dim
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in normal)
+        ):
+            raise DocumentError(
+                f"polytopes[{pi}].halfspaces[{hi}].normal: expected an array of "
+                f"{dim} integers"
+            )
+        offset = hs.get("offset")
+        # an int offset cannot fail: only another value needs a message ready
+        offset = (
+            Fraction(offset) if type(offset) is int
+            else parse_rational(offset, f"polytopes[{pi}].halfspaces[{hi}].offset")
+        )
+        pairs.append((tuple(normal), offset))
+    return tuple(pairs)
+
+
+def _parse_address(spec, fi: int, side: str, polytopes, index_maps) -> FacetAddress:
+    """``fusions[fi].<side>`` as an address on the irredundant system."""
+    if not isinstance(spec, dict):
+        raise DocumentError(f"fusions[{fi}].{side}: expected an object")
     pi = spec.get("polytope")
-    _expect(
-        isinstance(pi, int) and not isinstance(pi, bool)
-        and 0 <= pi < len(polytopes),
-        f"{where}.polytope: expected an index below {len(polytopes)}",
-    )
-    fi = spec.get("facet")
-    _expect(
-        isinstance(fi, int) and not isinstance(fi, bool) and fi >= 0,
-        f"{where}.facet: expected a nonnegative index",
-    )
-    mapped = index_maps[pi].get(fi)
-    _expect(
-        mapped is not None,
-        f"{where}.facet: halfspace {fi} of polytope {pi} does not support "
-        "a facet (redundant or out of range)",
-    )
+    if not (
+        isinstance(pi, int) and not isinstance(pi, bool) and 0 <= pi < len(polytopes)
+    ):
+        raise DocumentError(
+            f"fusions[{fi}].{side}.polytope: expected an index below {len(polytopes)}"
+        )
+    facet = spec.get("facet")
+    if not (isinstance(facet, int) and not isinstance(facet, bool) and facet >= 0):
+        raise DocumentError(f"fusions[{fi}].{side}.facet: expected a nonnegative index")
+    mapped = index_maps[pi].get(facet)
+    if mapped is None:
+        raise DocumentError(
+            f"fusions[{fi}].{side}.facet: halfspace {facet} of polytope {pi} does "
+            "not support a facet (redundant or out of range)"
+        )
     return FacetAddress(pi, mapped)
 
 

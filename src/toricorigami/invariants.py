@@ -56,16 +56,21 @@ def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
     ]
     if bad:
         raise NonIntegralError(bad)
+    # a template repeats its polytopes: add up each distinct one's signs, then
+    # count or scan it once; a weight of 0 still lists its points
+    weights: dict = {}
+    for sign, P in zip(signs, T.polytopes):
+        weights[P] = weights.get(P, 0) + sign
     if not points:
-        total = sum(sign * P.lattice_count() for sign, P in zip(signs, T.polytopes))
+        total = sum(weight * P.lattice_count() for P, weight in weights.items())
         return QuantizationResult(None, total)
     per: dict = {}
     total = 0
-    for sign, P in zip(signs, T.polytopes):
+    for P, weight in weights.items():
         lattice = P.lattice_points()
-        total += sign * len(lattice)
+        total += weight * len(lattice)
         for p in lattice:
-            per[p] = per.get(p, 0) + sign
+            per[p] = per.get(p, 0) + weight
     return QuantizationResult(dict(sorted(per.items())), total)
 
 

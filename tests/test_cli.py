@@ -29,7 +29,7 @@ from factories import (
     square,
 )
 from test_corpus import shuffled_document
-from toricorigami import OrigamiTemplate, _latticescan, pair
+from toricorigami import OrigamiTemplate, _latticescan, cli, pair
 from toricorigami.cli import MAX_DEGREE, main
 from toricorigami.document import document_from_template
 
@@ -728,3 +728,109 @@ class TestHostileNumbers:
         assert child.returncode == 2
         assert json.loads(child.stdout)["error"]["kind"] == "OutputLimitError"
         assert "Traceback" not in child.stderr
+
+
+S4 = str(GALLERY / "s4.json")
+# a value each converter accepts first, then values it refuses
+OPTION_VALUES = {
+    "--point": ["1/3,1/3", "1/3,x", "1e9999,0", ""],
+    "--v": ["2,-3", "1,x", "1,2,3"],
+    "--samples": ["3", "0", "x", ""],
+    "--seed": ["3", "99999999999999999999", "x"],
+    "--max-degree": ["4", "3", str(MAX_DEGREE + 2), "x"],
+    "--out": ["out.svg", "no/such/dir/out.svg", ""],
+}
+# what each command needs besides its file, kept small
+NEEDS = {"dh": {"--point": "1/3,1/3"}, "render": {"--out": "out.svg"},
+         "cones": {"--samples": "3"}}
+
+
+def _generated_argvs():
+    """Plain argvs and every form the reader leaves to argparse."""
+    argvs = [[], ["-h"], ["--help"], ["-h", "validate", S4], ["bogus", S4],
+             ["validate"], ["validate", S4, "extra"], ["validate", "--", S4],
+             ["validate", S4, "--"], ["validate", "-x"], ["validate", ""]]
+    for name, _help, _handler, options in cli.COMMANDS:
+        needs = NEEDS.get(name, {})
+
+        def call(*words, without=None, file=S4):
+            rest = [w for o, v in needs.items() if o != without for w in (o, v)]
+            return [name, file, *rest, *words]
+
+        argvs += [[name], call(), call(file="-"), call("-h"), call("--help"),
+                  [name, "-h", S4], [name, *call()[2:], S4], call("--bogus")]
+        for option, _dest, convert, _default, required, _help in options:
+            if convert is None:  # a flag
+                argvs += [call(option), call(option, option), call(option[:-1]),
+                          call(option, "-h"), call(option, "value")]
+                continue
+            first, *refused = OPTION_VALUES[option]
+            for value in (first, *refused):
+                argvs += [call(option, value, without=option),
+                          call(f"{option}={value}", without=option)]
+            argvs += [
+                call(option, without=option),
+                call(option, "-5", without=option),
+                call(option, first, option, first, without=option),
+                call(option[:5], first, without=option),
+                call(option.replace("-", "_").replace("__", "--"), first, without=option),
+            ]
+            if required:
+                argvs.append(call(without=option))
+    return argvs
+
+
+ARGVS = _generated_argvs()
+
+
+class TestPlainArgv:
+    """The plain-argv reader and argparse give the same stdout, stderr and code.
+
+    Both run in this interpreter, since argparse's help text differs between
+    Python versions.
+    """
+
+    def outcome(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(S4).read_text(encoding="utf-8")))
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv", ARGVS, ids=[" ".join(a).replace(S4, "s4.json") or "-" for a in ARGVS]
+    )
+    def test_same_output_as_argparse(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # render writes relative to the cwd
+        read = self.outcome(capsys, monkeypatch, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_plain_args", lambda argv: None)
+            parsed = self.outcome(capsys, monkeypatch, argv)
+        assert read == parsed
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", S4], ["validate", "-"], ["quantize", S4, "--points"],
+        ["dh", S4, "--point", "1/3,1/3"], ["cohomology", S4, "--max-degree", "4"],
+        ["cones", S4, "--samples", "3", "--seed", "2", "--v", "2,-3"],
+        ["render", S4, "--lattice", "--out", "x.svg"],
+    ])
+    def test_plain_argvs_skip_argparse(self, argv):
+        assert cli._plain_args(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["validate", S4, "-h"], ["cones", S4, "--seed=5"],
+        ["cones", S4, "--seed", "-5"], ["cones", S4, "--sam", "5"],
+        ["quantize", S4, "--points", "--points"], ["cones", "--seed", "3", S4],
+        ["dh", S4], ["render", S4], ["cones", S4, "--samples", "0"],
+        ["cohomology", S4, "--max_degree", "4"], ["validate", "--", S4],
+        ["render", S4, "--out", "-"],
+    ])
+    def test_other_argvs_go_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_sys_argv_is_read_when_no_argv_is_given(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["toricorigami", "validate", S4])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True

@@ -2,8 +2,9 @@
 
 The package exports its names lazily and each CLI handler imports the
 modules it needs, so a ``validate`` call never loads the sampling,
-cohomology or rendering code.  The footprint checks run in fresh
-interpreters, because this process has loaded everything already.
+cohomology or rendering code, and a well-formed argv is read without
+argparse.  The footprint checks run in fresh interpreters, because this
+process has loaded everything already.
 """
 
 import json
@@ -80,6 +81,24 @@ def test_a_cli_call_loads_only_the_modules_it_needs(argv, needs):
     )
     found = {name for name in OPTIONAL if f"toricorigami.{name}" in loaded}
     assert found == set(needs)
+
+
+def test_a_plain_call_loads_no_argparse():
+    """A well-formed argv is read without argparse (and its gettext and locale)."""
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from toricorigami.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['validate', 'gallery/s4.json']) == 0"
+    )
+    assert not {"argparse", "gettext", "locale"} & loaded
+
+
+def test_help_still_prints_the_usage(capsys):
+    from toricorigami.cli import main
+
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: toricorigami")
 
 
 def test_render_loads_the_lattice_count_only_when_asked(tmp_path):

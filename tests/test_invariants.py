@@ -1,12 +1,16 @@
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from factories import (
     cycle_of_segments,
+    doubled,
     half_triangle,
     hexagon_cycle,
     hirzebruch_pair,
+    path_of_segments,
     rp4_template,
     s4_template,
     square_template,
@@ -16,6 +20,7 @@ from factories import (
 )
 from toricorigami import (
     NonIntegralError,
+    _latticescan,
     NonorientableError,
     OrigamiTemplate,
     dh_density,
@@ -25,6 +30,7 @@ from toricorigami import (
     reversed_orientation,
     signed_volume,
 )
+from toricorigami.document import document_from_template, parse_template
 
 ORIENTED_TEMPLATES = [
     s4_template(2),
@@ -96,6 +102,52 @@ class TestQuantize:
             quantize(rp4_template(2), points=False)
         with pytest.raises(NonIntegralError):
             quantize(OrigamiTemplate((half_triangle(),)), points=False)
+
+
+def _document_copy(T):
+    """T through its JSON document: each entry is parsed on its own."""
+    return parse_template(json.loads(json.dumps(document_from_template(T))))
+
+
+class TestQuantizeOncePerPolytope:
+    """quantize counts or scans each distinct polytope once, weighted by the
+    sum of its entries' signs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("count_box", "scan_box"):
+            def counting(*args, _name=name, _fn=getattr(_latticescan, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(_latticescan, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("points", [False, True], ids=["count", "points"])
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: path_of_segments(400), 0),
+            (lambda: _document_copy(path_of_segments(400)), 0),
+            (lambda: doubled(triangle(2), 2), 0),
+            # two equal polytopes built apart are one distinct polytope
+            (lambda: OrigamiTemplate((triangle(2), triangle(2)), (pair((0, 2), (1, 2)),)), 0),
+            (lambda: hirzebruch_pair(), 5 - 7),
+        ],
+        ids=["path-400", "path-400-document", "doubled-triangle", "equal-copies", "hirzebruch"],
+    )
+    def test_one_call_per_distinct_polytope(self, calls, make, expected, points):
+        T = make()
+        distinct = len(set(T.polytopes))
+        result = quantize(T, points=points)
+        assert result.virtual_dimension == expected
+        assert calls == {"scan_box" if points else "count_box": distinct}
+
+    def test_zero_weight_still_lists_its_points(self):
+        T = doubled(triangle(2), 2)
+        result = quantize(T)
+        assert len(result.per_point) == len(triangle(2).lattice_points()) == 6
+        assert set(result.per_point.values()) == {0}
 
 
 class TestDHDensity:
