@@ -121,7 +121,7 @@ def _cmd_quantize(T, args):
     if args.points:
         # every vertex is a point of the table, so each polytope's box
         # corners hold its longest coordinates: one check per distinct polytope
-        for P in dict.fromkeys(T.polytopes):
+        for P, _ in T._polytope_weights:
             lo, hi = P.bounding_box()
             check_digits(max(map(abs, lo + hi)).numerator)
         # the point -> multiplicity dict; _dumps writes it as the points array

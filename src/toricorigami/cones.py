@@ -154,7 +154,7 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
 
 
 def _compile(T: OrigamiTemplate, v) -> list:
-    """Per polytope with fixed points: the polytope and its cones' walls.
+    """Per distinct polytope with fixed points: the polytope and its cones' walls.
 
     A cone is its sign and, per generator, (f, j): the generator is f = +-1
     times the weight that leaves tight facet j.  Raises ValueError when a
@@ -171,7 +171,7 @@ def _compile(T: OrigamiTemplate, v) -> list:
         walls = []
         for (u, far), g in zip(P._edges[vid], cone.generators):
             walls.append((1 if g == u else -1, min(act - P._vertex_active[far])))
-        compiled.setdefault(i, (P, []))[1].append((cone.sign, walls))
+        compiled.setdefault(P, (P, []))[1].append((cone.sign, walls))
     return list(compiled.values())
 
 
@@ -226,7 +226,7 @@ def verify_dh_identity(
     v = tuple(int(c) for c in v)
     compiled = _compile(T, v)
 
-    lows, highs = zip(*(P.bounding_box() for P in T.polytopes))
+    lows, highs = zip(*(P.bounding_box() for P, _ in T._polytope_weights))
     lo, hi = list(map(min, zip(*lows))), list(map(max, zip(*highs)))
     margin = [(h - l) / 20 for l, h in zip(lo, hi)]
     lo = [l - m for l, m in zip(lo, margin)]

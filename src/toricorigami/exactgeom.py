@@ -210,25 +210,15 @@ class DelzantReport(Value):
         set_field(self, "failure", failure)
 
 
-class _Face(Value):
-    """A face by its active set, dimension and vertex ids."""
-
-    __slots__ = _repr = ("active", "dim", "vids")
-
-    def __init__(self, active: IntVec, dim: int, vids: IntVec):
-        set_field(self, "active", active)
-        set_field(self, "dim", dim)
-        set_field(self, "vids", vids)
-
-
 class HPolytope(Value):
     """Full-dimensional bounded polytope in Q^n, irredundant halfspaces.
 
     Construct through :func:`make_polytope`, whose double-description pass
     gives each vertex as a primitive integer ray (X, t), the vertex X / t;
     the constructor assumes the invariants already hold.  Instances are
-    immutable and hashable; equality compares the halfspace systems.
-    ``repr`` also shows the vertices.
+    immutable; equality and the hash read the halfspace systems, the hash
+    once, since a template's signed table hashes every entry.  ``repr``
+    also shows the vertices.
     """
 
     _repr = ("dim", "halfspaces", "vertices")
@@ -247,6 +237,13 @@ class HPolytope(Value):
             dim=dim, halfspaces=halfspaces, _rays=_rays,
             kept_input_indices=kept_input_indices, _vertex_active=_vertex_active,
         )
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return Value.__hash__(self)
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -271,7 +268,7 @@ class HPolytope(Value):
         return [m for m in meets if not any(m < other for other in meets)]
 
     @cached_property
-    def _face_list(self) -> tuple[_Face, ...]:
+    def _face_list(self) -> tuple[FaceRef, ...]:
         """All faces (including the whole polytope), sorted by (dim, active set).
 
         Built top down through :meth:`_facets_of`, each face once.
@@ -282,7 +279,7 @@ class HPolytope(Value):
         def build(vids: frozenset, dim: int):
             if vids not in built:
                 active = frozenset.intersection(*(acts[v] for v in vids))
-                built[vids] = _Face(tuple(sorted(active)), dim, tuple(sorted(vids)))
+                built[vids] = FaceRef(self, tuple(sorted(active)), dim)
                 for m in self._facets_of(vids):
                     build(m, dim - 1)
 
@@ -308,14 +305,11 @@ class HPolytope(Value):
         return tuple(tuple(sorted(edges)) for edges in table)
 
     def faces(self, dim: int | None = None) -> tuple[FaceRef, ...]:
-        """Faces as FaceRefs, optionally filtered by dimension."""
-        out = []
-        for f in self._face_list:
-            if f.dim == self.dim:
-                continue
-            if dim is None or f.dim == dim:
-                out.append(FaceRef(self, f.active, f.dim))
-        return tuple(out)
+        """Proper faces, optionally filtered by dimension."""
+        return tuple(
+            f for f in self._face_list
+            if f.dim != self.dim and (dim is None or f.dim == dim)
+        )
 
     def facet(self, index: int) -> FaceRef:
         if not 0 <= index < len(self.halfspaces):

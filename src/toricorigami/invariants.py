@@ -1,10 +1,10 @@
 """Signed lattice-point quantization and Duistermaat-Heckman data.
 
-Both invariants weight each polytope of an oriented template by its sign:
-the virtual quantization dimension adds the sign at every lattice point of
-every polytope, and the DH density at a point is the signed count of the
-polytopes containing it.  Nonorientable templates are rejected, since both
-quantities are defined only through orientation signs.
+Both invariants weight each distinct polytope of an oriented template by the
+sum of its entries' signs (``OrigamiTemplate._polytope_weights``): the virtual
+quantization dimension adds the weight at every lattice point, and the DH
+density at a point is the weighted count of the polytopes containing it.
+Nonorientable templates are rejected: both need orientation signs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from ._value import Value, set_field
 from .errors import NonIntegralError
 from .exactgeom import _scaled, as_point
-from .template import OrigamiTemplate, orientation_signs
+from .template import OrigamiTemplate
 
 
 class QuantizationResult(Value):
@@ -47,7 +47,7 @@ def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
     the total is computed, from each polytope's lattice count, and
     ``per_point`` is None.
     """
-    signs = orientation_signs(T)
+    weights = T._polytope_weights
     bad = [
         v
         for P in T.polytopes
@@ -56,17 +56,13 @@ def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
     ]
     if bad:
         raise NonIntegralError(bad)
-    # a template repeats its polytopes: add up each distinct one's signs, then
-    # count or scan it once; a weight of 0 still lists its points
-    weights: dict = {}
-    for sign, P in zip(signs, T.polytopes):
-        weights[P] = weights.get(P, 0) + sign
+    # a weight of 0 still lists its points
     if not points:
-        total = sum(weight * P.lattice_count() for P, weight in weights.items())
+        total = sum(weight * P.lattice_count() for P, weight in weights)
         return QuantizationResult(None, total)
     per: dict = {}
     total = 0
-    for P, weight in weights.items():
+    for P, weight in weights:
         lattice = P.lattice_points()
         total += weight * len(lattice)
         for p in lattice:
@@ -77,18 +73,19 @@ def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
 def dh_density(T: OrigamiTemplate, x) -> DHValue:
     """Signed number of polytopes containing x (closed containment).
 
-    The ``generic`` flag is False when x lies on some polytope boundary;
-    the density is still reported with the closed-containment convention.
+    The ``generic`` flag is False when x lies on some polytope boundary, a
+    polytope of weight 0 included; the density is still reported with the
+    closed-containment convention.
     """
-    signs = orientation_signs(T)
+    weights = T._polytope_weights
     pt = as_point(x, T.dim)
     X, s = _scaled(pt)
     density = 0
     generic = True
-    for sign, P in zip(signs, T.polytopes):
+    for P, weight in weights:
         slacks = P._slacks(X, s)
         if min(slacks) >= 0:
-            density += sign
+            density += weight
             if 0 in slacks:
                 generic = False
     return DHValue(pt, density, generic)
@@ -96,8 +93,6 @@ def dh_density(T: OrigamiTemplate, x) -> DHValue:
 
 def signed_volume(T: OrigamiTemplate) -> Fraction:
     """Total mass of the signed Lebesgue sum over the template polytopes."""
-    signs = orientation_signs(T)
     return sum(
-        (sign * P.volume() for sign, P in zip(signs, T.polytopes)),
-        Fraction(0),
+        (weight * P.volume() for P, weight in T._polytope_weights), Fraction(0)
     )

@@ -133,6 +133,16 @@ class OrigamiTemplate(Value):
         return self.orientation
 
     @cached_property
+    def _polytope_weights(self) -> tuple[tuple[HPolytope, int], ...]:
+        """(distinct polytope, sum of its entries' orientation signs) pairs in
+        first-occurrence order, equal copies merged and weight 0 kept: what
+        every signed invariant sums over.  Errors are not cached."""
+        weights: dict = {}
+        for sign, P in zip(orientation_signs(self), self.polytopes):
+            weights[P] = weights.get(P, 0) + sign
+        return tuple(weights.items())
+
+    @cached_property
     def _fusion_walk(self):
         """Breadth-first 2-colouring of the graph of polytopes and pair fusions.
 

@@ -10,6 +10,7 @@ from factories import (
     hirzebruch_pair,
     rp4_template,
     s4_template,
+    segment,
     square,
     square_template,
 )
@@ -231,6 +232,14 @@ class TestHtPoincare:
     def test_rp4_rejected(self):
         with pytest.raises(PreconditionError):
             ht_poincare(rp4_template(), 8)
+
+    def test_segment_fused_to_itself_rejected(self):
+        T = OrigamiTemplate((segment(0, 1),), (pair((0, 0), (0, 1)),))
+        with pytest.raises(PreconditionError) as info:
+            ht_poincare(T, 8)
+        assert str(info.value) == (
+            "template is not orientable: odd fusion cycle through polytopes (0,)"
+        )
 
 
 FORMAL_TEMPLATES = {

@@ -184,6 +184,18 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="distinct"):
             parse_template(doc)
 
+    def test_document_must_be_an_object(self):
+        with pytest.raises(DocumentError) as info:
+            parse_template([])
+        assert str(info.value) == "document must be a JSON object"
+
+    def test_single_takes_no_b(self):
+        doc = doc_of(rp4_template())
+        doc["fusions"][0]["b"] = {"polytope": 0, "facet": 0}
+        with pytest.raises(DocumentError) as info:
+            parse_template(doc)
+        assert str(info.value) == "fusions[0]: singles take no 'b'"
+
     def test_geometry_errors_propagate(self):
         doc = {
             "dimension": 2,

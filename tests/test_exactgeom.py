@@ -17,6 +17,7 @@ from toricorigami import (
     DegenerateError,
     DimensionMismatch,
     EmptyError,
+    Halfspace,
     UnboundedError,
     agrees_near,
     make_polytope,
@@ -97,6 +98,22 @@ class TestMakePolytope:
     def test_integral_normal_required(self):
         with pytest.raises(ValueError):
             make_polytope([((Fraction(1, 2), 0), 1)])
+
+    def test_halfspace_values_build_as_pairs(self):
+        pairs = [((-2, 0), 0), ((0, -1), 0), ((1, 1), Fraction(3, 2)), ((1, 0), 5)]
+        P = make_polytope([Halfspace(n, Fraction(o)) for n, o in pairs])
+        Q = make_polytope(pairs)
+        assert P == Q
+        assert (P.vertices, P.kept_input_indices) == (Q.vertices, Q.kept_input_indices)
+
+    def test_no_halfspaces(self):
+        with pytest.raises(ValueError) as info:
+            make_polytope([])
+        assert str(info.value) == "need at least one halfspace"
+
+    def test_normals_of_mixed_length(self):
+        with pytest.raises(DimensionMismatch):
+            make_polytope([((-1, 0), 0), ((1,), 1)])
 
 
 class TestVertices:

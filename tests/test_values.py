@@ -22,7 +22,6 @@ from toricorigami.exactgeom import (
     Halfspace,
     HPolytope,
     Location,
-    _Face,
 )
 from toricorigami.invariants import DHValue, QuantizationResult
 from toricorigami.template import (
@@ -102,13 +101,6 @@ CASES = {
         lambda: DelzantReport(False, (), "worse"),
         ("is_delzant", "vertex_records", "failure"),
         "DelzantReport(is_delzant=False, vertex_records=(), failure='bad')",
-    ),
-    "_Face": (
-        lambda: _Face((0,), 0, (0,)),
-        lambda: _Face((0,), 0, (0,)),
-        lambda: _Face((1,), 0, (1,)),
-        ("active", "dim", "vids"),
-        "_Face(active=(0,), dim=0, vids=(0,))",
     ),
     "FacetAddress": (
         lambda: FacetAddress(0, 1),
