@@ -18,7 +18,9 @@ from fractions import Fraction
 
 from ._value import Value, set_field
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization
-from .exactgeom import _det, _dot, _generic_vector, _lcd, _scaled, as_point
+from .exactgeom import (
+    _det, _dot, _generic_vector, _lcd, _row_slacks, _scaled, as_point,
+)
 from .invariants import dh_density
 from .template import OrigamiTemplate, _fixed_vertices, orientation_signs
 
@@ -154,25 +156,38 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
 
 
 def _compile(T: OrigamiTemplate, v) -> list:
-    """Per distinct polytope with fixed points: the polytope and its cones' walls.
+    """Per distinct polytope with fixed points: (polytope, wall rows, cones).
 
-    A cone is its sign and, per generator, (f, j): the generator is f = +-1
-    times the weight that leaves tight facet j.  Raises ValueError when a
-    fixed vertex is not Delzant (its ``is_delzant()`` record is not ok).
+    Each weight leaves one tight facet, a wall; bit k of a mask is the facet
+    of row k.  A cone (sign, pos, neg) holds the points of positive slack on
+    the walls of ``pos`` and negative slack on those of ``neg``.  Cones with
+    equal masks merge by summing their signs, a sum of 0 is dropped, and
+    every wall stays.  Raises ValueError when a fixed vertex is not Delzant
+    (its ``is_delzant()`` record is not ok).
     """
     cones = [polarize(W, v) for W in weight_sets(T)]
-    compiled = {}
+    groups = {}
     for (i, vid), cone in zip(_fixed_vertices(T), cones):
         P = T.polytopes[i]
         if not P.is_delzant().vertex_records[vid].ok:
             det = _det(cone.generators[: P.dim])
             raise ValueError(f"cone generators are not a lattice basis (det {det})")
+        walls, signs = groups.setdefault(P, ({}, {}))
         act = P._vertex_active[vid]
-        walls = []
+        pos = neg = 0
         for (u, far), g in zip(P._edges[vid], cone.generators):
-            walls.append((1 if g == u else -1, min(act - P._vertex_active[far])))
-        compiled.setdefault(P, (P, []))[1].append((cone.sign, walls))
-    return list(compiled.values())
+            # the generator is +-u, the weight that leaves facet j
+            bit = walls.setdefault(min(act - P._vertex_active[far]), 1 << len(walls))
+            if g == u:
+                pos |= bit
+            else:
+                neg |= bit
+        signs[pos, neg] = signs.get((pos, neg), 0) + cone.sign
+    return [
+        (P, tuple(P._integer_rows[j] for j in walls),
+         tuple((sign, pos, neg) for (pos, neg), sign in signs.items() if sign))
+        for P, (walls, signs) in groups.items()
+    ]
 
 
 def _cone_count(compiled, X, S: int) -> int | None:
@@ -182,13 +197,15 @@ def _cone_count(compiled, X, S: int) -> int | None:
     of its generators leaves.
     """
     count = 0
-    for P, cones in compiled:
-        slacks = P._slacks(X, S)
-        for sign, walls in cones:
-            t = [f * slacks[j] for f, j in walls]
-            if 0 in t:
+    for _, rows, cones in compiled:
+        positive = 0
+        for k, slack in enumerate(_row_slacks(rows, X, S)):
+            if slack > 0:
+                positive |= 1 << k
+            elif not slack:
                 return None
-            if min(t) > 0:
+        for sign, pos, neg in cones:
+            if positive & pos == pos and not positive & neg:
                 count += sign
     return count
 

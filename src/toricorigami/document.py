@@ -74,7 +74,7 @@ def _raw_key(hs_specs):
         if (
             type(normal) is not list
             or type(offset) not in (int, str)
-            or any(type(c) is not int for c in normal)
+            or not {int}.issuperset(map(type, normal))
         ):
             return None
         key.append((tuple(normal), offset))
@@ -108,7 +108,7 @@ def parse_template(doc) -> OrigamiTemplate:
     for pi, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise DocumentError(f"polytopes[{pi}]: expected an object")
-        name = spec.get("name", f"polytope-{pi}")
+        name = spec["name"] if "name" in spec else f"polytope-{pi}"
         if not isinstance(name, str):
             raise DocumentError(f"polytopes[{pi}].name: expected a string")
         hs_specs = spec.get("halfspaces")
@@ -179,10 +179,11 @@ def _parse_halfspaces(hs_specs, dim: int, pi: int) -> tuple:
             )
         offset = hs.get("offset")
         # an int offset cannot fail: only another value needs a message ready
-        offset = (
-            Fraction(offset) if type(offset) is int
-            else parse_rational(offset, f"polytopes[{pi}].halfspaces[{hi}].offset")
-        )
+        if type(offset) is not int:
+            offset = parse_rational(offset, f"polytopes[{pi}].halfspaces[{hi}].offset")
+            # an integral offset stays an int: an equal key, hashed in C
+            if offset.denominator == 1:
+                offset = offset.numerator
         pairs.append((tuple(normal), offset))
     return tuple(pairs)
 
@@ -192,14 +193,12 @@ def _parse_address(spec, fi: int, side: str, polytopes, index_maps) -> FacetAddr
     if not isinstance(spec, dict):
         raise DocumentError(f"fusions[{fi}].{side}: expected an object")
     pi = spec.get("polytope")
-    if not (
-        isinstance(pi, int) and not isinstance(pi, bool) and 0 <= pi < len(polytopes)
-    ):
+    if not (type(pi) is int and 0 <= pi < len(polytopes)):
         raise DocumentError(
             f"fusions[{fi}].{side}.polytope: expected an index below {len(polytopes)}"
         )
     facet = spec.get("facet")
-    if not (isinstance(facet, int) and not isinstance(facet, bool) and facet >= 0):
+    if not (type(facet) is int and facet >= 0):
         raise DocumentError(f"fusions[{fi}].{side}.facet: expected a nonnegative index")
     mapped = index_maps[pi].get(facet)
     if mapped is None:

@@ -40,7 +40,7 @@ MAX_RAYS = 500
 # ---------------------------------------------------------------------------
 
 def as_point(x, dim: int | None = None) -> Point:
-    pt = tuple(Fraction(c) for c in x)
+    pt = tuple(c if type(c) is Fraction else Fraction(c) for c in x)
     if dim is not None and len(pt) != dim:
         raise DimensionMismatch(f"expected a {dim}-vector, got {pt}")
     return pt
@@ -48,6 +48,13 @@ def as_point(x, dim: int | None = None) -> Point:
 
 def _dot(a, x):
     return sum(map(mul, a, x))
+
+
+def _row_slacks(rows, X, s) -> list[int]:
+    """Per integer row (p, n) of <n, x> <= p, an integer with the sign of its
+    slack at X / s (s > 0).  The dot product is inlined: the sampler makes
+    this call for every polytope and every sample."""
+    return [p * s - sum(map(mul, n, X)) for p, n in rows]
 
 
 def _lcd(values) -> int:
@@ -366,10 +373,11 @@ class HPolytope(Value):
     @cached_property
     def _near_facet(self) -> tuple[frozenset, ...]:
         """Per halfspace j, the pairs (vertex, its tight halfspaces) of the
-        vertices on facet j: what :func:`agrees_near` compares."""
+        vertices on facet j, each vertex as its primitive integer ray: what
+        :func:`_agree` compares."""
         near = [[] for _ in self.halfspaces]
-        for v, act in zip(self.vertices, self._vertex_active):
-            item = (v, frozenset(self.halfspaces[i] for i in act))
+        for ray, act in zip(self._rays, self._vertex_active):
+            item = (ray, frozenset(self.halfspaces[i] for i in act))
             for j in act:
                 near[j].append(item)
         return tuple(map(frozenset, near))
@@ -384,7 +392,7 @@ class HPolytope(Value):
 
     def _slacks(self, X, s) -> list[int]:
         """Per halfspace, an integer with the sign of its slack at X / s (s > 0)."""
-        return [p * s - _dot(n, X) for p, n in self._integer_rows]
+        return _row_slacks(self._integer_rows, X, s)
 
     def contains(self, x) -> Location:
         """Exact closed-containment query with the smallest containing face."""
@@ -634,4 +642,10 @@ def agrees_near(P1: HPolytope, F1, P2: HPolytope, F2) -> bool:
 
     (j1,) = _facet_ref(P1, F1).active
     (j2,) = _facet_ref(P2, F2).active
-    return P1._near_facet[j1] == P2._near_facet[j2]
+    return _agree(P1, j1, P2, j2)
+
+
+def _agree(P1: HPolytope, j1: int, P2: HPolytope, j2: int) -> bool:
+    """:func:`agrees_near` on halfspace indices of polytopes of one dimension."""
+    near1, near2 = P1._near_facet[j1], P2._near_facet[j2]
+    return near1 is near2 or near1 == near2

@@ -56,9 +56,9 @@ def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
     ]
     if bad:
         raise NonIntegralError(bad)
-    # a weight of 0 still lists its points
+    # a weight of 0 adds nothing to the total but still lists its points
     if not points:
-        total = sum(weight * P.lattice_count() for P, weight in weights)
+        total = sum(weight * P.lattice_count() for P, weight in weights if weight)
         return QuantizationResult(None, total)
     per: dict = {}
     total = 0
@@ -92,7 +92,9 @@ def dh_density(T: OrigamiTemplate, x) -> DHValue:
 
 
 def signed_volume(T: OrigamiTemplate) -> Fraction:
-    """Total mass of the signed Lebesgue sum over the template polytopes."""
+    """Total mass of the signed Lebesgue sum over the template polytopes; a
+    polytope of weight 0 adds nothing, so its volume is not computed."""
     return sum(
-        (weight * P.volume() for P, weight in T._polytope_weights), Fraction(0)
+        (weight * P.volume() for P, weight in T._polytope_weights if weight),
+        Fraction(0),
     )

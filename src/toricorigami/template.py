@@ -20,7 +20,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .exactgeom import HPolytope, _scaled, agrees_near, as_point
+from .exactgeom import HPolytope, _agree, _scaled, as_point
 
 SPHERE = "sphere"
 PROJECTIVE_PLANE = "projective-plane"
@@ -95,12 +95,12 @@ class OrigamiTemplate(Value):
         dim = self.polytopes[0].dim
         if any(P.dim != dim for P in self.polytopes):
             raise ValueError("all template polytopes must share one dimension")
+        counts = [len(P.halfspaces) for P in self.polytopes]
         for idx, fu in enumerate(self.fusions):
             for ad in fu.addresses:
-                if not 0 <= ad.polytope < len(self.polytopes):
+                if not 0 <= ad.polytope < len(counts):
                     raise ValueError(f"fusion #{idx}: no polytope {ad.polytope}")
-                count = len(self.polytopes[ad.polytope].halfspaces)
-                if not 0 <= ad.facet < count:
+                if not 0 <= ad.facet < counts[ad.polytope]:
                     raise ValueError(
                         f"fusion #{idx}: polytope {ad.polytope} has no facet {ad.facet}"
                     )
@@ -255,41 +255,51 @@ class SurfaceClass(Value):
 # ---------------------------------------------------------------------------
 
 def validate(T: OrigamiTemplate) -> ValidationReport:
-    """Check the Delzant property and the three template conditions."""
-    delzant = []
-    for i, P in enumerate(T.polytopes):
-        rep = P.is_delzant()
-        if not rep.is_delzant:
-            delzant.append((i, rep.failure))
+    """Check the Delzant property and the three template conditions.
 
-    agreement = []
+    Each distinct polytope computes its Delzant report once (it is cached),
+    and a pair of facets is compared on the polytopes' own per-facet tables.
+    """
+    polytopes = T.polytopes
+    delzant = [
+        (i, P.is_delzant().failure)
+        for i, P in enumerate(polytopes)
+        if not P.is_delzant().is_delzant
+    ]
+
+    agreement, self_pairs = [], []
+    # per polytope, its fusion entries (position in the template-wide list,
+    # fusion, facet): the positions restore the template-wide order
+    by_polytope: dict = {}
+    pos = 0
     for idx, fu in enumerate(T.fusions):
-        if not fu.is_pair:
+        a, b = fu.a, fu.b
+        by_polytope.setdefault(a.polytope, []).append((pos, idx, a.facet))
+        pos += 1
+        if b is None:
             continue
-        Pa = T.polytopes[fu.a.polytope]
-        Pb = T.polytopes[fu.b.polytope]
-        if not agrees_near(Pa, fu.a.facet, Pb, fu.b.facet):
+        by_polytope.setdefault(b.polytope, []).append((pos, idx, b.facet))
+        pos += 1
+        if not _agree(polytopes[a.polytope], a.facet, polytopes[b.polytope], b.facet):
             agreement.append((
                 idx,
-                f"polytope {fu.a.polytope} facet {fu.a.facet} vs "
-                f"polytope {fu.b.polytope} facet {fu.b.facet}",
+                f"polytope {a.polytope} facet {a.facet} vs "
+                f"polytope {b.polytope} facet {b.facet}",
             ))
+        if a.polytope == b.polytope:
+            self_pairs.append(idx)
 
-    # compare fusion entries of the same polytope only; the position of each
-    # entry in the template-wide list restores the template-wide order
-    by_polytope = {}
-    entries = [(idx, ad) for idx, fu in enumerate(T.fusions) for ad in fu.addresses]
-    for pos, (idx, ad) in enumerate(entries):
-        by_polytope.setdefault(ad.polytope, []).append((pos, idx, ad.facet))
     found = []
     for p, group in by_polytope.items():
-        tight_sets = T.polytopes[p]._vertex_active
+        if len(group) < 2:
+            continue
+        tight = polytopes[p]._tight
         for (pos1, i1, f1), (pos2, i2, f2) in itertools.combinations(group, 2):
             if i1 == i2:
                 continue
             if f1 == f2:
                 message = f"fusions #{i1} and #{i2} reuse facet {f1} of polytope {p}"
-            elif any(f1 in act and f2 in act for act in tight_sets):
+            elif not tight[f1].isdisjoint(tight[f2]):
                 message = (
                     f"fusions #{i1} and #{i2} use neighboring facets "
                     f"{f1} and {f2} of polytope {p}"
@@ -297,16 +307,11 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
             else:
                 continue
             found.append((pos1, pos2, message))
-    adjacency = [message for _, _, message in sorted(found)]
+    adjacency = tuple(message for _, _, message in sorted(found))
 
     connected = T._fusion_walk[2] == 1
-    self_pairs = tuple(
-        idx
-        for idx, fu in enumerate(T.fusions)
-        if fu.is_pair and fu.a.polytope == fu.b.polytope
-    )
     return ValidationReport(
-        tuple(delzant), tuple(agreement), tuple(adjacency), connected, self_pairs
+        tuple(delzant), tuple(agreement), adjacency, connected, tuple(self_pairs)
     )
 
 

@@ -110,8 +110,8 @@ def _document_copy(T):
 
 
 class TestQuantizeOncePerPolytope:
-    """quantize counts or scans each distinct polytope once, weighted by the
-    sum of its entries' signs."""
+    """quantize scans each distinct polytope once, or counts each one of
+    nonzero weight once, weighted by the sum of its entries' signs."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -138,10 +138,23 @@ class TestQuantizeOncePerPolytope:
     )
     def test_one_call_per_distinct_polytope(self, calls, make, expected, points):
         T = make()
-        distinct = len(set(T.polytopes))
+        # a polytope of weight 0 is counted no time, and still lists its points
+        distinct = len(set(T.polytopes)) if points else sum(
+            weight != 0 for _, weight in T._polytope_weights
+        )
         result = quantize(T, points=points)
         assert result.virtual_dimension == expected
-        assert calls == {"scan_box" if points else "count_box": distinct}
+        assert calls["scan_box" if points else "count_box"] == distinct
+        assert sum(calls.values()) == distinct
+
+    def test_huge_double_is_counted_without_a_scan(self, calls):
+        # s4 with both hypotenuses at x + y <= 10^4300: about 10^4300 fibers,
+        # but the two triangles are one polytope of weight 0
+        doc = document_from_template(s4_template())
+        for spec in doc["polytopes"]:
+            spec["halfspaces"][2]["offset"] = "1e4300"
+        assert quantize(parse_template(doc), points=False).virtual_dimension == 0
+        assert calls == {}
 
     def test_zero_weight_still_lists_its_points(self):
         T = doubled(triangle(2), 2)

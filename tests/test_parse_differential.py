@@ -10,6 +10,7 @@ the same error message.
 import copy
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -159,3 +160,58 @@ def test_each_distinct_list_is_read_once(monkeypatch):
     doc = wire(path_of_segments(300))  # offsets are "0" and "1" strings
     parse_template(doc)
     assert calls == ["polytopes[0].halfspaces[0].offset", "polytopes[0].halfspaces[1].offset"]
+
+
+def _sharing(T):
+    """Each entry's polytope as the index of the first entry holding it."""
+    first = {}
+    return [first.setdefault(id(P), i) for i, P in enumerate(T.polytopes)]
+
+
+@pytest.mark.parametrize("offsets", [
+    [2, "2", "4/2", "1e0", " 2 ", 2],
+    ["1e0", 2, "2/1", "20e-1"],
+    ["3/2", "1.5", "3/2", "6/4", 2],
+], ids=["two", "two-first-text", "halves"])
+def test_equal_offsets_share_a_polytope_as_before(offsets):
+    """Offsets written as equal rationals share one polytope, whatever the
+    spelling; an integral one is kept as an int, equal and hashed alike."""
+    doc = {"dimension": 1, "polytopes": [
+        {"halfspaces": [{"normal": [-1], "offset": 0}, {"normal": [1], "offset": o}]}
+        for o in offsets
+    ]}
+    T, _names = assert_same(doc)
+    assert _sharing(T) == _sharing(parse_reference.parse_template(copy.deepcopy(doc)))
+    # one polytope per distinct value
+    assert len(set(_sharing(T))) == len({Fraction(str(o).strip()) for o in offsets})
+
+
+@pytest.mark.parametrize("value", [
+    True, False, -1, 2, 7, 2**70, None, "0", 0.0, [0], {"polytope": 0},
+], ids=["true", "false", "negative", "out-of-range", "far", "huge", "null",
+        "string", "float", "list", "dict"])
+@pytest.mark.parametrize("field", ["polytope", "facet"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_bad_address_messages_do_not_change(value, field, side):
+    doc = wire(path_of_segments(2))
+    doc["fusions"][0][side][field] = value
+    kind, message = assert_same(doc)
+    assert kind == "DocumentError" and message.startswith(f"fusions[0].{side}.")
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("address", [
+    "missing-polytope", "missing-facet", "empty", None, [0, 1], "0", 3,
+])
+def test_bad_address_objects_do_not_change(address, side):
+    doc = wire(path_of_segments(2))
+    if address == "missing-polytope":
+        del doc["fusions"][0][side]["polytope"]
+    elif address == "missing-facet":
+        del doc["fusions"][0][side]["facet"]
+    elif address == "empty":
+        doc["fusions"][0][side] = {}
+    else:
+        doc["fusions"][0][side] = address
+    kind, message = assert_same(doc)
+    assert kind == "DocumentError" and message.startswith(f"fusions[0].{side}")

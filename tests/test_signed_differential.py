@@ -130,11 +130,26 @@ class TestCancellingSigns:
 
 
 def test_doubled_cube_volume_is_computed_once(monkeypatch):
+    # at most once: the two copies share one polytope of weight 0, which
+    # adds nothing to the sum, so its volume is not computed at all
     calls = []
     volume = HPolytope.volume
     monkeypatch.setattr(HPolytope, "volume", lambda P: calls.append(P) or volume(P))
     assert signed_volume(doubled_cube(5)) == 0
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("name, base, T", CHAINS, ids=[c[0] for c in CHAINS])
+def test_chain_volume_is_computed_once(monkeypatch, name, base, T):
+    # three unmoved copies with signs 1, -1, 1: one polytope of weight 1
+    expected = ref.signed_volume(T)
+    assert expected == base.volume() != 0
+    calls = []
+    volume = HPolytope.volume
+    monkeypatch.setattr(HPolytope, "volume", lambda P: calls.append(P) or volume(P))
+    assert T._polytope_weights == ((T.polytopes[0], 1),)
+    assert signed_volume(T) == expected
+    assert calls == [T.polytopes[0]]
 
 
 def test_the_table_hashes_each_halfspace_system_once(monkeypatch):
@@ -148,9 +163,13 @@ def test_the_table_hashes_each_halfspace_system_once(monkeypatch):
 
 def test_s4_cones_compile_into_one_polytope_group():
     T = s4_template()
-    ((P, cones),) = _compile(T, default_polarization(T))
+    ((P, rows, cones),) = _compile(T, default_polarization(T))
     assert P == T.polytopes[0]
-    assert len(cones) == len(fixed_points(T)) == 2
+    assert len(fixed_points(T)) == 2
+    # the mirrored cones at the shared vertex (0, 0) cancel, and their walls
+    # x = 0 and y = 0 (facets 0 and 1) stay
+    assert cones == ()
+    assert sorted(rows) == sorted(P._integer_rows[:2])
 
 
 def test_nonorientable_table_raises_and_caches_nothing():
