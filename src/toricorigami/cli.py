@@ -3,13 +3,16 @@
 Reads a JSON template document (path or ``-`` for stdin), runs one
 computation per subcommand and prints a JSON report on stdout.  All numbers
 in reports are exact (rationals as ``p/q`` strings).  Exit codes: 0 success,
-1 usage, parse or output-file failure, 2 semantic failure (invalid template,
-unmet precondition, failed identity check, a number too long to write).
+1 usage, parse or output failure (an ``--out`` file or stdout that cannot be
+written), 2 semantic failure (invalid template, unmet precondition, failed
+identity check, a number too long to write).
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -373,8 +376,36 @@ def main(argv=None) -> int:
     return code
 
 
-def entry() -> None:  # console_scripts hook
-    sys.exit(main())
+def entry() -> None:
+    """Run :func:`main` as its own process and exit with its code.
+
+    The console script and ``python -m toricorigami.cli`` both come here.
+    Everything alive now was made by interpreter start and the imports, and
+    lives until exit, so it goes to the collector's permanent generation: no
+    collection during the job and none of the passes at interpreter exit
+    walks it.  Only this entry freezes, since the heap of a process that
+    calls :func:`main` in-process (tests, the benchmark tracer, a library
+    caller) is not the CLI's to freeze.
+
+    A report that cannot be written exits 1 with no traceback: after a
+    broken pipe (the reader went away, as in ``| head``) quietly, after any
+    other write error with one line on stderr.
+    """
+    gc.freeze()
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        # stdout goes to devnull, so that the flush at exit does not fail
+        # again (the SIGPIPE note in the docs of Python's signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"toricorigami: error: cannot write the report: {exc}",
+                  file=sys.stderr)
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

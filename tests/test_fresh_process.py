@@ -1,0 +1,172 @@
+"""The CLI as its own process: ``python -m toricorigami.cli``, through ``entry``.
+
+The in-process tests call ``main``; these start a child with only
+``PYTHONPATH=src`` in its environment, as the benchmark does, so they reach
+what only a fresh process runs: ``entry``'s freeze of the import-time heap,
+its exit code and its handling of a report that cannot be written.
+"""
+
+import contextlib
+import gc
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from factories import doubled, square
+from golden.record import EXPECTED, run_case, stage
+from toricorigami.cli import main
+from toricorigami.document import document_from_template
+
+ROOT = Path(__file__).resolve().parent.parent
+GALLERY = ROOT / "gallery"
+CHILD_ENV = {"PYTHONPATH": str(ROOT / "src")}
+MANIFEST = {c["case"]: c for c in json.loads(
+    (EXPECTED / "manifest.json").read_text(encoding="utf-8"))}
+
+# one golden case per subcommand, then an exit-2 case, the SVG and lattice
+# marks of render and a per-point table
+GOLDEN_CASES = [
+    "s4.validate",
+    "s4.orient",
+    "torus_2segments.classify",
+    "s4.quantize",
+    "s4.dh",
+    "s4.volume",
+    "s4.cones-v",
+    "s4.cohomology",
+    "s4.render",
+    "hexagon_3cycle.orient",
+    "hirzebruch_pair.render-lattice",
+    "hirzebruch_pair.quantize-points",
+]
+
+
+def child(argv, cwd, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "toricorigami.cli", *argv],
+        cwd=cwd, env=CHILD_ENV, stdin=subprocess.DEVNULL, timeout=30, **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fresh")
+    stage(path)
+    return path
+
+
+def doubled_box_document(path):
+    """[0, 100]^2 fused with its copy along x = 100: 2 * 101^2 points."""
+    doc = document_from_template(doubled(square(100), 2))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_case_in_a_fresh_process(name, workdir):
+    case = MANIFEST[name]
+    argv = case["argv"]
+    svg = workdir / argv[argv.index("--out") + 1] if "--out" in argv else None
+    if svg is not None and svg.exists():
+        svg.unlink()
+    proc = child(argv, workdir, capture_output=True)
+    assert proc.stdout == (EXPECTED / f"{name}.out").read_bytes()
+    assert proc.returncode == case["exit"]
+    assert proc.stderr == b""
+    if case["svg"]:
+        assert svg.read_bytes() == (EXPECTED / f"{name}.svg").read_bytes()
+    else:
+        assert svg is None or not svg.exists()
+
+
+def test_exit_1_case_in_a_fresh_process(workdir):
+    # the golden corpus has no exit-1 case: a missing document is a parse
+    # error, and the child must print what main prints in-process
+    argv = ["validate", "no_such_template.json"]
+    code, stdout, _ = run_case(main, argv, workdir)
+    assert code == 1 and json.loads(stdout)["error"]["kind"] == "parse"
+    proc = child(argv, workdir, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, stdout.encode(), b"")
+
+
+def test_entry_freezes_before_main_runs():
+    script = (
+        "import gc, sys\n"
+        "from toricorigami import cli\n"
+        "def main():\n"
+        "    print(gc.get_freeze_count())\n"
+        "    return 2\n"
+        "cli.main = main\n"
+        "cli.entry()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
+        text=True, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["validate", str(GALLERY / "s4.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert gc.get_freeze_count() == before
+
+
+def test_the_points_report_outgrows_a_pipe_buffer(tmp_path):
+    path = doubled_box_document(tmp_path / "box.json")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["quantize", str(path), "--points"]) == 0
+    # a Linux pipe holds 64 KiB: a larger report blocks until the reader
+    # reads or goes away, so the broken pipe below really breaks
+    assert len(out.getvalue().encode()) > 64 * 1024
+
+
+def test_broken_pipe_exits_1_quietly(tmp_path):
+    path = doubled_box_document(tmp_path / "box.json")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricorigami.cli", "quantize", str(path), "--points"],
+        env=CHILD_ENV, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(20) == b'{\n  "command": "quan'
+        proc.stdout.close()  # as `| head -c 20` does
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=30) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["validate", "s4.json"],  # fails at entry's flush
+    ["quantize", "box.json", "--points"],  # fails inside main's print
+])
+def test_a_full_device_exits_1_with_one_line(argv, tmp_path):
+    (tmp_path / "s4.json").write_bytes((GALLERY / "s4.json").read_bytes())
+    doubled_box_document(tmp_path / "box.json")
+    with open("/dev/full", "wb") as full:
+        proc = child(argv, tmp_path, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("toricorigami: error: cannot write the report")
+
+
+def test_closed_stdout_still_exits_with_mains_code(tmp_path):
+    # started with fd 1 closed, Python sets sys.stdout to None and print
+    # writes nothing; entry has nothing to flush
+    (tmp_path / "s4.json").write_bytes((GALLERY / "s4.json").read_bytes())
+    proc = child(["validate", "s4.json"], tmp_path, stderr=subprocess.PIPE,
+                 preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
