@@ -389,7 +389,7 @@ def entry() -> None:
 
     A report that cannot be written exits 1 with no traceback: after a
     broken pipe (the reader went away, as in ``| head``) quietly, after any
-    other write error with one line on stderr.
+    other write error or a closed stdout with one line on stderr.
     """
     gc.freeze()
     try:
@@ -404,6 +404,12 @@ def entry() -> None:
         if not isinstance(exc, BrokenPipeError):
             print(f"toricorigami: error: cannot write the report: {exc}",
                   file=sys.stderr)
+        code = EXIT_USAGE
+    if sys.stdout is None:
+        # print wrote nothing; checked after main, so render --out still
+        # writes its file
+        print("toricorigami: error: cannot write the report: standard output "
+              "is closed", file=sys.stderr)
         code = EXIT_USAGE
     sys.exit(code)
 

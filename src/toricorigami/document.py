@@ -12,12 +12,15 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import DocumentError, OutputLimitError
 from .exactgeom import HPolytope, make_polytope
 from .template import FacetAddress, Fusion, OrigamiTemplate
 
+
+# load_template refuses a longer document: about 145 times the largest
+# benchmark document (a 1200-segment path), room for a 100 000-segment path
+MAX_DOCUMENT_CHARS = 2**25
 
 # parse_rational refuses |exponent| > MAX_EXPONENT before Fraction builds 10^exponent
 MAX_EXPONENT = 4300  # the number of digits int() reads from text
@@ -56,38 +59,12 @@ def format_rational(x) -> str:
     return str(x)
 
 
-def _raw_key(hs_specs):
-    """A raw halfspace list as a hashable key, or None.
-
-    The key holds each normal and offset as the document wrote them, and it
-    exists only when every normal is a list of plain ints and every offset a
-    plain int or string: so ``true``, ``1.0`` and ``"1"`` never match ``1``,
-    no number is written as text, and hashing the key cannot fail.
-    """
-    if type(hs_specs) is not list:
-        return None
-    key = []
-    for hs in hs_specs:
-        if type(hs) is not dict:
-            return None
-        normal, offset = hs.get("normal"), hs.get("offset")
-        if (
-            type(normal) is not list
-            or type(offset) not in (int, str)
-            or not {int}.issuperset(map(type, normal))
-        ):
-            return None
-        key.append((tuple(normal), offset))
-    return tuple(key)
-
-
 def parse_template(doc) -> OrigamiTemplate:
     """Build a template from a decoded JSON document (dict).
 
-    Each distinct raw halfspace list is parsed and checked once: a repeat
-    reuses its first occurrence's pairs and index map.  Only a first
-    occurrence can fail, so every message names the entry it named when
-    each list was parsed on its own.
+    Every entry is checked on its own, so an error names the first entry
+    that fails.  Equal parsed halfspace lists share one polytope, and each
+    offset string is read once.
     """
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -101,32 +78,21 @@ def parse_template(doc) -> OrigamiTemplate:
     polytopes: list[HPolytope] = []
     # equal halfspace lists share one polytope, built and checked once
     built: dict = {}
-    # raw key -> (pairs, index map) of the list's first occurrence
-    parsed: dict = {}
+    # offset string -> its value, stored once parse_rational has returned it
+    offsets: dict = {}
     names: list[str] = []
-    index_maps: list[dict[int, int]] = []
     for pi, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise DocumentError(f"polytopes[{pi}]: expected an object")
         name = spec["name"] if "name" in spec else f"polytope-{pi}"
         if not isinstance(name, str):
             raise DocumentError(f"polytopes[{pi}].name: expected a string")
-        hs_specs = spec.get("halfspaces")
-        key = _raw_key(hs_specs)
-        pairs, index_map = parsed.get(key) or (
-            _parse_halfspaces(hs_specs, dim, pi), None
-        )
+        pairs = _parse_halfspaces(spec.get("halfspaces"), dim, pi, offsets)
         try:
-            P = make_polytope(pairs, shared=built)
+            polytopes.append(make_polytope(pairs, shared=built))
         except ValueError as exc:
             raise DocumentError(f"polytopes[{pi}]: {exc}") from exc
-        if index_map is None:
-            index_map = {old: new for new, old in enumerate(P.kept_input_indices)}
-            if key is not None:
-                parsed[key] = pairs, index_map
-        polytopes.append(P)
         names.append(name)
-        index_maps.append(index_map)
 
     fusions: list[Fusion] = []
     fusion_specs = doc.get("fusions", [])
@@ -138,9 +104,9 @@ def parse_template(doc) -> OrigamiTemplate:
         kind = spec.get("type")
         if kind not in ("pair", "single"):
             raise DocumentError(f"fusions[{fi}].type: 'pair' or 'single'")
-        a = _parse_address(spec.get("a"), fi, "a", polytopes, index_maps)
+        a = _parse_address(spec.get("a"), fi, "a", polytopes)
         if kind == "pair":
-            b = _parse_address(spec.get("b"), fi, "b", polytopes, index_maps)
+            b = _parse_address(spec.get("b"), fi, "b", polytopes)
             if a == b:
                 raise DocumentError(
                     f"fusions[{fi}]: a pair must join two distinct facets"
@@ -159,8 +125,11 @@ def parse_template(doc) -> OrigamiTemplate:
         raise DocumentError(str(exc)) from exc
 
 
-def _parse_halfspaces(hs_specs, dim: int, pi: int) -> tuple:
-    """Check ``polytopes[pi].halfspaces`` and read its (normal, offset) pairs."""
+def _parse_halfspaces(hs_specs, dim: int, pi: int, offsets: dict) -> tuple:
+    """Check ``polytopes[pi].halfspaces`` and read its (normal, offset) pairs.
+
+    ``offsets`` maps each offset string read so far to its value.
+    """
     if not (isinstance(hs_specs, list) and hs_specs):
         raise DocumentError(f"polytopes[{pi}].halfspaces: expected a nonempty array")
     pairs = []
@@ -171,24 +140,32 @@ def _parse_halfspaces(hs_specs, dim: int, pi: int) -> tuple:
         if not (
             isinstance(normal, list)
             and len(normal) == dim
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in normal)
+            # plain ints pass at C speed; another int type (not bool) one by one
+            and (
+                {int}.issuperset(map(type, normal))
+                or all(isinstance(c, int) and not isinstance(c, bool) for c in normal)
+            )
         ):
             raise DocumentError(
                 f"polytopes[{pi}].halfspaces[{hi}].normal: expected an array of "
                 f"{dim} integers"
             )
-        offset = hs.get("offset")
+        raw = hs.get("offset")
         # an int offset cannot fail: only another value needs a message ready
-        if type(offset) is not int:
-            offset = parse_rational(offset, f"polytopes[{pi}].halfspaces[{hi}].offset")
+        if type(raw) is int:
+            offset = raw
+        elif type(raw) is not str or (offset := offsets.get(raw)) is None:
+            offset = parse_rational(raw, f"polytopes[{pi}].halfspaces[{hi}].offset")
             # an integral offset stays an int: an equal key, hashed in C
             if offset.denominator == 1:
                 offset = offset.numerator
+            if type(raw) is str:
+                offsets[raw] = offset
         pairs.append((tuple(normal), offset))
     return tuple(pairs)
 
 
-def _parse_address(spec, fi: int, side: str, polytopes, index_maps) -> FacetAddress:
+def _parse_address(spec, fi: int, side: str, polytopes) -> FacetAddress:
     """``fusions[fi].<side>`` as an address on the irredundant system."""
     if not isinstance(spec, dict):
         raise DocumentError(f"fusions[{fi}].{side}: expected an object")
@@ -200,7 +177,7 @@ def _parse_address(spec, fi: int, side: str, polytopes, index_maps) -> FacetAddr
     facet = spec.get("facet")
     if not (type(facet) is int and facet >= 0):
         raise DocumentError(f"fusions[{fi}].{side}.facet: expected a nonnegative index")
-    mapped = index_maps[pi].get(facet)
+    mapped = polytopes[pi]._input_index.get(facet)
     if mapped is None:
         raise DocumentError(
             f"fusions[{fi}].{side}.facet: halfspace {facet} of polytope {pi} does "
@@ -236,16 +213,28 @@ def document_from_template(T: OrigamiTemplate) -> dict:
 
 
 def load_template(path) -> OrigamiTemplate:
-    """Read a template document from a file path or '-' for stdin."""
-    if path == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        source = str(path)
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DocumentError(f"{source}: {exc}") from exc
+    """Read a template document from a file path or '-' for stdin.
+
+    A document longer than MAX_DOCUMENT_CHARS characters is refused after
+    reading one character past the bound.
+    """
+    source = "<stdin>" if path == "-" else str(path)
+    if path == "-" and sys.stdin is None:  # started with fd 0 closed
+        raise DocumentError(f"{source}: standard input is closed")
+    try:
+        if path == "-":
+            text = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read(MAX_DOCUMENT_CHARS + 1)
+    except OSError as exc:
+        raise DocumentError(f"{source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{source}: not UTF-8 text: {exc}") from exc
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise DocumentError(
+            f"{source}: document longer than {MAX_DOCUMENT_CHARS} characters"
+        )
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of too many digits

@@ -253,6 +253,11 @@ class HPolytope(Value):
         return Value.__hash__(self)
 
     @cached_property
+    def _input_index(self) -> dict[int, int]:
+        """Input halfspace index -> facet index, for each kept halfspace."""
+        return {old: new for new, old in enumerate(self.kept_input_indices)}
+
+    @cached_property
     def vertices(self) -> tuple[Point, ...]:
         """The vertices X / t, in the order of the rays (lex order)."""
         return tuple(tuple(Fraction(c, t) for c in X) for X, t in self._rays)

@@ -316,6 +316,13 @@ class TestExitCodes:
         code, report = run(capsys, "validate", str(path))
         assert code == 1 and "invalid JSON" in report["error"]["message"]
 
+    def test_file_that_is_not_utf8_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, report = run(capsys, "validate", str(path))
+        assert code == 1 and report["error"]["kind"] == "parse"
+        assert report["error"]["message"].startswith(f"{path}: not UTF-8 text: ")
+
     def test_schema_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dimension": 2, "polytopes": []}))

@@ -301,6 +301,8 @@ class TestSharedPolytopes:
     def test_repeated_entries_are_one_instance(self):
         T = parse_template(doc_of(s4_template()))
         assert T.polytopes[0] is T.polytopes[1]
+        # and one facet numbering, built once
+        assert T.polytopes[0]._input_index is T.polytopes[1]._input_index
 
     def test_reordered_copy_is_built_again(self):
         doc = doc_of(s4_template())

@@ -3,7 +3,8 @@
 The in-process tests call ``main``; these start a child with only
 ``PYTHONPATH=src`` in its environment, as the benchmark does, so they reach
 what only a fresh process runs: ``entry``'s freeze of the import-time heap,
-its exit code and its handling of a report that cannot be written.
+its exit code, its handling of a report that cannot be written, and closed
+or oversized input.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import pytest
 from factories import doubled, square
 from golden.record import EXPECTED, run_case, stage
 from toricorigami.cli import main
-from toricorigami.document import document_from_template
+from toricorigami.document import MAX_DOCUMENT_CHARS, document_from_template
 
 ROOT = Path(__file__).resolve().parent.parent
 GALLERY = ROOT / "gallery"
@@ -163,10 +164,70 @@ def test_a_full_device_exits_1_with_one_line(argv, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("toricorigami: error: cannot write the report")
 
 
-def test_closed_stdout_still_exits_with_mains_code(tmp_path):
+def test_closed_stdout_exits_1_with_one_line(tmp_path):
     # started with fd 1 closed, Python sets sys.stdout to None and print
-    # writes nothing; entry has nothing to flush
+    # writes nothing: the report is lost, so entry exits 1
     (tmp_path / "s4.json").write_bytes((GALLERY / "s4.json").read_bytes())
     proc = child(["validate", "s4.json"], tmp_path, stderr=subprocess.PIPE,
                  preexec_fn=lambda: os.close(1))
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (proc.returncode, proc.stderr) == (
+        1, b"toricorigami: error: cannot write the report: standard output is closed\n"
+    )
+
+
+def test_render_out_is_written_with_stdout_closed(tmp_path):
+    # entry checks stdout after main has run, so the SVG is still written
+    stage(tmp_path)
+    argv = MANIFEST["s4.render"]["argv"]
+    proc = child(argv, tmp_path, stderr=subprocess.PIPE,
+                 preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+    svg = tmp_path / argv[argv.index("--out") + 1]
+    assert svg.read_bytes() == (EXPECTED / "s4.render.svg").read_bytes()
+
+
+def test_closed_stdin_is_a_parse_error(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricorigami.cli", "validate", "-"],
+        cwd=tmp_path, env=CHILD_ENV, capture_output=True, timeout=30,
+        preexec_fn=lambda: os.close(0),
+    )
+    assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "parse", "message": "<stdin>: standard input is closed",
+    }
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-the-bound", "one-past"])
+def test_document_size_bound(tmp_path, source, extra):
+    """A valid document padded with spaces to MAX_DOCUMENT_CHARS is read;
+    one character more is refused, quickly."""
+    text = (GALLERY / "s4.json").read_bytes()
+    path = tmp_path / "padded.json"
+    # written a MiB at a time: a 32 MiB string would stay in this process's
+    # RSS, which a forked child's ru_maxrss reads as its own (test_cli)
+    pad, chunk = MAX_DOCUMENT_CHARS - len(text) + extra, b" " * 2**20
+    with open(path, "wb") as f:
+        f.write(text)
+        for _ in range(pad // len(chunk)):
+            f.write(chunk)
+        f.write(chunk[: pad % len(chunk)])
+    arg = str(path) if source == "file" else "-"
+    with open(path, "rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricorigami.cli", "validate", arg],
+            cwd=tmp_path, env=CHILD_ENV, stdin=stdin, capture_output=True,
+            timeout=10,
+        )
+    report = json.loads(proc.stdout)
+    if extra:
+        where = str(path) if source == "file" else "<stdin>"
+        assert proc.returncode == 1
+        assert report["error"] == {
+            "kind": "parse",
+            "message": f"{where}: document longer than {MAX_DOCUMENT_CHARS} characters",
+        }
+    else:
+        assert proc.returncode == 0 and report["valid"] is True
+    assert proc.stderr == b""

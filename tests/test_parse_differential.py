@@ -1,10 +1,10 @@
-"""``parse_template`` against the parser that read every entry on its own.
+"""``parse_template`` against the reference parser, which shares nothing.
 
-The package parses each distinct raw halfspace list once and lets a repeat
-reuse it; ``parse_reference`` is the parser before that change.  On the
-gallery, the golden inputs, the corpus, shuffled documents and mutated
-copies of them, both must build an equal template (names included) or raise
-the same error message.
+The package reads each entry on its own too, but equal parsed lists share
+one polytope (and its facet numbering) and each offset string is read once;
+``parse_reference`` builds every entry apart.  On the gallery, the golden
+inputs, the corpus, shuffled documents and mutated copies of them, both must
+build an equal template (names included) or raise the same error message.
 """
 
 import copy
@@ -119,10 +119,10 @@ def _int_path(count):
 
 
 @pytest.mark.parametrize("where", ["normal", "offset"])
-@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["true", "1.0", "str"])
+@pytest.mark.parametrize("value", [True, 1.0, "1", "x"], ids=["true", "1.0", "str", "x"])
 @pytest.mark.parametrize("k", [1, 5, 11])
 def test_kth_repeat_differs_in_type_only(k, value, where):
-    """A repeat whose 1 became true, 1.0 or "1" is not the first occurrence."""
+    """A repeat whose 1 became true, 1.0, "1" or "x" is read on its own."""
     doc = _int_path(12)
     hs = doc["polytopes"][k]["halfspaces"][1]
     assert hs == {"normal": [1], "offset": 1}
