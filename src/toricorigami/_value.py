@@ -3,13 +3,19 @@
 Creating a frozen dataclass generates its methods from source text at import
 time, which costs about a millisecond a class; these records share one set of
 methods instead.
+
+A record takes ``Value.__init__``, which stores its positional values in
+``_repr`` order.  A subclass defines its own ``__init__`` only when
+construction does more: a default or keywords (``Halfspace``, ``Location``,
+``DelzantReport``, ``Fusion``), derived state (``HPolytope``,
+``OrigamiTemplate``), or direct stores, twice as fast, in a record built per
+fusion entry or per DH sample (``FacetAddress``, ``Fusion``, ``DHValue``).
 """
 
 from operator import attrgetter
 
-# subclass constructors store their fields with this (their own __setattr__
-# raises); a subclass without __slots__, whose __dict__ holds cached_property
-# values, may store them all with one vars(self).update(...)
+# stores a field past the records' own __setattr__, which raises; a record
+# without __slots__ may store all its fields with one vars(self).update(...)
 set_field = object.__setattr__
 
 
@@ -24,6 +30,13 @@ class Value:
 
     __slots__ = ()
     _repr = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._repr):
+            raise TypeError(f"{type(self).__name__} takes {self._repr}, "
+                            f"got {len(values)}")
+        for name, value in zip(self._repr, values):
+            set_field(self, name, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._value import Value, set_field
+from ._value import Value
 from .errors import (
     DimensionMismatch, InconsistentIndex, NonorientableError, PreconditionError,
 )
@@ -33,25 +33,9 @@ class CriticalFace(Value):
 
     __slots__ = _repr = ("polytope", "face", "vertices", "m", "side", "ind", "r")
 
-    def __init__(
-        self, polytope: int, face: FaceRef, vertices: tuple, m: int, side: int,
-        ind: int, r: int,
-    ):
-        set_field(self, "polytope", polytope)
-        set_field(self, "face", face)
-        set_field(self, "vertices", vertices)
-        set_field(self, "m", m)
-        set_field(self, "side", side)
-        set_field(self, "ind", ind)
-        set_field(self, "r", r)
-
 
 class PoincareSeries(Value):
     __slots__ = _repr = ("cap", "coefficients")
-
-    def __init__(self, cap: int, coefficients: tuple[int, ...]):
-        set_field(self, "cap", cap)
-        set_field(self, "coefficients", coefficients)
 
 
 def fold_direction(T: OrigamiTemplate) -> tuple[tuple[int, ...], Fraction]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, set_field
+from ._value import Value
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization
 from .exactgeom import (
     _det, _dot, _generic_vector, _lcd, _row_slacks, _scaled, as_point,
@@ -26,32 +26,15 @@ from .template import OrigamiTemplate, _fixed_vertices, orientation_signs
 
 
 class WeightSet(Value):
-    """Isotropy weights (edge directions) at one fixed point."""
+    """Isotropy weights (edge directions) at a fixed point, and its polytope's sign."""
 
     __slots__ = _repr = ("polytope", "vertex", "weights", "sign")
-
-    def __init__(
-        self, polytope: int, vertex: tuple, weights: tuple[tuple[int, ...], ...],
-        sign: int,
-    ):
-        set_field(self, "polytope", polytope)
-        set_field(self, "vertex", vertex)
-        set_field(self, "weights", weights)
-        set_field(self, "sign", sign)
 
 
 class PolarizedCone(Value):
     """A weight cone after polarization: all generators pair > 0 with v."""
 
     __slots__ = _repr = ("apex", "generators", "flips", "sign")
-
-    def __init__(
-        self, apex: tuple, generators: tuple[tuple[int, ...], ...], flips: int, sign: int
-    ):
-        set_field(self, "apex", apex)
-        set_field(self, "generators", generators)
-        set_field(self, "flips", flips)
-        set_field(self, "sign", sign)
 
 
 class Lcg64:
@@ -79,30 +62,13 @@ class Lcg64:
 
 
 class IdentityReport(Value):
-    """Outcome of sampling cone density against polytope density."""
+    """Outcome of sampling cone density against polytope density; the first
+    counterexample is (point, cone density, DH density) or None."""
 
     __slots__ = _repr = (
         "v", "requested", "samples", "agreements", "disagreements",
         "boundary_discards", "first_counterexample",
     )
-
-    def __init__(
-        self,
-        v: tuple[int, ...],
-        requested: int,
-        samples: int,
-        agreements: int,
-        disagreements: int,
-        boundary_discards: int,
-        first_counterexample: tuple | None,
-    ):
-        set_field(self, "v", v)
-        set_field(self, "requested", requested)
-        set_field(self, "samples", samples)
-        set_field(self, "agreements", agreements)
-        set_field(self, "disagreements", disagreements)
-        set_field(self, "boundary_discards", boundary_discards)
-        set_field(self, "first_counterexample", first_counterexample)
 
     @property
     def success(self) -> bool:

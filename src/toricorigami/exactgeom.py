@@ -168,14 +168,9 @@ def _reduce_halfspace(normal, offset) -> Halfspace:
 
 
 class FaceRef(Value):
-    """A face of a polytope, identified by its full active halfspace set."""
+    """A face of the HPolytope ``polytope``, by its full active halfspace set."""
 
     __slots__ = _repr = ("polytope", "active", "dim")
-
-    def __init__(self, polytope: HPolytope, active: IntVec, dim: int):
-        set_field(self, "polytope", polytope)
-        set_field(self, "active", active)
-        set_field(self, "dim", dim)
 
 
 class Location(Value):
@@ -193,16 +188,9 @@ class Location(Value):
 
 
 class DelzantVertexRecord(Value):
-    __slots__ = _repr = ("vertex", "directions", "determinant", "ok")
+    """A vertex's edge directions and their determinant (None unless n edges)."""
 
-    def __init__(
-        self, vertex: Point, directions: tuple[IntVec, ...], determinant: int | None,
-        ok: bool,
-    ):
-        set_field(self, "vertex", vertex)
-        set_field(self, "directions", directions)
-        set_field(self, "determinant", determinant)
-        set_field(self, "ok", ok)
+    __slots__ = _repr = ("vertex", "directions", "determinant", "ok")
 
 
 class DelzantReport(Value):

@@ -25,10 +25,6 @@ class QuantizationResult(Value):
 
     __slots__ = _repr = ("per_point", "virtual_dimension")
 
-    def __init__(self, per_point: dict | None, virtual_dimension: int):
-        set_field(self, "per_point", per_point)
-        set_field(self, "virtual_dimension", virtual_dimension)
-
 
 class DHValue(Value):
     __slots__ = _repr = ("point", "density", "generic")

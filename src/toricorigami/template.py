@@ -190,20 +190,6 @@ class ValidationReport(Value):
         "self_pairs",
     )
 
-    def __init__(
-        self,
-        delzant_failures: tuple[tuple[int, str], ...],
-        agreement_failures: tuple[tuple[int, str], ...],
-        adjacency_failures: tuple[str, ...],
-        connected: bool,
-        self_pairs: tuple[int, ...],
-    ):
-        set_field(self, "delzant_failures", delzant_failures)
-        set_field(self, "agreement_failures", agreement_failures)
-        set_field(self, "adjacency_failures", adjacency_failures)
-        set_field(self, "connected", connected)
-        set_field(self, "self_pairs", self_pairs)
-
     @property
     def valid(self) -> bool:
         return (
@@ -228,26 +214,13 @@ class ValidationReport(Value):
 class FoldComponent(Value):
     __slots__ = _repr = ("fusion", "coorientable")
 
-    def __init__(self, fusion: int, coorientable: bool):
-        set_field(self, "fusion", fusion)
-        set_field(self, "coorientable", coorientable)
-
 
 class FixedPoint(Value):
     __slots__ = _repr = ("polytope", "vertex")
 
-    def __init__(self, polytope: int, vertex: tuple):
-        set_field(self, "polytope", polytope)
-        set_field(self, "vertex", vertex)
-
 
 class SurfaceClass(Value):
     __slots__ = _repr = ("family", "fixed_points", "fold_components")
-
-    def __init__(self, family: str, fixed_points: int, fold_components: int):
-        set_field(self, "family", family)
-        set_field(self, "fixed_points", fixed_points)
-        set_field(self, "fold_components", fold_components)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from factories import (
     bad_triangle,
     box,
     cube,
-    doubled,
     doubled_simplex,
     hexagon_cycle,
     hirzebruch_pair,
@@ -48,6 +47,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+# Runs the CLI as ``python -m toricorigami.cli`` does and writes the child's
+# own peak resident set (VmHWM) to stderr at exit; ru_maxrss from os.wait4
+# would also count what the forked pytest process held before exec.
+PEAK_LAUNCHER = """
+import atexit, runpy, sys
+def peak():
+    with open("/proc/self/status") as status:
+        sys.stderr.write("".join(line for line in status if line.startswith("VmHWM:")))
+atexit.register(peak)
+runpy.run_module("toricorigami.cli", run_name="__main__")
+"""
+
+
+def run_measuring_peak(*argv):
+    """Exit code, stdout and peak resident set in KiB of a CLI child."""
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_LAUNCHER, *argv], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    kib = int(child.stderr.rsplit("VmHWM:", 1)[1].split()[0])
+    return child.returncode, child.stdout, kib
 
 
 class TestGalleryFiles:
@@ -111,23 +133,27 @@ class TestComputeCommands:
         assert report["virtual_dimension"] == 0
         assert {"point": [0, 0], "multiplicity": 0} in report["points"]
 
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
+    )
     def test_quantize_without_points_holds_no_points(self, tmp_path):
-        # [0, 1000]^2 doubled along its right edge has 2 * 1001^2 lattice
-        # points; the count alone needs memory for its 2 * 1001 fibers only
-        path = write_doc(tmp_path, doubled(square(1000), 2))
-        out = tmp_path / "quantize.out"
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        with open(out, "wb") as stdout:
-            child = subprocess.Popen(
-                [sys.executable, "-m", "toricorigami.cli", "quantize", path],
-                stdout=stdout, env=env,
-            )
-            _pid, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 0
-        assert json.loads(out.read_text())["virtual_dimension"] == 0
-        # ru_maxrss is in KiB on Linux
-        assert usage.ru_maxrss < 64 * 1024
+        # [0, 1000]^2 fused along x = 0 with [0, 2000] x [0, 1000]: signs
+        # (1, -1), so both polytopes weigh in, with 1001^2 and 2001 * 1001
+        # lattice points; the count alone needs memory for their 1001 + 2001
+        # fibers only
+        T = OrigamiTemplate(
+            (square(1000), box((2000, 1000))), (pair((0, 0), (1, 0)),)
+        )
+        path = write_doc(tmp_path, T)
+        code, out, peak_kib = run_measuring_peak("quantize", path)
+        assert code == 0
+        assert json.loads(out)["virtual_dimension"] == 1001**2 - 2001 * 1001
+        assert peak_kib < 64 * 1024
+        # the control: listing the points outgrows the bound before
+        # MAX_POINTS refuses them, so the measurement sees the job
+        code, out, peak_kib = run_measuring_peak("quantize", path, "--points")
+        assert code == 2 and json.loads(out)["error"]["kind"] == "OutputLimitError"
+        assert peak_kib > 64 * 1024
 
     def test_dh(self, capsys, tmp_path):
         path = write_doc(tmp_path, hirzebruch_pair())

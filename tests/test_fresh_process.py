@@ -132,19 +132,19 @@ def test_the_points_report_outgrows_a_pipe_buffer(tmp_path):
 
 def test_broken_pipe_exits_1_quietly(tmp_path):
     path = doubled_box_document(tmp_path / "box.json")
-    proc = subprocess.Popen(
+    # leaving the with block closes both pipes and reaps the child
+    with subprocess.Popen(
         [sys.executable, "-m", "toricorigami.cli", "quantize", str(path), "--points"],
         env=CHILD_ENV, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    try:
-        assert proc.stdout.read(20) == b'{\n  "command": "quan'
-        proc.stdout.close()  # as `| head -c 20` does
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=30) == 1
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:
+        try:
+            assert proc.stdout.read(20) == b'{\n  "command": "quan'
+            proc.stdout.close()  # as `| head -c 20` does
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=30) == 1
+        finally:
+            proc.kill()
     assert stderr == b""
 
 

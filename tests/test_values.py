@@ -6,13 +6,24 @@ and deletion, and prints as ``Name(field=value, ...)`` without its hidden
 fields.  ``HPolytope.vertices``, ``HPolytope.kept_input_indices``,
 ``HPolytope._vertex_active`` and ``OrigamiTemplate.names`` are not
 compared.
+
+Every record the package defines is walked for its constructor: a record
+either takes the shared ``Value.__init__``, which stores positional values
+in ``_repr`` order, or is one of the few named in ``_value``'s docstring
+and takes its ``_repr`` fields in that order itself.
 """
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
+import toricorigami
 from factories import segment, square
+from toricorigami._value import Value
 from toricorigami.cohomology import CriticalFace, PoincareSeries
 from toricorigami.cones import IdentityReport, PolarizedCone, WeightSet
 from toricorigami.exactgeom import (
@@ -213,6 +224,31 @@ NAMES = sorted(CASES)
 UNHASHABLE = {"QuantizationResult"}  # its per_point is a dict
 
 
+def _records():
+    """Every Value subclass the package defines, once each module is imported."""
+    for info in pkgutil.iter_modules(toricorigami.__path__):
+        importlib.import_module(f"toricorigami.{info.name}")
+    found, stack = [], [Value]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("toricorigami."):
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+RECORDS = _records()
+OWN = [cls for cls in RECORDS if "__init__" in vars(cls)]
+SHARED = [cls for cls in RECORDS if "__init__" not in vars(cls)]
+# construction does more than store required positional fields: a default or
+# keywords, derived state, or direct stores in a record built per fusion entry
+# or per DH sample
+OWN_CONSTRUCTORS = {
+    "DHValue", "DelzantReport", "FacetAddress", "Fusion", "HPolytope", "Halfspace",
+    "Location", "OrigamiTemplate",
+}
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_the_class_is_the_one_named(name):
     make = CASES[name][0]
@@ -241,6 +277,40 @@ def test_unequal_to_other_classes(name):
         if other != name:
             assert value != CASES[other][0]()
     assert value != tuple(getattr(value, f) for f in CASES[name][3])
+
+
+def test_every_record_is_walked_and_has_a_case():
+    assert [cls.__name__ for cls in RECORDS] == NAMES
+
+
+def test_only_the_named_records_define_a_constructor():
+    assert {cls.__name__ for cls in OWN} == OWN_CONSTRUCTORS
+
+
+@pytest.mark.parametrize("cls", OWN, ids=lambda cls: cls.__name__)
+def test_an_own_constructor_takes_the_repr_fields_in_order(cls):
+    params = list(inspect.signature(cls).parameters)
+    taken = [name for name in cls._repr if name in params]
+    assert params[: len(taken)] == taken
+    # a shown field that the constructor does not take is derived
+    for name in cls._repr:
+        if name not in params:
+            assert isinstance(
+                inspect.getattr_static(cls, name), (property, cached_property)
+            )
+
+
+@pytest.mark.parametrize("cls", SHARED, ids=lambda cls: cls.__name__)
+def test_the_shared_constructor_stores_the_repr_fields_in_order(cls):
+    values = [object() for _ in cls._repr]
+    record = cls(*values)
+    for name, value in zip(cls._repr, values, strict=True):
+        assert getattr(record, name) is value
+    for wrong in (values[:-1], [*values, object()]):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes "):
+            cls(*wrong)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(cls._repr, values)))
 
 
 def test_same_fields_in_another_class_are_unequal():
