@@ -19,8 +19,10 @@ from types import SimpleNamespace
 
 # Handlers import the modules only they use (invariants, cones, cohomology,
 # render), so that a call loads what it runs and no more.
-from .document import check_digits, format_rational, load_template, parse_rational
-from .errors import DocumentError, NonorientableError, OrigamiError, ValidationError
+from .document import format_rational, load_template, parse_rational
+from .errors import (
+    DocumentError, NonorientableError, OrigamiError, ValidationError, written,
+)
 from .template import classify_surface, orient, validate
 
 EXIT_OK = 0
@@ -122,11 +124,6 @@ def _cmd_quantize(T, args):
     result = quantize(T, points=args.points)
     payload = {"virtual_dimension": result.virtual_dimension}
     if args.points:
-        # every vertex is a point of the table, so each polytope's box
-        # corners hold its longest coordinates: one check per distinct polytope
-        for P, _ in T._polytope_weights:
-            lo, hi = P.bounding_box()
-            check_digits(max(map(abs, lo + hi)).numerator)
         # the point -> multiplicity dict; _dumps writes it as the points array
         payload["points"] = result.per_point
     return payload, EXIT_OK
@@ -354,6 +351,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    head = {"command": args.command, "file": args.file}
     try:
         T = load_template(args.file)
         checked = validate(T)
@@ -363,16 +361,16 @@ def main(argv=None) -> int:
             raise ValidationError(checked)
         else:
             payload, code = args.handler(T, args)
-    except DocumentError as exc:
-        payload, code = {"error": {"kind": "parse", "message": str(exc)}}, EXIT_USAGE
+        # a payload holds ints, strings, bools, None, lists, dicts and the
+        # point table: the one ValueError of _dumps is the digit limit
+        text = written(_dumps, head | payload)
     except OrigamiError as exc:
-        payload, code = (
-            {"error": {"kind": type(exc).__name__, "message": str(exc)}},
-            EXIT_SEMANTIC,
-        )
-    report = {"command": args.command, "file": args.file}
-    report.update(payload)
-    print(_dumps(report))
+        if isinstance(exc, DocumentError):
+            kind, code = "parse", EXIT_USAGE
+        else:
+            kind, code = type(exc).__name__, EXIT_SEMANTIC
+        text = _dumps(head | {"error": {"kind": kind, "message": str(exc)}})
+    print(text)
     return code
 
 

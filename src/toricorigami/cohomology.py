@@ -17,6 +17,7 @@ from fractions import Fraction
 from ._value import Value
 from .errors import (
     DimensionMismatch, InconsistentIndex, NonorientableError, PreconditionError,
+    written,
 )
 from .exactgeom import FaceRef, HPolytope, _dot, _generic_vector
 from .template import OrigamiTemplate, orientation_signs
@@ -83,9 +84,8 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
         maximal = {}  # active set -> vertex ids, ascending
         for vid, (act, edges) in enumerate(zip(acts, P._edges)):
             if len(edges) > n:
-                raise PreconditionError(
-                    f"vertex {P.vertices[vid]} of polytope {i} is not simple"
-                )
+                vertex = written(str, P.vertices[vid])
+                raise PreconditionError(f"vertex {vertex} of polytope {i} is not simple")
             level = act.intersection(*(acts[far] for u, far in edges if not _dot(u, xi)))
             # xi = 0 levels every edge: the largest proper faces at v are its facets
             for active in [level] if level else map(frozenset, zip(act)):
@@ -101,9 +101,9 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
                         continue
                     p = _dot(u, xi)
                     if p == 0:
+                        vertex = written(str, P.vertices[vid])
                         raise InconsistentIndex(
-                            f"transverse edge {u} at {P.vertices[vid]} is level "
-                            f"for {xi}"
+                            f"transverse edge {u} at {vertex} is level for {xi}"
                         )
                     if p > 0:
                         descending += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import Value
-from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization
+from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization, written
 from .exactgeom import (
     _det, _dot, _generic_vector, _lcd, _row_slacks, _scaled, as_point,
 )
@@ -181,7 +181,7 @@ def cone_density(T: OrigamiTemplate, v, x) -> int:
     pt = as_point(x, T.dim)
     count = _cone_count(_compile(T, v), *_scaled(pt))
     if count is None:
-        raise BoundaryPoint(f"{pt} lies on a wall of a weight cone")
+        raise BoundaryPoint(f"{written(str, pt)} lies on a wall of a weight cone")
     return count
 
 

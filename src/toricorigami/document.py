@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import DocumentError, OutputLimitError
+from .errors import DocumentError, written
 from .exactgeom import HPolytope, make_polytope
 from .template import FacetAddress, Fusion, OrigamiTemplate
 
@@ -44,19 +44,9 @@ def parse_rational(value, where: str) -> Fraction:
     )
 
 
-def check_digits(big: int) -> None:
-    """Refuse (OutputLimitError) a nonnegative integer too long for ``str()``."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or absent): no limit
-    # under 3 * limit bits a number is below 2^(3 limit) < 10^limit: at most limit digits
-    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
-        raise OutputLimitError(f"a result number has more than {limit} digits")
-
-
 def format_rational(x) -> str:
     """``p/q`` or ``p``, refusing what ``str()`` cannot write (OutputLimitError)."""
-    x = Fraction(x)
-    check_digits(max(abs(x.numerator), x.denominator))
-    return str(x)
+    return written(str, Fraction(x))
 
 
 def parse_template(doc) -> OrigamiTemplate:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all toricorigami modules."""
 
+import sys
+
 
 class OrigamiError(Exception):
     """Base class for every error raised by this package."""
@@ -18,6 +20,21 @@ class OutputLimitError(OrigamiError):
     """
 
 
+def written(write, *args):
+    """``write(*args)``, the text of a report or message, or OutputLimitError.
+
+    ``str()``, ``json`` and ``%d`` raise ValueError for an int of more than
+    ``sys.get_int_max_str_digits()`` digits; ``args`` hold only values for
+    which that is the one ValueError ``write`` can raise.
+    """
+    try:
+        return write(*args)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        message = f"a result number has more than {limit} digits"
+        raise OutputLimitError(message) from None
+
+
 # --- polytope construction ------------------------------------------------
 
 class PolytopeError(OrigamiError):
@@ -31,9 +48,9 @@ class EmptyError(PolytopeError):
 class UnboundedError(PolytopeError):
     """The halfspace intersection has an unbounded direction."""
 
-    def __init__(self, direction, message=None):
+    def __init__(self, direction):
         self.direction = tuple(direction)
-        super().__init__(message or f"unbounded direction {self.direction}")
+        super().__init__(f"unbounded direction {self.direction}")
 
 
 class DegenerateError(PolytopeError):
@@ -91,7 +108,7 @@ class NonIntegralError(OrigamiError):
 
     def __init__(self, vertices):
         self.vertices = tuple(vertices)
-        super().__init__(f"non-integer vertices: {self.vertices}")
+        super().__init__(f"non-integer vertices: {written(str, self.vertices)}")
 
 
 # --- weight cones ---------------------------------------------------------

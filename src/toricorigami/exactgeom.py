@@ -23,6 +23,7 @@ from .errors import (
     EmptyError,
     EnumerationLimitError,
     UnboundedError,
+    written,
 )
 
 Point = tuple  # tuple[Fraction, ...]
@@ -42,7 +43,7 @@ MAX_RAYS = 500
 def as_point(x, dim: int | None = None) -> Point:
     pt = tuple(c if type(c) is Fraction else Fraction(c) for c in x)
     if dim is not None and len(pt) != dim:
-        raise DimensionMismatch(f"expected a {dim}-vector, got {pt}")
+        raise DimensionMismatch(f"expected a {dim}-vector, got {written(str, pt)}")
     return pt
 
 
@@ -357,10 +358,11 @@ class HPolytope(Value):
             dirs = tuple(u for u, _ in edges)
             det = _det(dirs) if len(dirs) == n else None
             records.append(DelzantVertexRecord(v, dirs, det, det in (1, -1)))
-            if failure is None and det is None:
-                failure = f"vertex {v} has {len(dirs)} edges, expected {n}"
-            elif failure is None and det not in (1, -1):
-                failure = f"vertex {v} has edge determinant {det}"
+            if failure is None and det not in (1, -1):
+                failure = f"vertex {written(str, v)} has " + (
+                    f"{len(dirs)} edges, expected {n}" if det is None
+                    else f"edge determinant {det}"
+                )
         return DelzantReport(failure is None, tuple(records), failure)
 
     @cached_property

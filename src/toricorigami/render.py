@@ -10,7 +10,6 @@ renders to identical bytes.
 
 from __future__ import annotations
 
-import functools
 import sys
 from fractions import Fraction
 
@@ -35,22 +34,13 @@ def _ccw_order(points):
     cx = sum(p[0] for p in points) / k
     cy = sum(p[1] for p in points) / k
 
-    def half(p):
+    def angle(p):
+        # increases with the angle from +x about the centroid: (half turn,
+        # off the x axis, -cot); no vertex is the interior centroid itself
         dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+        return (dy < 0 or (dy == 0 and dx < 0), dy != 0, -dx / dy if dy else 0)
 
-    def compare(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return hp - hq
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(compare))
+    return sorted(points, key=angle)
 
 
 def render_svg(T: OrigamiTemplate, lattice: bool = False) -> str:
@@ -101,8 +91,8 @@ def render_svg(T: OrigamiTemplate, lattice: bool = False) -> str:
         dash = '' if fu.is_pair else ' stroke-dasharray="8,5"'
         for ad in fu.addresses:
             P = T.polytopes[ad.polytope]
-            ends = P.face_vertices(P.facet(ad.facet))
-            (x1, y1), (x2, y2) = project(ends[0]), project(ends[1])
+            a, b = sorted(P._tight[ad.facet])
+            (x1, y1), (x2, y2) = project(P.vertices[a]), project(P.vertices[b])
             lines.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
                 f'y2="{_fmt(y2)}" stroke="#000000" stroke-width="3"{dash}/>'
@@ -121,16 +111,10 @@ def render_svg(T: OrigamiTemplate, lattice: bool = False) -> str:
             if mult == 0:
                 continue
             x, y = project(point)
-            if mult > 0:
-                lines.append(
-                    f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" '
-                    f'fill="#000000"/>'
-                )
-            else:
-                lines.append(
-                    f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" '
-                    f'fill="#ffffff" stroke="#000000" stroke-width="1.5"/>'
-                )
+            mark = 'fill="#000000"' if mult > 0 else (
+                'fill="#ffffff" stroke="#000000" stroke-width="1.5"'
+            )
+            lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" {mark}/>')
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

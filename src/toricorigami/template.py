@@ -438,10 +438,9 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
             # alternate left/right around a cycle
             raise StructureError("odd cycle of segments")
         return SurfaceClass(TORUS, 0, folds)
-    if len(pairs) == s - 1:
-        marked = len(singles)
-        if marked > 2:
-            raise StructureError("more than two marked endpoints on a path")
-        family = {0: SPHERE, 1: PROJECTIVE_PLANE, 2: KLEIN_BOTTLE}[marked]
-        return SurfaceClass(family, 2 - marked, folds)
-    raise StructureError("segment template is neither a path nor a cycle")
+    # connected with degrees at most 2: s - 1 pairs, a path
+    marked = len(singles)
+    if marked > 2:
+        raise StructureError("more than two marked endpoints on a path")
+    family = {0: SPHERE, 1: PROJECTIVE_PLANE, 2: KLEIN_BOTTLE}[marked]
+    return SurfaceClass(family, 2 - marked, folds)

@@ -28,7 +28,7 @@ from factories import (
     square,
 )
 from test_corpus import shuffled_document
-from toricorigami import OrigamiTemplate, _latticescan, cli, pair
+from toricorigami import DHValue, OrigamiTemplate, _latticescan, cli, cones, pair
 from toricorigami.cli import MAX_DEGREE, main
 from toricorigami.document import document_from_template
 
@@ -217,6 +217,34 @@ class TestComputeCommands:
         assert code == 0
         assert report["success"] and report["agreements"] == 60
         assert report["v"] == [1, 2]
+
+    def test_cones_disagreement_writes_the_point(self, capsys, tmp_path, monkeypatch):
+        # the identity holds on every valid template: a DH side one too high
+        # makes every kept sample a counterexample
+        dh_density = cones.dh_density
+
+        def off_by_one(T, x):
+            value = dh_density(T, x)
+            return DHValue(value.point, value.density + 1, value.generic)
+
+        monkeypatch.setattr(cones, "dh_density", off_by_one)
+        T = s4_template(2)
+        code, report = run(
+            capsys, "cones", write_doc(tmp_path, T), "--samples", "5", "--seed", "11"
+        )
+        assert code == 2 and report["success"] is False
+        assert report["disagreements"] == report["samples"] == 5
+        first = report["first_counterexample"]
+        point, cone_side, dh_side = cones.verify_dh_identity(
+            T, None, 5, 11
+        ).first_counterexample
+        assert first == {
+            "point": [f"{c.numerator}/{c.denominator}" for c in point],
+            "cone_density": cone_side,
+            "dh_density": dh_side,
+        }
+        assert dh_side == cone_side + 1
+        assert all(c.denominator > 1 for c in point)
 
     def test_cones_explicit_vector(self, capsys, tmp_path):
         path = write_doc(tmp_path, hirzebruch_pair())

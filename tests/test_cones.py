@@ -280,6 +280,10 @@ class TestVerifyIdentity:
         with pytest.raises(NonorientableError):
             verify_dh_identity(rp4_template())
 
+    def test_sample_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="sample_count must be positive"):
+            verify_dh_identity(s4_template(), sample_count=0)
+
 
 # ---------------------------------------------------------------------------
 # the integer sampler against the rational reference, and against the

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from factories import hirzebruch_pair, rp4_template, s4_template
+from factories import bad_triangle, hirzebruch_pair, rp4_template, s4_template
 from test_corpus import CHAINS, CORPUS, shuffled_document
+from test_incidence import square_pyramid
 from toricorigami import (
+    DimensionMismatch,
     DocumentError,
+    NonIntegralError,
     OrigamiTemplate,
     OutputLimitError,
     UnboundedError,
@@ -24,6 +27,7 @@ from toricorigami.document import (
     parse_rational,
     parse_template,
 )
+from toricorigami.exactgeom import as_point
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,6 +117,38 @@ class TestOutputLimit:
             assert format_rational(Fraction(1, 10 ** 4300)) == "1/1" + "0" * 4300
             with pytest.raises(OutputLimitError, match="more than 5000 digits"):
                 format_rational(10 ** 5000)
+
+
+class TestMessageNumbers:
+    """A message names its numbers as ``str()`` writes them, or refuses one
+    past the limit with the report's OutputLimitError."""
+
+    def test_writable_numbers_are_named_as_before(self):
+        assert bad_triangle().is_delzant().failure == (
+            "vertex (Fraction(0, 1), Fraction(1, 1)) has edge determinant 2"
+        )
+        assert square_pyramid().is_delzant().failure == (
+            "vertex (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) has 4 edges, "
+            "expected 3"
+        )
+        with pytest.raises(DimensionMismatch) as caught:
+            as_point((1, Fraction(1, 2)), 3)
+        assert str(caught.value) == (
+            "expected a 3-vector, got (Fraction(1, 1), Fraction(1, 2))"
+        )
+        assert str(NonIntegralError([(Fraction(1, 3),)])) == (
+            "non-integer vertices: ((Fraction(1, 3),),)"
+        )
+
+    def test_a_number_past_the_limit_is_refused(self):
+        huge = Fraction(10**4300, 3)
+        with int_max_str_digits(4300):
+            with pytest.raises(OutputLimitError, match="more than 4300 digits"):
+                make_polytope([((-1, 0), 0), ((0, -1), 0), ((1, 2), 2 * 10**4300)]).is_delzant()
+            with pytest.raises(OutputLimitError, match="more than 4300 digits"):
+                as_point((huge,), 2)
+            with pytest.raises(OutputLimitError, match="more than 4300 digits"):
+                NonIntegralError([(huge,)])
 
 
 class TestRoundTrip:

@@ -20,7 +20,8 @@ import pytest
 
 from factories import doubled, square
 from golden.record import EXPECTED, run_case, stage
-from toricorigami.cli import main
+from test_document import int_max_str_digits
+from toricorigami.cli import COMMANDS, main
 from toricorigami.document import MAX_DOCUMENT_CHARS, document_from_template
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +94,82 @@ def test_exit_1_case_in_a_fresh_process(workdir):
     assert code == 1 and json.loads(stdout)["error"]["kind"] == "parse"
     proc = child(argv, workdir, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, stdout.encode(), b"")
+
+
+def _halfspaces(*pairs):
+    return {"halfspaces": [{"normal": n, "offset": o} for n, o in pairs]}
+
+
+def _doubled(dimension, polytope, facet):
+    """The document of ``polytope`` fused with its copy along ``facet``."""
+    side = {"polytope": 0, "facet": facet}
+    return {"dimension": dimension, "polytopes": [polytope, polytope],
+            "fusions": [{"type": "pair", "a": side, "b": {**side, "polytope": 1}}]}
+
+
+# name -> (argv, document written as huge.json or None); each report or
+# error message would hold a number of more than 4300 digits
+HUGE_NUMBERS = {
+    # count-only quantize of [0, 10^4300]: 10^4300 + 1 points
+    "quantize-count": (["quantize", "huge.json"], {
+        "dimension": 1, "polytopes": [_halfspaces(([-1], 0), ([1], "1e4300"))],
+    }),
+    # x >= 0, y >= 0, x + 2y <= 2 10^4300 doubled along x = 0: validate's
+    # message names the vertex (0, 10^4300), edge determinant 2
+    "validate-not-delzant": (["validate", "huge.json"], _doubled(
+        2, _halfspaces(([-1, 0], 0), ([0, -1], 0), ([1, 2], "2e4300")), 0)),
+    # {-x <= 0, 3x <= 10^4300} doubled at x = 0: the vertex 10^4300/3
+    "quantize-non-integral": (["quantize", "huge.json"], _doubled(
+        1, _halfspaces(([-1], 0), ([3], "1e4300")), 0)),
+    # one coordinate for a 2-D template: the message echoes it
+    "dh-wrong-length": (["dh", "s4.json", "--point", "1e4300"], None),
+}
+DIGIT_LIMIT_ERROR = {
+    "kind": "OutputLimitError", "message": "a result number has more than 4300 digits",
+}
+
+
+def stage_huge(name, cwd):
+    argv, doc = HUGE_NUMBERS[name]
+    (cwd / "s4.json").write_bytes((GALLERY / "s4.json").read_bytes())
+    if doc is not None:
+        (cwd / "huge.json").write_text(json.dumps(doc), encoding="utf-8")
+    return argv
+
+
+@pytest.mark.parametrize("name", HUGE_NUMBERS)
+def test_a_number_past_the_digit_limit_exits_2_in_a_fresh_process(name, tmp_path):
+    proc = child(stage_huge(name, tmp_path), tmp_path, capture_output=True)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == DIGIT_LIMIT_ERROR
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("name", HUGE_NUMBERS)
+def test_a_number_past_the_digit_limit_exits_2_in_process(name, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = stage_huge(name, tmp_path)
+    with int_max_str_digits(4300):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out) == {
+        "command": argv[0], "file": argv[1], "error": DIGIT_LIMIT_ERROR,
+    }
+
+
+@pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
+def test_every_command_validates_the_huge_vertex_first(command, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    stage_huge("validate-not-delzant", tmp_path)
+    needs = {"dh": ["--point", "1,1"], "render": ["--out", "out.svg"]}
+    with int_max_str_digits(4300):
+        code = main([command, "huge.json", *needs.get(command, [])])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == DIGIT_LIMIT_ERROR
+    assert not (tmp_path / "out.svg").exists()
 
 
 def test_entry_freezes_before_main_runs():

@@ -118,6 +118,16 @@ def test_package_import_loads_no_submodule():
     assert not any(name.startswith("toricorigami.") for name in loaded)
 
 
+def test_first_access_of_a_submodule_imports_it(monkeypatch):
+    # forget this process's import of render, so that the package's
+    # __getattr__ sees the attribute for the first time
+    monkeypatch.delattr(toricorigami, "render", raising=False)
+    monkeypatch.delitem(sys.modules, "toricorigami.render", raising=False)
+    module = toricorigami.render
+    assert module is sys.modules["toricorigami.render"]
+    assert module.render_svg.__module__ == "toricorigami.render"
+
+
 def test_all_lists_every_public_name():
     assert sorted(toricorigami.__all__) == PUBLIC
 

@@ -71,6 +71,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OrigamiTemplate((square(),), orientation=(2,))
 
+    def test_orientation_length_checked(self):
+        with pytest.raises(ValueError, match="orientation length mismatch"):
+            OrigamiTemplate((square(),), orientation=(1, -1))
+
+    def test_supplied_orientation_with_a_single_fusion_is_refused(self):
+        T = OrigamiTemplate((square(),), (single((0, 0)),), orientation=(1,))
+        with pytest.raises(NonorientableError) as caught:
+            orientation_signs(T)
+        assert caught.value.single == 0
+
 
 class TestValidate:
     def test_s4_valid(self):
@@ -298,6 +308,15 @@ class TestCutGlue:
         with pytest.raises(ValidationError):
             glue(square_template(), square_template(), [])
 
+    def test_glue_joins_names(self):
+        T1 = OrigamiTemplate((triangle(),), names=("left",))
+        T2 = OrigamiTemplate((triangle(),), names=("right",))
+        seam = [pair((0, 2), (1, 2))]
+        assert glue(T1, T2, seam).names == ("left", "right")
+        assert glue(T1, triangle_template(), seam).names is None
+        closed = OrigamiTemplate((triangle(),) * 2, names=("a", "b"))
+        assert glue(closed, None, seam).names == ("a", "b")
+
     def test_cut_of_glue_concatenates(self):
         T1, T2 = triangle_template(2), triangle_template(2)
         glued = glue(T1, T2, [pair((0, 2), (1, 2))])
@@ -345,6 +364,10 @@ class TestClassifySurface:
         # closing an odd cycle forces fusing a left end to a right end,
         # which are different points
         assert not validate(cycle_of_segments(3)).valid
+
+    def test_unvalidated_odd_cycle_is_structural_error(self):
+        with pytest.raises(StructureError, match="odd cycle of segments"):
+            classify_surface(cycle_of_segments(3))
 
     def test_fixed_point_count_matches_fixed_points(self):
         for T in (path_of_segments(3), path_of_segments(2, marks=1),
