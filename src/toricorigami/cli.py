@@ -69,10 +69,17 @@ def _even_int(text: str) -> int:
     return value
 
 
+# the largest ``cones --samples``: each sample is drawn and checked on its
+# own, and this many take about 2 s
+MAX_SAMPLES = 100_000
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise _refusal("must be positive")
+    if value > MAX_SAMPLES:
+        raise _refusal(f"must be at most {MAX_SAMPLES}")
     return value
 
 

@@ -28,8 +28,9 @@ from factories import (
     square,
 )
 from test_corpus import shuffled_document
+from test_fresh_process import child
 from toricorigami import DHValue, OrigamiTemplate, _latticescan, cli, cones, pair
-from toricorigami.cli import MAX_DEGREE, main
+from toricorigami.cli import MAX_DEGREE, MAX_SAMPLES, main
 from toricorigami.document import document_from_template
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,13 +184,9 @@ class TestComputeCommands:
         # a valid document of 42 halfspaces; the full face lattice of each
         # copy would hold 2^21 - 1 faces
         path = write_doc(tmp_path, doubled_simplex(20, 1))
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        child = subprocess.run(
-            [sys.executable, "-m", "toricorigami.cli", command, path],
-            capture_output=True, env=env, timeout=10,
-        )
-        assert child.returncode == 0
-        report = json.loads(child.stdout)
+        proc = child([command, path], capture_output=True, timeout=10)
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
         if command == "volume":
             assert report["signed_volume"] == "0"
         else:
@@ -392,7 +389,7 @@ class TestExitCodes:
         assert main(["dh", path, "--point", "1,fish"]) == 1
         capsys.readouterr()
         assert main(["cones", path, "--samples", "0"]) == 1
-        capsys.readouterr()
+        assert "argument --samples: must be positive" in capsys.readouterr().err
 
     def test_max_degree_above_the_bound_is_a_usage_error(self, capsys, tmp_path):
         path = write_doc(tmp_path, s4_template(2))
@@ -403,26 +400,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"--max-degree: must be at most {MAX_DEGREE}" in captured.err
 
+    def test_samples_above_the_bound_is_a_usage_error(self, capsys, tmp_path):
+        # MAX_SAMPLES samples take over a second, so the bound itself is
+        # checked through the converter
+        assert cli._positive_int(str(MAX_SAMPLES)) == MAX_SAMPLES
+        path = write_doc(tmp_path, s4_template(2))
+        assert main(["cones", path, "--samples", str(MAX_SAMPLES + 1)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--samples: must be at most {MAX_SAMPLES}" in captured.err
+
     def test_huge_max_degree_fails_cleanly(self, tmp_path):
         # a series of 10^9 + 1 coefficients would need gigabytes: under a
         # 1.5 GB address-space limit the child must still exit 1 with a usage
         # error, not a MemoryError traceback
         path = write_doc(tmp_path, s4_template(2))
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         limit = 3 << 29
 
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        child = subprocess.run(
-            [sys.executable, "-m", "toricorigami.cli", "cohomology", path,
-             "--max-degree", "1000000000"],
-            capture_output=True, env=env, preexec_fn=cap_memory, timeout=60,
-        )
-        assert child.returncode == 1
-        assert child.stdout == b""
-        assert b"Traceback" not in child.stderr
-        assert b"--max-degree: must be at most 100000" in child.stderr
+        proc = child(["cohomology", path, "--max-degree", "1000000000"],
+                     capture_output=True, preexec_fn=cap_memory, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert b"--max-degree: must be at most 100000" in proc.stderr
 
     def test_oversized_polytope_exits_2_quickly(self, capsys, tmp_path):
         d = 20
@@ -506,16 +509,12 @@ class TestExitCodes:
         depth = 200_000
         path = tmp_path / "deep.json"
         path.write_text("[" * depth + "]" * depth, encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         arg = str(path) if source == "file" else "-"
         with open(path, encoding="utf-8") as stdin:
-            child = subprocess.run(
-                [sys.executable, "-m", "toricorigami.cli", "validate", arg],
-                stdin=stdin, capture_output=True, text=True, env=env,
-            )
-        assert child.returncode == 1
-        assert json.loads(child.stdout)["error"]["kind"] == "parse"
-        assert "Traceback" not in child.stderr
+            proc = child(["validate", arg], stdin=stdin, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["kind"] == "parse"
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("text", ["1/0", "x", "1,,2"])
     def test_malformed_point_is_a_usage_error(self, capsys, tmp_path, text):
@@ -660,11 +659,7 @@ class TestHostileNumbers:
     """
 
     def child(self, *argv):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        return subprocess.run(
-            [sys.executable, "-m", "toricorigami.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=5,
-        )
+        return child(argv, capture_output=True, text=True, timeout=5)
 
     def s4_with_offsets(self, tmp_path, offset):
         """s4 with both hypotenuse offsets replaced by raw JSON text."""
@@ -796,7 +791,7 @@ S4 = str(GALLERY / "s4.json")
 OPTION_VALUES = {
     "--point": ["1/3,1/3", "1/3,x", "1e9999,0", ""],
     "--v": ["2,-3", "1,x", "1,2,3"],
-    "--samples": ["3", "0", "x", ""],
+    "--samples": ["3", "0", str(MAX_SAMPLES + 1), "x", ""],
     "--seed": ["3", "99999999999999999999", "x"],
     "--max-degree": ["4", "3", str(MAX_DEGREE + 2), "x"],
     "--out": ["out.svg", "no/such/dir/out.svg", ""],

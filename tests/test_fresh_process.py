@@ -48,10 +48,11 @@ GOLDEN_CASES = [
 ]
 
 
-def child(argv, cwd, **kwargs):
+def child(argv, cwd=None, timeout=30, stdin=subprocess.DEVNULL, **kwargs):
+    """``python -m toricorigami.cli *argv`` with only ``PYTHONPATH=src`` set."""
     return subprocess.run(
         [sys.executable, "-m", "toricorigami.cli", *argv],
-        cwd=cwd, env=CHILD_ENV, stdin=subprocess.DEVNULL, timeout=30, **kwargs,
+        cwd=cwd, env=CHILD_ENV, stdin=stdin, timeout=timeout, **kwargs,
     )
 
 
@@ -94,6 +95,15 @@ def test_exit_1_case_in_a_fresh_process(workdir):
     assert code == 1 and json.loads(stdout)["error"]["kind"] == "parse"
     proc = child(argv, workdir, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, stdout.encode(), b"")
+
+
+def test_file_that_is_not_utf8_is_a_parse_error_in_a_fresh_process(tmp_path):
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+    proc = child(["validate", "bad.json"], tmp_path, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "parse"
+    assert error["message"].startswith("bad.json: not UTF-8 text: ")
 
 
 def _halfspaces(*pairs):
@@ -264,11 +274,8 @@ def test_render_out_is_written_with_stdout_closed(tmp_path):
 
 
 def test_closed_stdin_is_a_parse_error(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "toricorigami.cli", "validate", "-"],
-        cwd=tmp_path, env=CHILD_ENV, capture_output=True, timeout=30,
-        preexec_fn=lambda: os.close(0),
-    )
+    proc = child(["validate", "-"], tmp_path, capture_output=True,
+                 preexec_fn=lambda: os.close(0))
     assert proc.returncode == 1 and b"Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"] == {
         "kind": "parse", "message": "<stdin>: standard input is closed",
@@ -292,11 +299,8 @@ def test_document_size_bound(tmp_path, source, extra):
         f.write(chunk[: pad % len(chunk)])
     arg = str(path) if source == "file" else "-"
     with open(path, "rb") as stdin:
-        proc = subprocess.run(
-            [sys.executable, "-m", "toricorigami.cli", "validate", arg],
-            cwd=tmp_path, env=CHILD_ENV, stdin=stdin, capture_output=True,
-            timeout=10,
-        )
+        proc = child(["validate", arg], tmp_path, timeout=10, stdin=stdin,
+                     capture_output=True)
     report = json.loads(proc.stdout)
     if extra:
         where = str(path) if source == "file" else "<stdin>"
