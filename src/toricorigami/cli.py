@@ -10,11 +10,11 @@ identity check, a number too long to write).
 
 from __future__ import annotations
 
+import atexit
 import gc
 import json
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 # Handlers import the modules only they use (invariants, cones, cohomology,
@@ -193,7 +193,8 @@ def _cmd_render(T, args):
 
     svg = render_svg(T, lattice=args.lattice)
     try:
-        Path(args.out).write_text(svg, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(svg)
     except OSError as exc:
         error = {"kind": "io", "message": f"{args.out}: {exc}"}
         return {"error": error}, EXIT_USAGE
@@ -381,20 +382,39 @@ def main(argv=None) -> int:
     return code
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler watches this process.
+
+    ``python -m cProfile`` and ``trace`` print their report after the
+    program's ``SystemExit``; on 3.12+ cProfile registers only as a
+    ``sys.monitoring`` tool, and ``sys.getprofile()`` stays None.
+    """
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+, tool ids 0-5
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))
+
+
 def entry() -> None:
     """Run :func:`main` as its own process and exit with its code.
 
     The console script and ``python -m toricorigami.cli`` both come here.
     Everything alive now was made by interpreter start and the imports, and
     lives until exit, so it goes to the collector's permanent generation: no
-    collection during the job and none of the passes at interpreter exit
-    walks it.  Only this entry freezes, since the heap of a process that
-    calls :func:`main` in-process (tests, the benchmark tracer, a library
-    caller) is not the CLI's to freeze.
+    collection during the job walks it.  Only this entry freezes, since the
+    heap of a process that calls :func:`main` in-process (tests, the
+    benchmark tracer, a library caller) is not the CLI's to freeze.
 
     A report that cannot be written exits 1 with no traceback: after a
     broken pipe (the reader went away, as in ``| head``) quietly, after any
     other write error or a closed stdout with one line on stderr.
+
+    Once the report is flushed, the process ends with ``os._exit`` after
+    running the ``atexit`` handlers and flushing stderr itself, so CPython
+    does not tear down every module and object of the job.  A traced or
+    profiled process exits through ``sys.exit``, so that its tracer or
+    profiler still reports.
     """
     gc.freeze()
     try:
@@ -402,8 +422,9 @@ def entry() -> None:
         if sys.stdout is not None:  # None when started with fd 1 closed
             sys.stdout.flush()
     except OSError as exc:
-        # stdout goes to devnull, so that the flush at exit does not fail
-        # again (the SIGPIPE note in the docs of Python's signal module)
+        # stdout goes to devnull, so that a traced or profiled process, which
+        # exits through sys.exit, does not fail again in the flush at exit
+        # (the SIGPIPE note in the docs of Python's signal module)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
@@ -416,7 +437,12 @@ def entry() -> None:
         print("toricorigami: error: cannot write the report: standard output "
               "is closed", file=sys.stderr)
         code = EXIT_USAGE
-    sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 The in-process tests call ``main``; these start a child with only
 ``PYTHONPATH=src`` in its environment, as the benchmark does, so they reach
 what only a fresh process runs: ``entry``'s freeze of the import-time heap,
-its exit code, its handling of a report that cannot be written, and closed
-or oversized input.
+its exit code and exit through ``os._exit``, its handling of a report that
+cannot be written, and closed or oversized input.
 """
 
 import contextlib
@@ -200,6 +200,51 @@ def test_entry_freezes_before_main_runs():
     assert int(proc.stdout) > 0
 
 
+# entry with main patched to print and exit 2, under an atexit handler that
+# writes a marker to stderr; a SystemExit out of entry prints a line
+EXIT_SCRIPT = """
+import atexit, sys
+from toricorigami import cli
+atexit.register(lambda: sys.stderr.write("atexit ran\\n"))
+def main():
+    print("main ran")
+    return 2
+cli.main = main
+{observe}
+try:
+    cli.entry()
+except SystemExit:
+    print("SystemExit")
+    raise
+"""
+
+
+@pytest.mark.parametrize("observe, stdout", [
+    # ends in os._exit: no SystemExit, and entry itself runs the handler
+    ("", "main ran\n"),
+    # a profiled process exits through sys.exit, so its profiler reports
+    ("sys.setprofile(lambda *a: None)", "main ran\nSystemExit\n"),
+], ids=["fast", "profiled"])
+def test_entry_runs_atexit_and_exits_with_the_code(observe, stdout):
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_SCRIPT.format(observe=observe)], env=CHILD_ENV,
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, stdout, "atexit ran\n")
+
+
+def test_cprofile_prints_the_report_and_the_profile(workdir):
+    argv = MANIFEST["s4.validate"]["argv"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "toricorigami.cli", *argv],
+        cwd=workdir, env=CHILD_ENV, capture_output=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    report = (EXPECTED / "s4.validate.out").read_bytes()
+    assert proc.stdout.startswith(report)
+    assert b"function calls" in proc.stdout[len(report):]
+
+
 def test_main_in_process_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     assert main(["validate", str(GALLERY / "s4.json")]) == 0
@@ -247,6 +292,22 @@ def test_a_full_device_exits_1_with_one_line(argv, tmp_path):
         proc = child(argv, tmp_path, stdout=full, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("toricorigami: error: cannot write the report")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_exits_1_with_one_line_when_profiled(tmp_path):
+    # a profiled process exits through sys.exit, whose flush of stdout at
+    # exit would fail once more (exit 120) were stdout not moved to devnull
+    (tmp_path / "s4.json").write_bytes((GALLERY / "s4.json").read_bytes())
+    script = "import sys\nsys.setprofile(lambda *a: None)\nfrom toricorigami import cli\ncli.entry()"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "validate", "s4.json"], cwd=tmp_path,
+            env=CHILD_ENV, stdout=full, stderr=subprocess.PIPE, text=True, timeout=30,
+        )
+    assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("toricorigami: error: cannot write the report")
 

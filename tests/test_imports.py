@@ -58,6 +58,17 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert "inspect" not in loaded
 
 
+def test_cli_import_without_site_loads_no_pathlib():
+    # _loaded_after keeps site, whose .pth files may import pathlib first
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import json, sys, toricorigami.cli\nprint(json.dumps(sorted(sys.modules)))"],
+        env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+        check=True,
+    )
+    assert not {"pathlib", "urllib.parse", "ipaddress"} & set(json.loads(proc.stdout))
+
+
 @pytest.mark.parametrize(
     "argv, needs",
     [
