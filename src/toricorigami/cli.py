@@ -411,7 +411,7 @@ def entry() -> None:
     other write error or a closed stdout with one line on stderr.
 
     Once the report is flushed, the process ends with ``os._exit`` after
-    running the ``atexit`` handlers and flushing stderr itself, so CPython
+    running the ``atexit`` handlers and flushing stdout and stderr, so CPython
     does not tear down every module and object of the job.  A traced or
     profiled process exits through ``sys.exit``, so that its tracer or
     profiler still reports.
@@ -440,8 +440,12 @@ def entry() -> None:
     if _observed():
         sys.exit(code)
     atexit._run_exitfuncs()
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    try:  # what the handlers wrote; at interpreter exit a failure is ignored
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

@@ -200,12 +200,14 @@ def test_entry_freezes_before_main_runs():
     assert int(proc.stdout) > 0
 
 
-# entry with main patched to print and exit 2, under an atexit handler that
-# writes a marker to stderr; a SystemExit out of entry prints a line
+# entry with main patched to print and exit 2, under atexit handlers that
+# write a marker to stderr and print one to stdout (run first, last in);
+# a SystemExit out of entry prints a line
 EXIT_SCRIPT = """
 import atexit, sys
 from toricorigami import cli
 atexit.register(lambda: sys.stderr.write("atexit ran\\n"))
+atexit.register(lambda: print("atexit printed"))
 def main():
     print("main ran")
     return 2
@@ -221,9 +223,9 @@ except SystemExit:
 
 @pytest.mark.parametrize("observe, stdout", [
     # ends in os._exit: no SystemExit, and entry itself runs the handler
-    ("", "main ran\n"),
+    ("", "main ran\natexit printed\n"),
     # a profiled process exits through sys.exit, so its profiler reports
-    ("sys.setprofile(lambda *a: None)", "main ran\nSystemExit\n"),
+    ("sys.setprofile(lambda *a: None)", "main ran\nSystemExit\natexit printed\n"),
 ], ids=["fast", "profiled"])
 def test_entry_runs_atexit_and_exits_with_the_code(observe, stdout):
     proc = subprocess.run(
