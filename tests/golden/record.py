@@ -33,11 +33,20 @@ DH_POINTS = {1: "1/3", 2: "1/2,1/3"}
 # a generic polarizing vector other than the default, one per dimension;
 # its negative entries flip weights
 CONES_V = {1: "-1", 2: "-3,1"}
-# subcommands recorded on the valid templates of ``inputs/``, besides
-# validate and orient
+# calls recorded on the valid templates of ``inputs/``, besides validate and
+# orient: argv tails (subcommand, options after the file name), each case
+# named by its subcommand as the gallery's are, ``-points`` for ``--points``
 INPUT_COMMANDS = {
-    "blowup3_double.json": ("volume", "cones", "cohomology"),
-    "cube3_double.json": ("volume", "cones", "cohomology"),
+    "blowup3_double.json": (("volume",), ("cones",), ("cohomology",)),
+    "cube3_double.json": (("volume",), ("cones",), ("cohomology",)),
+    # [0,1]^3 and [0,2]x[0,1]^2 on one side of their fused facet x_0 = 0
+    "onesided3.json": (
+        ("volume",), ("quantize",), ("quantize", "--points"),
+        ("dh", "--point", "3/2,1/3,1/5"), ("cones",), ("cohomology",),
+    ),
+    "onesided4.json": (("volume",), ("quantize",), ("cones",), ("cohomology",)),
+    # [0,1/2]x[0,1] and [0,3/2]x[0,1] fused along x = 0: rational offsets
+    "rational2.json": (("volume",), ("dh", "--point", "1,1/3"), ("cones",)),
 }
 # gallery templates without an orientation: cones exits 2 on them
 NONORIENTABLE = ("hexagon_3cycle", "rp4")
@@ -74,8 +83,9 @@ def cases() -> list[tuple[str, list[str]]]:
         stem, name = path.stem, path.name
         out.append((f"{stem}.validate", ["validate", name]))
         out.append((f"{stem}.orient", ["orient", name]))
-        for command in INPUT_COMMANDS.get(name, ()):
-            out.append((f"{stem}.{command}", [command, name]))
+        for command, *options in INPUT_COMMANDS.get(name, ()):
+            suffix = command + ("-points" if "--points" in options else "")
+            out.append((f"{stem}.{suffix}", [command, name, *options]))
     return out
 
 
