@@ -22,7 +22,7 @@ from .exactgeom import (
     _det, _dot, _generic_vector, _lcd, _row_slacks, _scaled, as_point,
 )
 from .invariants import dh_density
-from .template import OrigamiTemplate, _fixed_vertices, orientation_signs
+from .template import OrigamiTemplate, orientation_signs
 
 
 class WeightSet(Value):
@@ -80,7 +80,7 @@ def weight_sets(T: OrigamiTemplate) -> tuple[WeightSet, ...]:
     signs = orientation_signs(T)
     return tuple(
         WeightSet(i, P.vertices[vid], tuple(u for u, _ in P._edges[vid]), signs[i])
-        for i, vid in _fixed_vertices(T)
+        for i, vid in T._fixed_vertices
         for P in (T.polytopes[i],)
     )
 
@@ -88,7 +88,7 @@ def weight_sets(T: OrigamiTemplate) -> tuple[WeightSet, ...]:
 def default_polarization(T: OrigamiTemplate) -> tuple[int, ...]:
     """(1, N, N^2, ...) with N = 1 + max |weight entry|: generic for every weight."""
     weights = [
-        u for i, vid in _fixed_vertices(T) for u, _ in T.polytopes[i]._edges[vid]
+        u for i, vid in T._fixed_vertices for u, _ in T.polytopes[i]._edges[vid]
     ]
     return _generic_vector(weights, T.dim)
 
@@ -133,7 +133,7 @@ def _compile(T: OrigamiTemplate, v) -> list:
     """
     cones = [polarize(W, v) for W in weight_sets(T)]
     groups = {}
-    for (i, vid), cone in zip(_fixed_vertices(T), cones):
+    for (i, vid), cone in zip(T._fixed_vertices, cones):
         P = T.polytopes[i]
         if not P.is_delzant().vertex_records[vid].ok:
             det = _det(cone.generators[: P.dim])

@@ -107,12 +107,7 @@ def parse_template(doc) -> OrigamiTemplate:
                 raise DocumentError(f"fusions[{fi}]: singles take no 'b'")
             fusions.append(Fusion(a))
 
-    try:
-        return OrigamiTemplate(
-            tuple(polytopes), tuple(fusions), None, tuple(names)
-        )
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    return OrigamiTemplate(tuple(polytopes), tuple(fusions), None, tuple(names))
 
 
 def _parse_halfspaces(hs_specs, dim: int, pi: int, offsets: dict) -> tuple:

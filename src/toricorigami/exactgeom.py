@@ -32,7 +32,8 @@ IntVec = tuple  # tuple[int, ...]
 # make_polytope refuses a system once its double-description pass holds more
 # than this many rays, each an extreme ray of the cone cut out by the rows
 # inserted so far.  A d-cube ends with its 2^d vertices, so the 8-cube builds
-# and the 9-cube is refused.  Normals of rank r < n run the same pass in Q^r.
+# and the 9-cube is refused.  Normals of rank r < n run the same pass in Q^r;
+# a system in Q^n with n + 1 > MAX_RAYS is refused before any elimination.
 MAX_RAYS = 500
 
 
@@ -501,6 +502,10 @@ def _build_polytope(halfspaces) -> HPolytope:
     hss = list(seen)
     input_pos = list(seen.values())
 
+    if dim + 1 > MAX_RAYS:  # a polytope in Q^n has at least n + 1 vertices
+        raise EnumerationLimitError(
+            f"{len(hss)} halfspaces in dimension {dim} need more than {MAX_RAYS} rays"
+        )
     normals = [hs.normal for hs in hss]
     pivots = _eliminate(normals)[1]
     # A x reaches exactly the values that its pivot columns reach, and that
@@ -577,8 +582,6 @@ def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
     """
     m, dim = len(hss), len(columns)
     limit = f"{m} halfspaces of rank {dim} need more than {MAX_RAYS} rays"
-    if dim + 1 > MAX_RAYS:
-        raise EnumerationLimitError(limit)
     rows = [
         [-hs.offset.denominator * hs.normal[c] for c in columns] + [hs.offset.numerator]
         for hs in hss

@@ -96,16 +96,24 @@ class OrigamiTemplate(Value):
         if any(P.dim != dim for P in self.polytopes):
             raise ValueError("all template polytopes must share one dimension")
         counts = [len(P.halfspaces) for P in self.polytopes]
+        # per polytope, its fusion entries (fusion, side, facet) in template
+        # order, and the polytope across each of its pair fusions
+        entries = [[] for _ in counts]
+        neighbours = [[] for _ in counts]
         for idx, fu in enumerate(self.fusions):
-            for ad in fu.addresses:
-                if not 0 <= ad.polytope < len(counts):
-                    raise ValueError(f"fusion #{idx}: no polytope {ad.polytope}")
-                if not 0 <= ad.facet < counts[ad.polytope]:
-                    raise ValueError(
-                        f"fusion #{idx}: polytope {ad.polytope} has no facet {ad.facet}"
-                    )
-            if fu.is_pair and fu.a == fu.b:
-                raise ValueError(f"fusion #{idx} pairs a facet with itself")
+            for side, ad in enumerate(fu.addresses):
+                p, facet = ad.polytope, ad.facet
+                if not 0 <= p < len(counts):
+                    raise ValueError(f"fusion #{idx}: no polytope {p}")
+                if not 0 <= facet < counts[p]:
+                    raise ValueError(f"fusion #{idx}: polytope {p} has no facet {facet}")
+                entries[p].append((idx, side, facet))
+            a, b = fu.a, fu.b
+            if b is not None:
+                if a.polytope == b.polytope and a.facet == b.facet:
+                    raise ValueError(f"fusion #{idx} pairs a facet with itself")
+                neighbours[a.polytope].append(b.polytope)
+                neighbours[b.polytope].append(a.polytope)
         if self.orientation is not None:
             if len(self.orientation) != len(self.polytopes):
                 raise ValueError("orientation length mismatch")
@@ -113,6 +121,10 @@ class OrigamiTemplate(Value):
                 raise ValueError("orientation signs must be +1 or -1")
         if self.names is not None and len(self.names) != len(self.polytopes):
             raise ValueError("names length mismatch")
+        vars(self).update(
+            _fusion_entries=tuple(map(tuple, entries)),
+            _neighbours=tuple(map(tuple, neighbours)),
+        )
 
     @property
     def dim(self) -> int:
@@ -150,11 +162,7 @@ class OrigamiTemplate(Value):
         least polytope not yet reached); the BFS parents, None at a root; the
         number of roots; and the first (u, w) met on an edge with equal signs.
         """
-        adj = [[] for _ in self.polytopes]
-        for fu in self.fusions:
-            if fu.is_pair:
-                adj[fu.a.polytope].append(fu.b.polytope)
-                adj[fu.b.polytope].append(fu.a.polytope)
+        adj = self._neighbours
         sign, parent = [0] * len(adj), [None] * len(adj)
         roots, clash = 0, None
         for root in range(len(adj)):
@@ -177,11 +185,19 @@ class OrigamiTemplate(Value):
     @cached_property
     def _fused_facets(self) -> tuple[frozenset[int], ...]:
         """Per polytope, the indices of its fused facets."""
-        fused = [set() for _ in self.polytopes]
-        for fu in self.fusions:
-            for ad in fu.addresses:
-                fused[ad.polytope].add(ad.facet)
-        return tuple(map(frozenset, fused))
+        return tuple(
+            frozenset(facet for _, _, facet in group) for group in self._fusion_entries
+        )
+
+    @cached_property
+    def _fixed_vertices(self) -> tuple[tuple[int, int], ...]:
+        """(polytope index, vertex id) of each fixed point: on no fused facet."""
+        return tuple(
+            (i, vid)
+            for i, (P, fused) in enumerate(zip(self.polytopes, self._fused_facets))
+            for vid, act in enumerate(P._vertex_active)
+            if not fused & act
+        )
 
 
 class ValidationReport(Value):
@@ -241,18 +257,10 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
     ]
 
     agreement, self_pairs = [], []
-    # per polytope, its fusion entries (position in the template-wide list,
-    # fusion, facet): the positions restore the template-wide order
-    by_polytope: dict = {}
-    pos = 0
     for idx, fu in enumerate(T.fusions):
         a, b = fu.a, fu.b
-        by_polytope.setdefault(a.polytope, []).append((pos, idx, a.facet))
-        pos += 1
         if b is None:
             continue
-        by_polytope.setdefault(b.polytope, []).append((pos, idx, b.facet))
-        pos += 1
         if not _agree(polytopes[a.polytope], a.facet, polytopes[b.polytope], b.facet):
             agreement.append((
                 idx,
@@ -262,12 +270,13 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
         if a.polytope == b.polytope:
             self_pairs.append(idx)
 
+    # (fusion, side) of both entries first: sorted, the template-wide order
     found = []
-    for p, group in by_polytope.items():
+    for p, group in enumerate(T._fusion_entries):
         if len(group) < 2:
             continue
         tight = polytopes[p]._tight
-        for (pos1, i1, f1), (pos2, i2, f2) in itertools.combinations(group, 2):
+        for (i1, s1, f1), (i2, s2, f2) in itertools.combinations(group, 2):
             if i1 == i2:
                 continue
             if f1 == f2:
@@ -279,8 +288,8 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
                 )
             else:
                 continue
-            found.append((pos1, pos2, message))
-    adjacency = tuple(message for _, _, message in sorted(found))
+            found.append((i1, s1, i2, s2, message))
+    adjacency = tuple(message for *_, message in sorted(found))
 
     connected = T._fusion_walk[2] == 1
     return ValidationReport(
@@ -356,19 +365,10 @@ def fold_components(T: OrigamiTemplate) -> tuple[FoldComponent, ...]:
     )
 
 
-def _fixed_vertices(T: OrigamiTemplate):
-    """(polytope index, vertex id) of each vertex on no fused facet of its polytope."""
-    for i, P in enumerate(T.polytopes):
-        fused = T._fused_facets[i]
-        for vid, act in enumerate(P._vertex_active):
-            if not fused & act:
-                yield i, vid
-
-
 def fixed_points(T: OrigamiTemplate) -> tuple[FixedPoint, ...]:
     """Vertices lying on no fused facet of their polytope."""
     return tuple(
-        FixedPoint(i, T.polytopes[i].vertices[vid]) for i, vid in _fixed_vertices(T)
+        FixedPoint(i, T.polytopes[i].vertices[vid]) for i, vid in T._fixed_vertices
     )
 
 
@@ -417,21 +417,17 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
     if T.dim != 1:
         raise DimensionError(f"classification needs dimension 1, got {T.dim}")
     s = len(T.polytopes)
-    singles = [fu for fu in T.fusions if not fu.is_pair]
-    pairs = [fu for fu in T.fusions if fu.is_pair]
-    degree = [0] * s
-    for fu in pairs:
-        if fu.a.polytope == fu.b.polytope:
-            raise StructureError("segment fused to itself")
-        degree[fu.a.polytope] += 1
-        degree[fu.b.polytope] += 1
+    marked = sum(not fu.is_pair for fu in T.fusions)
+    if any(p in across for p, across in enumerate(T._neighbours)):
+        raise StructureError("segment fused to itself")
+    degree = [len(across) for across in T._neighbours]
     if any(d > 2 for d in degree):
         raise StructureError("a segment carries more than two fusions")
     if T._fusion_walk[2] != 1:
         raise StructureError("template is not connected")
     folds = len(T.fusions)
-    if len(pairs) == s:
-        if singles or any(d != 2 for d in degree):
+    if len(T.fusions) - marked == s:
+        if marked or any(d != 2 for d in degree):
             raise StructureError("mixed cycle and endpoint data")
         if s % 2:
             # cannot occur for valid templates: agreeing endpoint fusions
@@ -439,7 +435,6 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
             raise StructureError("odd cycle of segments")
         return SurfaceClass(TORUS, 0, folds)
     # connected with degrees at most 2: s - 1 pairs, a path
-    marked = len(singles)
     if marked > 2:
         raise StructureError("more than two marked endpoints on a path")
     family = {0: SPHERE, 1: PROJECTIVE_PLANE, 2: KLEIN_BOTTLE}[marked]

@@ -26,6 +26,7 @@ from toricorigami import (
     make_polytope,
 )
 from exact_reference import _kernel_direction, _rref, _solve_square
+from toricorigami import exactgeom
 from toricorigami.exactgeom import (
     MAX_RAYS,
     Halfspace,
@@ -245,3 +246,28 @@ def test_eight_cube_builds_within_the_ray_bound():
 def test_nine_cube_exceeds_the_ray_bound():
     with pytest.raises(EnumerationLimitError, match="18 halfspaces of rank 9"):
         make_polytope(cube_system(9))
+
+
+def simplex_system(d):
+    """x_i >= 0 and x_1 + ... + x_d <= 1: d + 1 halfspaces in Q^d."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return [(tuple(-c for c in u), 0) for u in units] + [((1,) * d, 1)]
+
+
+@pytest.mark.parametrize("system, message", [
+    # a polytope in Q^500 has at least 501 vertices
+    (simplex_system(500), "501 halfspaces in dimension 500 need more than 500 rays"),
+    # the slab 0 <= x_1 <= 1 in Q^500, of rank 1: refused, not unbounded
+    ([((-1,) + (0,) * 499, 0), ((1,) + (0,) * 499, 1)],
+     "2 halfspaces in dimension 500 need more than 500 rays"),
+], ids=["simplex", "slab"])
+def test_dimension_past_the_ray_bound_is_refused_before_any_elimination(
+    system, message, monkeypatch
+):
+    def eliminate(rows):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(exactgeom, "_eliminate", eliminate)
+    with pytest.raises(EnumerationLimitError) as info:
+        make_polytope(system)
+    assert str(info.value) == message

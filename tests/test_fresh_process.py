@@ -117,6 +117,22 @@ def _doubled(dimension, polytope, facet):
             "fusions": [{"type": "pair", "a": side, "b": {**side, "polytope": 1}}]}
 
 
+def test_a_500_simplex_is_refused_before_any_elimination_in_a_fresh_process(tmp_path):
+    # x_i >= 0 and x_1 + ... + x_500 <= 1 doubled along x_1 = 0: the
+    # elimination of its 501 x 500 normals alone takes seconds
+    n = 500
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    simplex = _halfspaces(*[([-c for c in u], 0) for u in units], ([1] * n, 1))
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(_doubled(n, simplex, 0)), encoding="utf-8")
+    proc = child(["validate", path.name], tmp_path, timeout=5, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "EnumerationLimitError",
+        "message": "501 halfspaces in dimension 500 need more than 500 rays",
+    }
+
+
 # name -> (argv, document written as huge.json or None); each report or
 # error message would hold a number of more than 4300 digits
 HUGE_NUMBERS = {
