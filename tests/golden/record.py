@@ -45,8 +45,19 @@ INPUT_COMMANDS = {
         ("dh", "--point", "3/2,1/3,1/5"), ("cones",), ("cohomology",),
     ),
     "onesided4.json": (("volume",), ("quantize",), ("cones",), ("cohomology",)),
-    # [0,1/2]x[0,1] and [0,3/2]x[0,1] fused along x = 0: rational offsets
-    "rational2.json": (("volume",), ("dh", "--point", "1,1/3"), ("cones",)),
+    # [0,1]x[0,2]^2 and [0,3]x[0,2]^2 cut by x_0 + x_1 + x_2 <= 6, on one side
+    # of their fused facet x_0 = 0: a nonzero volume off a box
+    "onesided_blowup3.json": (
+        ("volume",), ("quantize",), ("quantize", "--points"), ("cones",),
+        ("cohomology",),
+    ),
+    # [0,1/2]x[0,1] and [0,3/2]x[0,1] fused along x = 0: rational offsets,
+    # and quantize refuses the rational vertices
+    "rational2.json": (
+        ("volume",), ("quantize",), ("dh", "--point", "1,1/3"), ("cones",),
+    ),
+    # the 12-simplex doubled along its slanted facet
+    "simplex12_double.json": (("cohomology",),),
 }
 # gallery templates without an orientation: cones exits 2 on them
 NONORIENTABLE = ("hexagon_3cycle", "rp4")
