@@ -10,6 +10,12 @@ construction does more: a default or keywords (``Halfspace``, ``Location``,
 ``DelzantReport``, ``Fusion``), derived state (``HPolytope``,
 ``OrigamiTemplate``), or direct stores, twice as fast, in a record built per
 fusion entry or per DH sample (``FacetAddress``, ``Fusion``, ``DHValue``).
+
+A shown field may be a ``cached_property`` of a record without
+``__slots__``: the constructor stores it when given, and the package builds
+the record with :func:`derived_record`, which leaves it to be derived from
+a hidden field on first read (``Halfspace.offset``,
+``DelzantVertexRecord.vertex``, ``CriticalFace.vertices``).
 """
 
 from operator import attrgetter
@@ -17,6 +23,14 @@ from operator import attrgetter
 # stores a field past the records' own __setattr__, which raises; a record
 # without __slots__ may store all its fields with one vars(self).update(...)
 set_field = object.__setattr__
+
+
+def derived_record(cls, **fields):
+    """A record of ``cls`` holding ``fields``, built without its constructor;
+    a shown field left out is one its class derives on first read."""
+    record = object.__new__(cls)
+    vars(record).update(fields)
+    return record
 
 
 class Value:

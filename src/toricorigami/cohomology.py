@@ -12,14 +12,14 @@ side and its complement on the negative side.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import cached_property
 
-from ._value import Value
+from ._value import Value, derived_record
 from .errors import (
     DimensionMismatch, InconsistentIndex, NonorientableError, PreconditionError,
     written,
 )
-from .exactgeom import FaceRef, HPolytope, _dot, _generic_vector
+from .exactgeom import FaceRef, Halfspace, HPolytope, _dot, _generic_vector
 from .template import OrigamiTemplate, orientation_signs
 
 
@@ -30,9 +30,15 @@ class CriticalFace(Value):
     ``ind`` twice the count of descending transverse edges, and ``r`` the
     degree shift: ind on the +1 side and the complementary transverse index
     2(n - m) - ind on the -1 side, where the height is climbed instead.
+    A record of :func:`critical_faces` reads ``vertices`` from its face when
+    first asked.
     """
 
-    __slots__ = _repr = ("polytope", "face", "vertices", "m", "side", "ind", "r")
+    _repr = ("polytope", "face", "vertices", "m", "side", "ind", "r")
+
+    @cached_property
+    def vertices(self) -> tuple:
+        return self.face.polytope.face_vertices(self.face)
 
 
 class PoincareSeries(Value):
@@ -46,6 +52,12 @@ def fold_direction(T: OrigamiTemplate) -> tuple[tuple[int, ...], Fraction]:
     exactly on the fold facet.  Requires a valid oriented template whose
     fusion set is a single pair.
     """
+    hs = _fold_halfspace(T)
+    return hs.normal, hs.offset
+
+
+def _fold_halfspace(T: OrigamiTemplate) -> Halfspace:
+    """The supporting halfspace of the unique fused facet: :func:`fold_direction`."""
     if len(T.fusions) != 1:
         raise PreconditionError(
             f"need exactly one fusion (connected fold), got {len(T.fusions)}"
@@ -63,7 +75,7 @@ def fold_direction(T: OrigamiTemplate) -> tuple[tuple[int, ...], Fraction]:
         raise PreconditionError(
             "fused facets carry different supporting halfspaces"
         )
-    return hs_a.normal, hs_a.offset
+    return hs_a
 
 
 def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
@@ -116,9 +128,10 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
             ind = 2 * counts.pop()
             m = n - len(active)  # a simple polytope's faces lie on n - m facets
             r = ind if signs[i] == 1 else 2 * (n - m) - ind
-            verts = tuple(P.vertices[vid] for vid in face_vids)
-            ref = FaceRef(P, active, m)
-            out.append(CriticalFace(i, ref, verts, m, signs[i], ind, r))
+            out.append(derived_record(
+                CriticalFace, polytope=i, face=FaceRef(P, active, m), m=m,
+                side=signs[i], ind=ind, r=r,
+            ))
     return tuple(out)
 
 
@@ -173,7 +186,7 @@ def ht_poincare(T: OrigamiTemplate, cap: int = 20) -> PoincareSeries:
     """dim H_T^k for k = 0..cap from the critical faces of the fold height."""
     if cap < 0 or cap % 2:
         raise ValueError("cap must be a nonnegative even integer")
-    xi, _offset = fold_direction(T)
+    xi = _fold_halfspace(T).normal
     coefficients = [0] * (cap + 1)
     for X in critical_faces(T, xi):
         series = face_ht_series(X, cap)

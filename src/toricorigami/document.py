@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 from .errors import DocumentError, written
 from .exactgeom import HPolytope, make_polytope
@@ -26,16 +25,25 @@ MAX_DOCUMENT_CHARS = 2**25
 MAX_EXPONENT = 4300  # the number of digits int() reads from text
 
 
-def parse_rational(value, where: str) -> Fraction:
+def parse_rational(value, where: str) -> int | Fraction:
+    """An int for an int or for a string that, stripped, is an optional sign
+    and ASCII digits; a Fraction, as ``Fraction`` reads it, for any other
+    string."""
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
+        text = value.strip()
+        digits = text[1:] if text[:1] in ("+", "-") else text
         try:
+            if digits.isdigit() and digits.isascii():
+                return int(text)
             if abs(float(value.lower().partition("e")[2] or 0)) > MAX_EXPONENT:
                 raise DocumentError(f"{where}: |exponent| > {MAX_EXPONENT}: {value!r}")
-            return Fraction(value.strip())
+            from fractions import Fraction
+
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{where}: bad rational {value!r}") from exc
     raise DocumentError(
@@ -46,6 +54,8 @@ def parse_rational(value, where: str) -> Fraction:
 
 def format_rational(x) -> str:
     """``p/q`` or ``p``, refusing what ``str()`` cannot write (OutputLimitError)."""
+    from fractions import Fraction
+
     return written(str, Fraction(x))
 
 

@@ -5,18 +5,21 @@ systems.  Every predicate here (containment, agreement near a facet,
 unimodularity of vertex cones) is decided with exact arithmetic: integer and
 ``fractions.Fraction`` only, no floating point anywhere.  All linear algebra
 is one fraction-free integer elimination, :func:`_eliminate`.
+
+Every decision reads integers: offsets as p/q, vertices as integer rays.
+``fractions`` is imported only where a ``Fraction`` is made: a non-integral
+input offset, a public vertex, offset, point or volume.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from . import _latticescan
-from ._value import Value, set_field
+from ._value import Value, derived_record, set_field
 from .errors import (
     DegenerateError,
     DimensionMismatch,
@@ -42,6 +45,8 @@ MAX_RAYS = 500
 # ---------------------------------------------------------------------------
 
 def as_point(x, dim: int | None = None) -> Point:
+    from fractions import Fraction
+
     pt = tuple(c if type(c) is Fraction else Fraction(c) for c in x)
     if dim is not None and len(pt) != dim:
         raise DimensionMismatch(f"expected a {dim}-vector, got {written(str, pt)}")
@@ -57,6 +62,24 @@ def _row_slacks(rows, X, s) -> list[int]:
     slack at X / s (s > 0).  The dot product is inlined: the sampler makes
     this call for every polytope and every sample."""
     return [p * s - sum(map(mul, n, X)) for p, n in rows]
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(p, q), q > 0, with value = p/q in lowest terms: an int is (value, 1),
+    anything else is read as ``Fraction(value)`` reads it."""
+    if isinstance(value, int):
+        return int(value), 1
+    from fractions import Fraction
+
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _vertex(X: IntVec, t: int) -> Point:
+    """The vertex X / t of an integer ray, as Fractions."""
+    from fractions import Fraction
+
+    return tuple(Fraction(c, t) for c in X)
 
 
 def _lcd(values) -> int:
@@ -141,16 +164,31 @@ def _kernel_direction(rows, n: int) -> IntVec:
 # ---------------------------------------------------------------------------
 
 class Halfspace(Value):
-    """Closed halfspace {x : <normal, x> <= offset} with primitive normal."""
+    """Closed halfspace {x : <normal, x> <= offset} with primitive normal.
 
-    __slots__ = _repr = ("normal", "offset")
+    The offset is also kept as the integers p and q > 0 of p/q in lowest
+    terms, which equality, the hash and the integer rows read.  ``offset`` is
+    the value given, or for a halfspace that :func:`make_polytope` reduced,
+    the Fraction p/q, built when first read.
+    """
 
-    def __init__(self, normal: IntVec, offset: Fraction):
-        set_field(self, "normal", normal)
-        set_field(self, "offset", offset)
+    _repr = ("normal", "offset")
+    _compare = ("normal", "_p", "_q")
+
+    def __init__(self, normal: IntVec, offset):
+        p, q = _ratio(offset)
+        vars(self).update(normal=normal, offset=offset, _p=p, _q=q)
+
+    @cached_property
+    def offset(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self._p, self._q)
 
     def evaluate(self, x) -> Fraction:
-        return Fraction(self.offset) - _dot(self.normal, x)
+        from fractions import Fraction
+
+        return Fraction(self._p, self._q) - _dot(self.normal, x)
 
     def holds(self, x) -> bool:
         return self.evaluate(x) >= 0
@@ -165,8 +203,13 @@ def _reduce_halfspace(normal, offset) -> Halfspace:
         raise ValueError(f"halfspace normal must be integral, got {tuple(normal)}")
     if all(c == 0 for c in norm):
         raise ValueError("halfspace normal must be nonzero")
-    g = math.gcd(*(abs(c) for c in norm))
-    return Halfspace(tuple(c // g for c in norm), Fraction(offset) / g)
+    g = math.gcd(*norm)
+    # offset / g = p / (q g) in lowest terms, as gcd(p, q) = 1
+    p, q = _ratio(offset)
+    h = math.gcd(p, g)
+    return derived_record(
+        Halfspace, normal=tuple(c // g for c in norm), _p=p // h, _q=q * (g // h)
+    )
 
 
 class FaceRef(Value):
@@ -190,9 +233,17 @@ class Location(Value):
 
 
 class DelzantVertexRecord(Value):
-    """A vertex's edge directions and their determinant (None unless n edges)."""
+    """A vertex's edge directions and their determinant (None unless n edges).
 
-    __slots__ = _repr = ("vertex", "directions", "determinant", "ok")
+    A record of :meth:`HPolytope.is_delzant` builds its vertex from the
+    vertex's integer ray when first read.
+    """
+
+    _repr = ("vertex", "directions", "determinant", "ok")
+
+    @cached_property
+    def vertex(self) -> Point:
+        return _vertex(*self._ray)
 
 
 class DelzantReport(Value):
@@ -250,7 +301,7 @@ class HPolytope(Value):
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
         """The vertices X / t, in the order of the rays (lex order)."""
-        return tuple(tuple(Fraction(c, t) for c in X) for X, t in self._rays)
+        return tuple(_vertex(X, t) for X, t in self._rays)
 
     # -- derived structure ---------------------------------------------
 
@@ -355,12 +406,16 @@ class HPolytope(Value):
     @cached_property
     def _delzant(self) -> DelzantReport:
         n, records, failure = self.dim, [], None
-        for v, edges in zip(self.vertices, self._edges):
+        for ray, edges in zip(self._rays, self._edges):
             dirs = tuple(u for u, _ in edges)
             det = _det(dirs) if len(dirs) == n else None
-            records.append(DelzantVertexRecord(v, dirs, det, det in (1, -1)))
+            record = derived_record(
+                DelzantVertexRecord, _ray=ray, directions=dirs, determinant=det,
+                ok=det in (1, -1),
+            )
+            records.append(record)
             if failure is None and det not in (1, -1):
-                failure = f"vertex {written(str, v)} has " + (
+                failure = f"vertex {written(str, record.vertex)} has " + (
                     f"{len(dirs)} edges, expected {n}" if det is None
                     else f"edge determinant {det}"
                 )
@@ -382,8 +437,7 @@ class HPolytope(Value):
     def _integer_rows(self) -> tuple[tuple[int, IntVec], ...]:
         """Each halfspace <normal, x> <= p/q as the integer row (p, q * normal)."""
         return tuple(
-            (hs.offset.numerator, tuple(hs.offset.denominator * c for c in hs.normal))
-            for hs in self.halfspaces
+            (hs._p, tuple(hs._q * c for c in hs.normal)) for hs in self.halfspaces
         )
 
     def _slacks(self, X, s) -> list[int]:
@@ -408,10 +462,14 @@ class HPolytope(Value):
         return lo, hi
 
     def _scan_args(self):
-        """Integer rows, offsets and the integer points' bounding box."""
-        lo, hi = self.bounding_box()
+        """Integer rows, offsets and the integer points' bounding box: per
+        coordinate, the least ceiling and the greatest floor of X_j / t over
+        the vertex rays (X, t)."""
+        rays, n = self._rays, self.dim
+        lo = tuple(min(-(-X[j] // t) for X, t in rays) for j in range(n))
+        hi = tuple(max(X[j] // t for X, t in rays) for j in range(n))
         rhs, rows = zip(*self._integer_rows)
-        return rows, rhs, tuple(map(math.ceil, lo)), tuple(map(math.floor, hi))
+        return rows, rhs, lo, hi
 
     def lattice_points(self) -> list[IntVec]:
         """All integer points of the polytope, in lexicographic order."""
@@ -444,6 +502,8 @@ class HPolytope(Value):
         A simplex with vertices X_v / t_v has volume
         |det [X_v | t_v]| / (n! * prod t_v), over its n + 1 integer rows.
         """
+        from fractions import Fraction
+
         homogeneous = [X + (t,) for X, t in self._rays]
         total = Fraction(0)
         for simplex in self._triangulation:
@@ -583,8 +643,7 @@ def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
     m, dim = len(hss), len(columns)
     limit = f"{m} halfspaces of rank {dim} need more than {MAX_RAYS} rays"
     rows = [
-        [-hs.offset.denominator * hs.normal[c] for c in columns] + [hs.offset.numerator]
-        for hs in hss
+        [-hs._q * hs.normal[c] for c in columns] + [hs._p] for hs in hss
     ] + [[0] * dim + [1]]
     # reducing [rows^T | I] picks the greedy-independent rows B (its pivots)
     # and leaves the rows of (B^T)^-1: the rays of the cone B y >= 0

@@ -9,8 +9,6 @@ Nonorientable templates are rejected: both need orientation signs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._value import Value, set_field
 from .errors import NonIntegralError
 from .exactgeom import _scaled, as_point
@@ -44,11 +42,12 @@ def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
     ``per_point`` is None.
     """
     weights = T._polytope_weights
+    # a vertex is the primitive integer ray (X, t), a lattice point iff t = 1
     bad = [
-        v
+        P.vertices[vid]
         for P in T.polytopes
-        for v in P.vertices
-        if any(c.denominator != 1 for c in v)
+        for vid, (_, t) in enumerate(P._rays)
+        if t != 1
     ]
     if bad:
         raise NonIntegralError(bad)
@@ -90,6 +89,8 @@ def dh_density(T: OrigamiTemplate, x) -> DHValue:
 def signed_volume(T: OrigamiTemplate) -> Fraction:
     """Total mass of the signed Lebesgue sum over the template polytopes; a
     polytope of weight 0 adds nothing, so its volume is not computed."""
+    from fractions import Fraction
+
     return sum(
         (weight * P.volume() for P, weight in T._polytope_weights if weight),
         Fraction(0),

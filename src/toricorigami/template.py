@@ -97,9 +97,12 @@ class OrigamiTemplate(Value):
             raise ValueError("all template polytopes must share one dimension")
         counts = [len(P.halfspaces) for P in self.polytopes]
         # per polytope, its fusion entries (fusion, side, facet) in template
-        # order, and the polytope across each of its pair fusions
+        # order, and the polytope across each of its pair fusions; the first
+        # single fusion and the polytope of the first self pair, the
+        # witnesses of orient
         entries = [[] for _ in counts]
         neighbours = [[] for _ in counts]
+        first_single = first_self_pair = None
         for idx, fu in enumerate(self.fusions):
             for side, ad in enumerate(fu.addresses):
                 p, facet = ad.polytope, ad.facet
@@ -109,11 +112,17 @@ class OrigamiTemplate(Value):
                     raise ValueError(f"fusion #{idx}: polytope {p} has no facet {facet}")
                 entries[p].append((idx, side, facet))
             a, b = fu.a, fu.b
-            if b is not None:
-                if a.polytope == b.polytope and a.facet == b.facet:
+            if b is None:
+                if first_single is None:
+                    first_single = idx
+                continue
+            if a.polytope == b.polytope:
+                if a.facet == b.facet:
                     raise ValueError(f"fusion #{idx} pairs a facet with itself")
-                neighbours[a.polytope].append(b.polytope)
-                neighbours[b.polytope].append(a.polytope)
+                if first_self_pair is None:
+                    first_self_pair = a.polytope
+            neighbours[a.polytope].append(b.polytope)
+            neighbours[b.polytope].append(a.polytope)
         if self.orientation is not None:
             if len(self.orientation) != len(self.polytopes):
                 raise ValueError("orientation length mismatch")
@@ -124,6 +133,8 @@ class OrigamiTemplate(Value):
         vars(self).update(
             _fusion_entries=tuple(map(tuple, entries)),
             _neighbours=tuple(map(tuple, neighbours)),
+            _first_single=first_single,
+            _first_self_pair=first_self_pair,
         )
 
     @property
@@ -307,12 +318,10 @@ def orient(T: OrigamiTemplate) -> tuple[int, ...]:
     Raises NonorientableError carrying the offending single fusion or an
     odd cycle of polytope indices.
     """
-    for idx, fu in enumerate(T.fusions):
-        if not fu.is_pair:
-            raise NonorientableError(single=idx)
-    for fu in T.fusions:
-        if fu.a.polytope == fu.b.polytope:
-            raise NonorientableError(odd_cycle=(fu.a.polytope,))
+    if T._first_single is not None:
+        raise NonorientableError(single=T._first_single)
+    if T._first_self_pair is not None:
+        raise NonorientableError(odd_cycle=(T._first_self_pair,))
     sign, parent, _, clash = T._fusion_walk
     if clash is not None:
         raise NonorientableError(odd_cycle=_cycle_through(parent, *clash))

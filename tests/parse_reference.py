@@ -6,14 +6,39 @@ index map; it formats a message only when it raises one.  This is the parser
 it replaced, which parsed and checked every entry on its own, unchanged
 apart from its imports, so that the differential tests compare the two:
 ``parse_template``, ``_parse_address`` and ``_expect``.
+
+It reads every offset with ``parse_rational``, the reader that
+``toricorigami.document.parse_rational`` was before it read an integral
+string as an int: a ``Fraction`` of every value, as ``Fraction`` itself
+reads a string on this Python.
 """
 
 from __future__ import annotations
 
-from toricorigami.document import parse_rational
+from fractions import Fraction
+
+from toricorigami.document import MAX_EXPONENT
 from toricorigami.errors import DocumentError
 from toricorigami.exactgeom import HPolytope, make_polytope
 from toricorigami.template import FacetAddress, Fusion, OrigamiTemplate
+
+
+def parse_rational(value, where: str) -> Fraction:
+    if isinstance(value, bool):
+        raise DocumentError(f"{where}: expected a rational, got a boolean")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            if abs(float(value.lower().partition("e")[2] or 0)) > MAX_EXPONENT:
+                raise DocumentError(f"{where}: |exponent| > {MAX_EXPONENT}: {value!r}")
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"{where}: bad rational {value!r}") from exc
+    raise DocumentError(
+        f"{where}: rationals must be integers or 'p/q' strings, got "
+        f"{type(value).__name__}"
+    )
 
 
 def _expect(cond: bool, message: str) -> None:

@@ -29,6 +29,7 @@ from toricorigami import (
 )
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def series_quotient(numerator, denominator, cap):
@@ -132,6 +133,24 @@ class TestCriticalFaces:
     def test_height_vector_of_another_length_rejected(self, xi):
         with pytest.raises(DimensionMismatch, match="is not a 2-vector"):
             critical_faces(hirzebruch_pair(), xi)
+
+    def test_vertices_are_read_from_the_face(self):
+        # every critical face of the fold height on the gallery and the golden
+        # inputs; ht_poincare builds no polytope's Fraction vertices
+        documents = sorted(GALLERY.glob("*.json")) + sorted(GOLDEN_INPUTS.glob("*.json"))
+        faces = 0
+        for path in documents:
+            T = load_template(path)
+            try:
+                ht_poincare(T)
+            except PreconditionError:
+                continue
+            assert not any("vertices" in vars(P) for P in T.polytopes)
+            for X in critical_faces(T, fold_direction(T)[0]):
+                assert "vertices" not in vars(X)
+                assert X.vertices == X.face.polytope.face_vertices(X.face)
+                faces += 1
+        assert faces >= 20
 
     def test_exactly_one_minimum(self):
         for T in (s4_template(2), fold_segments_template()):

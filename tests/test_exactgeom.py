@@ -22,6 +22,7 @@ from toricorigami import (
     agrees_near,
     make_polytope,
 )
+from toricorigami.exactgeom import _reduce_halfspace
 
 
 def F(*parts):
@@ -116,6 +117,38 @@ class TestMakePolytope:
             make_polytope([((-1, 0), 0), ((1,), 1)])
 
 
+class TestIntegerOffsets:
+    """A halfspace keeps its offset as the integers p/q; ``offset`` reads as
+    before: the value given, or the Fraction of a reduced halfspace."""
+
+    def test_reduced_offset_is_a_fraction_built_on_first_read(self):
+        P = make_polytope([((-2, 0), 0), ((0, -2), 0), ((2, 2), 3), ((4, 0), 4)])
+        hs = P.halfspaces[2]
+        assert (hs._p, hs._q) == (3, 2)
+        assert "offset" not in vars(hs)
+        assert [(h._p, h._q) for h in P.halfspaces] == [(0, 1), (0, 1), (3, 2), (1, 1)]
+        assert [type(h.offset) for h in P.halfspaces] == [Fraction] * 4
+        assert repr(hs) == "Halfspace(normal=(1, 1), offset=Fraction(3, 2))"
+        assert P._integer_rows == ((0, (-1, 0)), (0, (0, -1)), (3, (2, 2)), (1, (1, 0)))
+
+    def test_a_given_offset_is_kept(self):
+        for offset, ratio in ((1, (1, 1)), (Fraction(-6, 4), (-3, 2)), (0.5, (1, 2))):
+            hs = Halfspace((1,), offset)
+            assert hs.offset is offset and (hs._p, hs._q) == ratio
+        assert Halfspace((1,), 2) == Halfspace((1,), Fraction(2))
+        assert hash(Halfspace((1,), 2)) == hash(Halfspace((1,), Fraction(2)))
+        assert Halfspace((1,), 2) != Halfspace((1,), Fraction(2, 3))
+
+    @pytest.mark.parametrize("offset", [7, -7, Fraction(7, 3), Fraction(-1, 6), 0])
+    @pytest.mark.parametrize("normal", [(1, 0), (3, 6), (-4, 0), (2, -2)])
+    def test_reduction_divides_the_offset_by_the_gcd(self, normal, offset):
+        hs = _reduce_halfspace(normal, offset)
+        g = math.gcd(*normal)
+        assert hs.normal == tuple(c // g for c in normal)
+        assert hs.offset == Fraction(offset) / g
+        assert (hs._p, hs._q) == (hs.offset.numerator, hs.offset.denominator)
+
+
 class TestVertices:
     def test_unit_square(self):
         assert square().vertices == (F(0, 0), F(0, 1), F(1, 0), F(1, 1))
@@ -182,6 +215,15 @@ class TestDelzant:
         P = make()
         assert P.is_delzant() is P.is_delzant()
 
+    @pytest.mark.parametrize("make", [square, bad_triangle, pentagon, lambda: cube(3)])
+    def test_records_build_their_vertex_when_read(self, make):
+        P = make()
+        records = P.is_delzant().vertex_records
+        # a failure message names its vertex; no other vertex is built
+        assert "vertices" not in vars(P)
+        assert sum("vertex" in vars(rec) for rec in records) == (make is bad_triangle)
+        assert tuple(rec.vertex for rec in records) == P.vertices
+
 
 class TestAgreesNear:
     def test_hirzebruch_left_edges(self):
@@ -229,6 +271,21 @@ class TestLatticePoints:
     def test_segment(self, k):
         seg = make_polytope([((-1,), 0), ((1,), k)])
         assert seg.lattice_points() == [(i,) for i in range(k + 1)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: triangle(3), pentagon, lambda: cube(3),
+        lambda: make_polytope([((-1, 0), Fraction(-1, 4)), ((0, -1), Fraction(-7, 3)),
+                               ((1, 1), Fraction(13, 4))]),
+        lambda: make_polytope([((1, 0), Fraction(-1, 2)), ((-1, 0), 5), ((0, 1), -2),
+                               ((0, -1), Fraction(9, 2))]),
+    ])
+    def test_scan_box_is_the_bounding_box_rounded_inward(self, make):
+        P = make()
+        lo, hi = P._scan_args()[2:]
+        assert "vertices" not in vars(P)
+        box = P.bounding_box()
+        assert lo == tuple(map(math.ceil, box[0]))
+        assert hi == tuple(map(math.floor, box[1]))
 
     def test_thin_polytope_without_lattice_points(self):
         P = make_polytope(

@@ -94,6 +94,55 @@ def test_a_cli_call_loads_only_the_modules_it_needs(argv, needs):
     assert found == set(needs)
 
 
+GALLERY = sorted(path.name for path in (ROOT / "gallery").glob("*.json"))
+SEGMENTS = [  # the 1-dimensional gallery files, which classify reads
+    name for name in GALLERY
+    if json.loads((ROOT / "gallery" / name).read_text(encoding="utf-8"))["dimension"] == 1
+]
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["validate"], GALLERY),
+        (["orient"], GALLERY),
+        (["classify"], SEGMENTS),
+        (["quantize"], GALLERY),
+        (["quantize", "--points"], GALLERY),
+        (["cohomology"], GALLERY),
+    ],
+    ids=["validate", "orient", "classify", "quantize", "quantize-points", "cohomology"],
+)
+def test_integer_commands_load_no_fractions(argv, files):
+    """Decided on integer normals and vertex rays: no ``fractions`` (nor the
+    ``decimal`` it loads), on every gallery file, exit 0 or not."""
+    calls = [[argv[0], f"gallery/{name}", *argv[1:]] for name in files]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from toricorigami.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(call) for call in {calls!r}]\n"
+        "assert 0 in codes"
+    )
+    assert "toricorigami.cli" in loaded
+    assert not {"fractions", "decimal"} & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume"], ["dh", "--point", "1/3,1/3"], ["cones", "--samples", "5"],
+    ["render", "--out", "{tmp}/s4.svg"],
+], ids=lambda argv: argv[0])
+def test_rational_commands_still_load_fractions(argv, tmp_path):
+    call = [argv[0], "gallery/s4.json", *(a.format(tmp=tmp_path) for a in argv[1:])]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from toricorigami.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({call!r}) == 0"
+    )
+    assert "fractions" in loaded
+
+
 def test_a_plain_call_loads_no_argparse():
     """A well-formed argv is read without argparse (and its gettext and locale)."""
     loaded = _loaded_after(

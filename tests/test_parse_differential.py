@@ -215,3 +215,40 @@ def test_bad_address_objects_do_not_change(address, side):
         doc["fusions"][0][side] = address
     kind, message = assert_same(doc)
     assert kind == "DocumentError" and message.startswith(f"fusions[0].{side}")
+
+
+# integral spellings: the int fast path against Fraction's own rules on this
+# Python (3.10 refuses underscores, 3.11+ reads "1_0"), and the digit limit
+INTEGRAL_SPELLINGS = [
+    " 7 ", "+3", "-0", "00012", "\t5\n", "4/2", "1e1", "1_0", "1__0", "٣",
+    "+-3", "0x10", "1" + "0" * 4300,
+]
+SPELLING_IDS = [
+    "spaces", "plus", "minus-zero", "leading-zeros", "tab-newline", "ratio",
+    "exponent", "underscore", "double-underscore", "arabic-indic", "two-signs",
+    "hex", "4301-digits",
+]
+
+
+def _read(parse, value):
+    try:
+        return parse(value, "x")
+    except DocumentError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("offset", INTEGRAL_SPELLINGS, ids=SPELLING_IDS)
+def test_integral_spellings_read_as_fraction_reads_them(offset):
+    doc = {"dimension": 1, "polytopes": [{"halfspaces": [
+        {"normal": [1], "offset": offset}, {"normal": [-1], "offset": 20},
+    ]}]}
+    assert_same(doc)
+    value = _read(document_module.parse_rational, offset)
+    assert value == _read(parse_reference.parse_rational, offset)
+    # an int exactly for an optional sign and ASCII digits
+    text = offset.strip()
+    digits = text[1:] if text[:1] in "+-" else text
+    if digits.isascii() and digits.isdigit() and not isinstance(value, str):
+        assert type(value) is int
+    elif not isinstance(value, str):
+        assert type(value) is Fraction

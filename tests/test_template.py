@@ -193,6 +193,20 @@ class TestOrient:
         assert cyc is not None and len(cyc) % 2 == 1
         assert set(cyc) <= {0, 1, 2}
 
+    def test_witnesses_are_the_first_in_template_order(self):
+        sq = square()
+        self_pairs = (pair((1, 0), (1, 2)), pair((0, 0), (0, 2)))
+        singles = (single((2, 1)), single((0, 1)))
+        for fusions, witness in (
+            (self_pairs + singles, {"single": 2}),
+            (singles[1:] + self_pairs, {"single": 0}),
+            (self_pairs, {"odd_cycle": (1,)}),
+            (self_pairs[::-1], {"odd_cycle": (0,)}),
+        ):
+            with pytest.raises(NonorientableError) as info:
+                orient(OrigamiTemplate((sq, sq, sq), fusions))
+            assert {k: getattr(info.value, k) for k in witness} == witness
+
     def test_four_cycle_orientable(self):
         T = hexagon_cycle(4)
         assert validate(T).valid
