@@ -11,7 +11,6 @@ identity check, a number too long to write).
 from __future__ import annotations
 
 import atexit
-import gc
 import json
 import os
 import sys
@@ -400,11 +399,6 @@ def entry() -> None:
     """Run :func:`main` as its own process and exit with its code.
 
     The console script and ``python -m toricorigami.cli`` both come here.
-    Everything alive now was made by interpreter start and the imports, and
-    lives until exit, so it goes to the collector's permanent generation: no
-    collection during the job walks it.  Only this entry freezes, since the
-    heap of a process that calls :func:`main` in-process (tests, the
-    benchmark tracer, a library caller) is not the CLI's to freeze.
 
     A report that cannot be written exits 1 with no traceback: after a
     broken pipe (the reader went away, as in ``| head``) quietly, after any
@@ -416,7 +410,6 @@ def entry() -> None:
     profiled process exits through ``sys.exit``, so that its tracer or
     profiler still reports.
     """
-    gc.freeze()
     try:
         code = main()
         if sys.stdout is not None:  # None when started with fd 1 closed

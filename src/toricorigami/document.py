@@ -151,9 +151,6 @@ def _parse_halfspaces(hs_specs, dim: int, pi: int, offsets: dict) -> tuple:
             offset = raw
         elif type(raw) is not str or (offset := offsets.get(raw)) is None:
             offset = parse_rational(raw, f"polytopes[{pi}].halfspaces[{hi}].offset")
-            # an integral offset stays an int: an equal key, hashed in C
-            if offset.denominator == 1:
-                offset = offset.numerator
             if type(raw) is str:
                 offsets[raw] = offset
         pairs.append((tuple(normal), offset))

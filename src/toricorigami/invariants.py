@@ -42,15 +42,15 @@ def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
     ``per_point`` is None.
     """
     weights = T._polytope_weights
-    # a vertex is the primitive integer ray (X, t), a lattice point iff t = 1
-    bad = [
-        P.vertices[vid]
-        for P in T.polytopes
-        for vid, (_, t) in enumerate(P._rays)
-        if t != 1
-    ]
-    if bad:
-        raise NonIntegralError(bad)
+    # a vertex is the primitive integer ray (X, t), a lattice point iff t = 1;
+    # tested once per distinct polytope, listed per entry for the message
+    if any(t != 1 for P, _ in weights for _, t in P._rays):
+        raise NonIntegralError(
+            P.vertices[vid]
+            for P in T.polytopes
+            for vid, (_, t) in enumerate(P._rays)
+            if t != 1
+        )
     # a weight of 0 adds nothing to the total but still lists its points
     if not points:
         total = sum(weight * P.lattice_count() for P, weight in weights if weight)

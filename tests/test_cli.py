@@ -31,7 +31,7 @@ from test_corpus import shuffled_document
 from test_fresh_process import child
 from toricorigami import DHValue, OrigamiTemplate, _latticescan, cli, cones, pair
 from toricorigami.cli import MAX_DEGREE, MAX_SAMPLES, main
-from toricorigami.document import document_from_template
+from toricorigami.document import document_from_template, parse_template
 
 ROOT = Path(__file__).resolve().parent.parent
 GALLERY = ROOT / "gallery"
@@ -649,6 +649,25 @@ class TestSharedBuilds:
             "_extreme_rays": distinct,
             "_delzant": distinct,
         }
+
+    def test_one_build_however_an_integral_offset_is_spelled(
+            self, capsys, tmp_path, counts):
+        def segments(*offsets):
+            """[0, 2] once per offset spelling, fused in a path at x = 0."""
+            side = {"polytope": 0, "facet": 0}
+            return {"dimension": 1, "polytopes": [
+                {"halfspaces": [{"normal": [-1], "offset": 0},
+                                {"normal": [1], "offset": o}]} for o in offsets
+            ], "fusions": [{"type": "pair", "a": side, "b": {**side, "polytope": 1}}]}
+
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(segments("2", "4/2")), encoding="utf-8")
+        code, report = run(capsys, "validate", str(path))
+        assert code == 0 and report["valid"] is True
+        assert counts == {"make_polytope": 2, "_extreme_rays": 1, "_delzant": 1}
+        T = parse_template(segments("2", "4/2"))
+        assert T.polytopes[0] is T.polytopes[1]
+        assert T == parse_template(segments("2", "2"))
 
 
 class TestHostileNumbers:

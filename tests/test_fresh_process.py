@@ -2,9 +2,9 @@
 
 The in-process tests call ``main``; these start a child with only
 ``PYTHONPATH=src`` in its environment, as the benchmark does, so they reach
-what only a fresh process runs: ``entry``'s freeze of the import-time heap,
-its exit code and exit through ``os._exit``, its handling of a report that
-cannot be written, and closed or oversized input.
+what only a fresh process runs: ``entry``'s exit code and exit through
+``os._exit``, its handling of a report that cannot be written, and closed or
+oversized input.
 """
 
 import contextlib
@@ -196,24 +196,6 @@ def test_every_command_validates_the_huge_vertex_first(command, tmp_path, monkey
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"] == DIGIT_LIMIT_ERROR
     assert not (tmp_path / "out.svg").exists()
-
-
-def test_entry_freezes_before_main_runs():
-    script = (
-        "import gc, sys\n"
-        "from toricorigami import cli\n"
-        "def main():\n"
-        "    print(gc.get_freeze_count())\n"
-        "    return 2\n"
-        "cli.main = main\n"
-        "cli.entry()\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
-        text=True, timeout=30,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert int(proc.stdout) > 0
 
 
 # entry with main patched to print and exit 2, under atexit handlers that

@@ -91,6 +91,25 @@ class TestQuantize:
             quantize(T)
         assert (Fraction(1, 2), Fraction(0)) in info.value.vertices
 
+    @pytest.mark.parametrize("points", [True, False], ids=["points", "count"])
+    def test_non_integral_vertices_listed_once_per_entry(self, points):
+        # one shared instance at two entries is tested once, listed twice
+        P = half_triangle()
+        T = doubled(P, 0)
+        assert T.polytopes[0] is T.polytopes[1] and len(T._polytope_weights) == 1
+        bad = ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
+        with pytest.raises(NonIntegralError) as info:
+            quantize(T, points=points)
+        assert info.value.vertices == bad + bad
+        assert str(info.value) == f"non-integer vertices: {bad + bad}"
+        # entry order, not the order of the distinct polytopes
+        Q = triangle(Fraction(3, 2))
+        with pytest.raises(NonIntegralError) as info:
+            quantize(OrigamiTemplate((P, Q, P)), points=points)
+        assert info.value.vertices == (
+            bad + ((Fraction(0), Fraction(3, 2)), (Fraction(3, 2), Fraction(0))) + bad
+        )
+
     @pytest.mark.parametrize("T", ORIENTED_TEMPLATES)
     def test_count_only_matches_full_scan(self, T):
         counted = quantize(T, points=False)
