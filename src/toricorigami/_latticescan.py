@@ -10,10 +10,11 @@ coordinate no coordinate is free and the interval is exact.  ``scan_box``
 expands each fiber's interval into points; ``count_box`` adds up the
 interval lengths and builds no point.
 
-All arithmetic is on Python integers, so the scan is exact for coefficients
-of any size.  The walk holds one prefix and one slack list per fixed
-coordinate; only ``scan_box``'s output grows with the number of points, and
-``MAX_POINTS`` bounds it.
+Callers pass Python ints (a polytope's integer rows and integer box), which
+are used as given, so the scan is exact for coefficients of any size.  The
+walk holds one prefix and one slack list per fixed coordinate; only
+``scan_box``'s output grows with the number of points, and ``MAX_POINTS``
+bounds it.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ def _fibers(rows, rhs, lo, hi, visit):
     ``prefix`` fixes the first n - 1 coordinates, and the last coordinate
     completes it to a solution exactly when first <= x <= last.
     """
-    rows = [tuple(int(a) for a in r) for r in rows]
-    rhs = [int(c) for c in rhs]
-    lo = tuple(int(c) for c in lo)
-    hi = tuple(int(c) for c in hi)
     n = len(lo)
     if any(l > h for l, h in zip(lo, hi)):
         return

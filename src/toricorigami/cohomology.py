@@ -19,7 +19,7 @@ from .errors import (
     DimensionMismatch, InconsistentIndex, NonorientableError, PreconditionError,
     written,
 )
-from .exactgeom import FaceRef, Halfspace, HPolytope, _dot, _generic_vector
+from .exactgeom import FaceRef, Halfspace, HPolytope, _dot, _generic_vector, _integers
 from .template import OrigamiTemplate, orientation_signs
 
 
@@ -85,7 +85,7 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
     by its level edges, <u, xi> = 0; PreconditionError if not simple.
     """
     signs = orientation_signs(T)
-    xi = tuple(int(c) for c in xi)
+    xi = _integers(xi, "height vector")
     n = T.dim
     if len(xi) != n:
         raise DimensionMismatch(f"height vector {xi} is not a {n}-vector")
@@ -153,7 +153,7 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
     if xi_aux is None:
         xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
     else:
-        xi_aux = tuple(int(c) for c in xi_aux)
+        xi_aux = _integers(xi_aux, "auxiliary vector")
         if len(xi_aux) != n:
             raise DimensionMismatch(f"auxiliary vector {xi_aux} is not a {n}-vector")
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from ._value import Value
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization, written
 from .exactgeom import (
-    _det, _dot, _generic_vector, _lcd, _row_slacks, _scaled, as_point,
+    _det, _dot, _generic_vector, _integers, _lcd, _row_slacks, _scaled, as_point,
 )
 from .invariants import dh_density
 from .template import OrigamiTemplate, orientation_signs
@@ -49,7 +49,7 @@ class Lcg64:
     MODULUS = 1 << 64
 
     def __init__(self, seed: int = 0):
-        self.state = seed % self.MODULUS
+        self.state = _integers((seed,), "seed")[0] % self.MODULUS
 
     def next_u64(self) -> int:
         self.state = (
@@ -99,7 +99,7 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
     The cone sign is the fixed point's side sign times (-1)^flips: each
     negated weight reverses the orientation of the edge basis once.
     """
-    vv = tuple(int(c) for c in v)
+    vv = _integers(v, "polarizing vector")
     if any(len(w) != len(vv) for w in W.weights):
         raise DimensionMismatch(
             f"polarizing vector {vv} does not match weight dimension"
@@ -206,7 +206,7 @@ def verify_dh_identity(
         raise ValueError("sample_count must be positive")
     if v is None:
         v = default_polarization(T)
-    v = tuple(int(c) for c in v)
+    v = _integers(v, "polarizing vector")
     compiled = _compile(T, v)
 
     lows, highs = zip(*(P.bounding_box() for P, _ in T._polytope_weights))

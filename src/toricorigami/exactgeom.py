@@ -8,7 +8,9 @@ is one fraction-free integer elimination, :func:`_eliminate`.
 
 Every decision reads integers: offsets as p/q, vertices as integer rays.
 ``fractions`` is imported only where a ``Fraction`` is made: a non-integral
-input offset, a public vertex, offset, point or volume.
+input offset, a public vertex, offset, point or volume.  Every integer a
+caller passes (a normal, vector, sign or seed) is read by :func:`_integers`,
+which refuses a non-integral entry rather than truncate it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,18 @@ def _row_slacks(rows, X, s) -> list[int]:
     slack at X / s (s > 0).  The dot product is inlined: the sampler makes
     this call for every polytope and every sample."""
     return [p * s - sum(map(mul, n, X)) for p, n in rows]
+
+
+def _integers(values, what: str) -> IntVec:
+    """``values`` as a tuple of ints; ValueError unless each entry equals an int."""
+    values = tuple(values)
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise ValueError(f"{what} must be integral, got {values}")
+    return ints
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -198,9 +212,7 @@ class Halfspace(Value):
 
 
 def _reduce_halfspace(normal, offset) -> Halfspace:
-    norm = tuple(int(c) for c in normal)
-    if any(norm[i] != normal[i] for i in range(len(norm))):
-        raise ValueError(f"halfspace normal must be integral, got {tuple(normal)}")
+    norm = _integers(normal, "halfspace normal")
     if all(c == 0 for c in norm):
         raise ValueError("halfspace normal must be nonzero")
     g = math.gcd(*norm)
@@ -388,17 +400,6 @@ class HPolytope(Value):
         """Primitive integer directions of the edges leaving vertex v."""
         return tuple(u for u, _ in self._edges[self._vid(v)])
 
-    def split_edges(self, v, active) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-        """Edge directions at v (on the face ``active``) along the face and leaving it.
-
-        An edge stays in the face iff its far vertex is tight on all of ``active``.
-        """
-        active = frozenset(active)
-        along, leaving = [], []
-        for u, far in self._edges[self._vid(v)]:
-            (along if active <= self._vertex_active[far] else leaving).append(u)
-        return tuple(along), tuple(leaving)
-
     def is_delzant(self) -> DelzantReport:
         """Check n edges per vertex and unimodular edge matrices, once per polytope."""
         return self._delzant
@@ -426,12 +427,11 @@ class HPolytope(Value):
         """Per halfspace j, the pairs (vertex, its tight halfspaces) of the
         vertices on facet j, each vertex as its primitive integer ray: what
         :func:`_agree` compares."""
-        near = [[] for _ in self.halfspaces]
-        for ray, act in zip(self._rays, self._vertex_active):
-            item = (ray, frozenset(self.halfspaces[i] for i in act))
-            for j in act:
-                near[j].append(item)
-        return tuple(map(frozenset, near))
+        items = [
+            (ray, frozenset(self.halfspaces[i] for i in act))
+            for ray, act in zip(self._rays, self._vertex_active)
+        ]
+        return tuple(frozenset(items[v] for v in vids) for vids in self._tight)
 
     @cached_property
     def _integer_rows(self) -> tuple[tuple[int, IntVec], ...]:

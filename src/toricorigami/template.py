@@ -20,7 +20,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .exactgeom import HPolytope, _agree, _scaled, as_point
+from .exactgeom import HPolytope, _agree, _integers, _scaled, as_point
 
 SPHERE = "sphere"
 PROJECTIVE_PLANE = "projective-plane"
@@ -87,7 +87,8 @@ class OrigamiTemplate(Value):
         vars(self).update(
             polytopes=tuple(polytopes),
             fusions=tuple(fusions),
-            orientation=None if orientation is None else tuple(orientation),
+            orientation=None if orientation is None
+            else _integers(orientation, "orientation"),
             names=None if names is None else tuple(names),
         )
         if not self.polytopes:

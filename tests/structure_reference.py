@@ -4,17 +4,24 @@
 fusions once (``OrigamiTemplate._fusion_walk``) and reads connectivity,
 orientation and the odd-cycle witness from that walk; ``agrees_near`` and
 ``critical_faces`` read each polytope's vertex-facet incidence by vertex id.
-These are the functions they replaced, unchanged apart from their imports,
-so that the differential tests compare the new code with an independent
-one: ``_pair_edges``, ``_is_connected``, ``orient`` (with ``_cycle_through``)
-and ``classify_surface`` from ``template``, ``critical_faces`` from
-``cohomology`` (through ``faces``, ``face_vertices`` and ``split_edges``),
-and ``agrees_near`` from ``exactgeom`` (through ``face_vertices`` and
-``_vid``).  ``face_ht_series`` from ``cohomology``, which found each face
-vertex by its point and its edges through ``split_edges``, is here too; the
-package's reads the ids of the vertices tight on the face's active set.
-``edges`` is ``HPolytope._edges`` with its own adjacency rule on frozensets;
-the package's reads the rule that vertex enumeration uses, on bitmasks.
+These are the functions they replaced, unchanged apart from their imports
+and their edge split, so that the differential tests compare the new code
+with an independent one: ``_pair_edges``, ``_is_connected``, ``orient``
+(with ``_cycle_through``) and ``classify_surface`` from ``template``,
+``critical_faces`` from ``cohomology`` (through ``faces`` and
+``face_vertices``), and ``agrees_near`` from ``exactgeom`` (through
+``face_vertices`` and ``_vid``).  ``face_ht_series`` from ``cohomology``,
+which found each face vertex by its point, is here too; the package's reads
+the ids of the vertices tight on the face's active set.  Both cohomology
+oracles split the edges at a face vertex into those along the face and those
+leaving it with ``tangency_oracle``, by the dot products of the edge
+directions with the active normals; the package reads whether each edge's
+far vertex is tight on the active set.  ``near_facet`` is
+``HPolytope._near_facet`` as it scattered each vertex's item to the facets
+it is tight on; the package's groups them by the per-facet table
+``HPolytope._tight``.  ``edges`` is ``HPolytope._edges`` with its own
+adjacency rule on frozensets; the package's reads the rule that vertex
+enumeration uses, on bitmasks.
 ``face_list`` and ``triangulation`` are ``HPolytope._face_list`` and
 ``HPolytope._triangulation`` as they were when every face record held its
 facets and the volume fan read the whole lattice; the package's fan builds
@@ -164,6 +171,15 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
     raise StructureError("segment template is neither a path nor a cycle")
 
 
+def tangency_oracle(P: HPolytope, w, active):
+    """Split the edges at w by whether every active normal is orthogonal."""
+    along, leaving = [], []
+    for u in P.edge_directions(w):
+        tangent = all(_dot(P.halfspaces[k].normal, u) == 0 for k in active)
+        (along if tangent else leaving).append(u)
+    return tuple(along), tuple(leaving)
+
+
 def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
     """Maximal faces whose active normal span contains xi, off the fold."""
     signs = orientation_signs(T)
@@ -179,7 +195,7 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
             # xi lies in the span of the active normals iff it is orthogonal
             # to the face, whose edges at any one vertex span its directions
             w = P.face_vertices(face)[0]
-            if any(_dot(u, xi) for u in P.split_edges(w, face.active)[0]):
+            if any(_dot(u, xi) for u in tangency_oracle(P, w, face.active)[0]):
                 continue
             candidates.append(face)
         actives = [frozenset(face.active) for face in candidates]
@@ -194,7 +210,7 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
             counts = set()
             for w in verts:
                 descending = 0
-                for u in P.split_edges(w, face.active)[1]:
+                for u in tangency_oracle(P, w, face.active)[1]:
                     p = _dot(u, xi)
                     if p == 0:
                         raise InconsistentIndex(
@@ -240,6 +256,17 @@ def agrees_near(P1: HPolytope, F1, P2: HPolytope, F2) -> bool:
     return True
 
 
+def near_facet(P: HPolytope) -> tuple:
+    """Per halfspace j, the pairs (vertex ray, its tight halfspaces) of the
+    vertices on facet j."""
+    near = [[] for _ in P.halfspaces]
+    for ray, act in zip(P._rays, P._vertex_active):
+        item = (ray, frozenset(P.halfspaces[i] for i in act))
+        for j in act:
+            near[j].append(item)
+    return tuple(map(frozenset, near))
+
+
 def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
     """Coefficients up to cap of the face's equivariant Poincare series.
 
@@ -251,7 +278,7 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
         raise ValueError("cap must be a nonnegative even integer")
     P: HPolytope = X.face.polytope
     n = P.dim
-    per_vertex = [P.split_edges(w, X.face.active)[0] for w in X.vertices]
+    per_vertex = [tangency_oracle(P, w, X.face.active)[0] for w in X.vertices]
     if xi_aux is None:
         xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
     else:

@@ -38,7 +38,7 @@ from toricorigami import (
     load_template,
     make_polytope,
 )
-from toricorigami.exactgeom import _dot, _reduce_halfspace
+from toricorigami.exactgeom import _reduce_halfspace
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
@@ -107,15 +107,6 @@ def edges_at_oracle(P, v):
     return [edge for edge in edges if v in edge]
 
 
-def tangency_oracle(P, w, active):
-    """Split edges at w by whether every active normal is orthogonal."""
-    along, leaving = [], []
-    for u in P.edge_directions(w):
-        tangent = all(_dot(P.halfspaces[k].normal, u) == 0 for k in active)
-        (along if tangent else leaving).append(u)
-    return tuple(along), tuple(leaving)
-
-
 @pytest.mark.parametrize("P", [P for _, P in POLYTOPES], ids=[n for n, _ in POLYTOPES])
 class TestIncidence:
     def test_tight_sets_match_reevaluation(self, P):
@@ -133,10 +124,20 @@ class TestIncidence:
                 dirs.append(primitive_vector(delta))
             assert P.edge_directions(v) == tuple(sorted(dirs))
 
+    def test_near_facet_matches_per_vertex_scatter(self, P):
+        assert P._near_facet == sref.near_facet(P)
+
     def test_split_matches_dot_product_tangency(self, P):
+        """An edge at w stays in a face iff its far vertex is tight on the
+        face's active set, the rule the package reads, iff its direction is
+        orthogonal to every active normal."""
         for face in P.faces():
+            active = frozenset(face.active)
             for w in P.face_vertices(face):
-                assert P.split_edges(w, face.active) == tangency_oracle(
+                along, leaving = [], []
+                for u, far in P._edges[P._vid(w)]:
+                    (along if active <= P._vertex_active[far] else leaving).append(u)
+                assert (tuple(along), tuple(leaving)) == sref.tangency_oracle(
                     P, w, face.active
                 )
 

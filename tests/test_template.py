@@ -117,6 +117,11 @@ class TestValidate:
                         T.polytopes[fu.b.polytope], fu.b.facet)
                 assert agrees_near(*ends) == structure_reference.agrees_near(*ends)
 
+    @pytest.mark.parametrize("name, doc", DOCUMENTS, ids=[n for n, _ in DOCUMENTS])
+    def test_near_facet_matches_per_vertex_scatter(self, name, doc):
+        for P in parse_template(doc).polytopes:
+            assert P._near_facet == structure_reference.near_facet(P)
+
     def test_agreement_cases_include_a_failure(self):
         doc = dict(DOCUMENTS)["agreement_failure"]
         assert validate(parse_template(doc)).agreement_failures
