@@ -15,10 +15,7 @@ import math
 from functools import cached_property
 
 from ._value import Value, derived_record
-from .errors import (
-    DimensionMismatch, InconsistentIndex, NonorientableError, PreconditionError,
-    written,
-)
+from .errors import InconsistentIndex, NonorientableError, PreconditionError, written
 from .exactgeom import FaceRef, Halfspace, HPolytope, _dot, _generic_vector, _integers
 from .template import OrigamiTemplate, orientation_signs
 
@@ -58,23 +55,21 @@ def fold_direction(T: OrigamiTemplate) -> tuple[tuple[int, ...], Fraction]:
 
 def _fold_halfspace(T: OrigamiTemplate) -> Halfspace:
     """The supporting halfspace of the unique fused facet: :func:`fold_direction`."""
-    if len(T.fusions) != 1:
+    if len(T._rows) != 1:
         raise PreconditionError(
-            f"need exactly one fusion (connected fold), got {len(T.fusions)}"
+            f"need exactly one fusion (connected fold), got {len(T._rows)}"
         )
-    fu = T.fusions[0]
-    if not fu.is_pair:
+    ((pa, fa, pb, fb),) = T._rows
+    if pb < 0:
         raise PreconditionError("the single fold is not coorientable")
     try:
         orientation_signs(T)
     except NonorientableError as exc:
         raise PreconditionError(f"template is not orientable: {exc}") from exc
-    hs_a = T.polytopes[fu.a.polytope].halfspaces[fu.a.facet]
-    hs_b = T.polytopes[fu.b.polytope].halfspaces[fu.b.facet]
+    hs_a = T.polytopes[pa].halfspaces[fa]
+    hs_b = T.polytopes[pb].halfspaces[fb]
     if hs_a != hs_b:
-        raise PreconditionError(
-            "fused facets carry different supporting halfspaces"
-        )
+        raise PreconditionError("fused facets carry different supporting halfspaces")
     return hs_a
 
 
@@ -85,10 +80,8 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
     by its level edges, <u, xi> = 0; PreconditionError if not simple.
     """
     signs = orientation_signs(T)
-    xi = _integers(xi, "height vector")
     n = T.dim
-    if len(xi) != n:
-        raise DimensionMismatch(f"height vector {xi} is not a {n}-vector")
+    xi = _integers(xi, "height vector", n)
     out = []
     for i, P in enumerate(T.polytopes):
         fused = T._fused_facets[i]
@@ -135,6 +128,14 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
     return tuple(out)
 
 
+def _cap(cap) -> int:
+    """``cap`` as an int; ValueError unless it is a nonnegative even integer."""
+    (cap,) = _integers((cap,), "cap")
+    if cap < 0 or cap % 2:
+        raise ValueError("cap must be a nonnegative even integer")
+    return cap
+
+
 def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
     """Coefficients up to cap of the face's equivariant Poincare series.
 
@@ -142,8 +143,7 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
     auxiliary vector sorts its vertices by index and the series is
     sum_w t^(2 ind(w)) / (1 - t^2)^n, n the ambient torus rank.
     """
-    if cap < 0 or cap % 2:
-        raise ValueError("cap must be a nonnegative even integer")
+    cap = _cap(cap)
     P: HPolytope = X.face.polytope
     n = P.dim
     # the face's vertices are those tight on its active set, as in the lattice
@@ -153,9 +153,7 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
     if xi_aux is None:
         xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
     else:
-        xi_aux = _integers(xi_aux, "auxiliary vector")
-        if len(xi_aux) != n:
-            raise DimensionMismatch(f"auxiliary vector {xi_aux} is not a {n}-vector")
+        xi_aux = _integers(xi_aux, "auxiliary vector", n)
 
     numerator = [0] * (cap + 1)
     for dirs in per_vertex:
@@ -171,9 +169,7 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
         if 2 * index <= cap:
             numerator[2 * index] += 1
 
-    base = [0] * (cap + 1)
-    for k in range(0, cap + 1, 2):
-        base[k] = math.comb(k // 2 + n - 1, n - 1)
+    base = [0 if k % 2 else math.comb(k // 2 + n - 1, n - 1) for k in range(cap + 1)]
     coeffs = [0] * (cap + 1)
     for j, c in enumerate(numerator):
         if c:
@@ -184,8 +180,7 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
 
 def ht_poincare(T: OrigamiTemplate, cap: int = 20) -> PoincareSeries:
     """dim H_T^k for k = 0..cap from the critical faces of the fold height."""
-    if cap < 0 or cap % 2:
-        raise ValueError("cap must be a nonnegative even integer")
+    cap = _cap(cap)
     xi = _fold_halfspace(T).normal
     coefficients = [0] * (cap + 1)
     for X in critical_faces(T, xi):

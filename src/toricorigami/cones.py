@@ -202,6 +202,7 @@ def verify_dh_identity(
     point times S = D * 2^64, where D is the least common denominator of the
     box: a cone wall test is a flip times a facet slack.
     """
+    sample_count = _integers((sample_count,), "sample_count")[0]
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
     if v is None:

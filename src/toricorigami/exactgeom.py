@@ -9,14 +9,15 @@ is one fraction-free integer elimination, :func:`_eliminate`.
 Every decision reads integers: offsets as p/q, vertices as integer rays.
 ``fractions`` is imported only where a ``Fraction`` is made: a non-integral
 input offset, a public vertex, offset, point or volume.  Every integer a
-caller passes (a normal, vector, sign or seed) is read by :func:`_integers`,
-which refuses a non-integral entry rather than truncate it.
+caller passes (a normal, vector, sign, seed, count or cap) is read by
+:func:`_integers`, which refuses a non-integral entry rather than truncate it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import cached_property
 from operator import mul
 
@@ -66,16 +67,27 @@ def _row_slacks(rows, X, s) -> list[int]:
     return [p * s - sum(map(mul, n, X)) for p, n in rows]
 
 
-def _integers(values, what: str) -> IntVec:
-    """``values`` as a tuple of ints; ValueError unless each entry equals an int."""
-    values = tuple(values)
+def _integers(values, what: str, length: int | None = None) -> IntVec:
+    """``values`` as a tuple of ints: ValueError unless it is a sequence (not a
+    bare int) of entries equal to ints; DimensionMismatch if not ``length`` long."""
     try:
+        values = tuple(values)
         ints = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
         ints = None
-    if ints != values:
-        raise ValueError(f"{what} must be integral, got {values}")
+    if ints is None or ints != values:
+        raise ValueError(f"{what} must be integral, got {_shown(values)}")
+    if length is not None and len(ints) != length:
+        raise DimensionMismatch(f"{what} {_shown(ints)} is not a {length}-vector")
     return ints
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a note where repr refuses an int of too many digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<a value of more than {sys.get_int_max_str_digits()} digits>"
 
 
 def _ratio(value) -> tuple[int, int]:

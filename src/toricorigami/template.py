@@ -4,7 +4,9 @@ A template is a finite list of Delzant polytopes plus a fusion set of facets
 (pairs, or singletons for one-sided folds).  This module checks the three
 template conditions (facet agreement, no adjacent reuse, connectivity),
 computes orientations by sign propagation, and classifies the 1-dimensional
-templates into their four surface families.
+templates into their four surface families.  The ``Fusion`` and
+``FacetAddress`` records are input and output only: the constructor reads them
+once into ``_rows`` and its per-polytope tables, and every decision reads those.
 """
 
 from __future__ import annotations
@@ -97,14 +99,15 @@ class OrigamiTemplate(Value):
         if any(P.dim != dim for P in self.polytopes):
             raise ValueError("all template polytopes must share one dimension")
         counts = [len(P.halfspaces) for P in self.polytopes]
-        # per polytope, its fusion entries (fusion, side, facet) in template
-        # order, and the polytope across each of its pair fusions; the first
-        # single fusion and the polytope of the first self pair, the
-        # witnesses of orient
+        # per fusion, its int row (pa, fa, pb, fb), pb = fb = -1 for a single,
+        # which every decision reads; per polytope, its fusion entries
+        # (fusion, side, facet) in template order and the polytope across each
+        # of its pair fusions
+        rows = []
         entries = [[] for _ in counts]
         neighbours = [[] for _ in counts]
-        first_single = first_self_pair = None
         for idx, fu in enumerate(self.fusions):
+            row = []
             for side, ad in enumerate(fu.addresses):
                 p, facet = ad.polytope, ad.facet
                 if not 0 <= p < len(counts):
@@ -112,18 +115,15 @@ class OrigamiTemplate(Value):
                 if not 0 <= facet < counts[p]:
                     raise ValueError(f"fusion #{idx}: polytope {p} has no facet {facet}")
                 entries[p].append((idx, side, facet))
-            a, b = fu.a, fu.b
-            if b is None:
-                if first_single is None:
-                    first_single = idx
+                row += (p, facet)
+            rows.append((*row, -1, -1)[:4])  # a single's b reads (-1, -1)
+            pa, fa, pb, fb = rows[-1]
+            if pb < 0:
                 continue
-            if a.polytope == b.polytope:
-                if a.facet == b.facet:
-                    raise ValueError(f"fusion #{idx} pairs a facet with itself")
-                if first_self_pair is None:
-                    first_self_pair = a.polytope
-            neighbours[a.polytope].append(b.polytope)
-            neighbours[b.polytope].append(a.polytope)
+            if (pa, fa) == (pb, fb):
+                raise ValueError(f"fusion #{idx} pairs a facet with itself")
+            neighbours[pa].append(pb)
+            neighbours[pb].append(pa)
         if self.orientation is not None:
             if len(self.orientation) != len(self.polytopes):
                 raise ValueError("orientation length mismatch")
@@ -132,10 +132,9 @@ class OrigamiTemplate(Value):
         if self.names is not None and len(self.names) != len(self.polytopes):
             raise ValueError("names length mismatch")
         vars(self).update(
+            _rows=tuple(rows),
             _fusion_entries=tuple(map(tuple, entries)),
             _neighbours=tuple(map(tuple, neighbours)),
-            _first_single=first_single,
-            _first_self_pair=first_self_pair,
         )
 
     @property
@@ -147,10 +146,10 @@ class OrigamiTemplate(Value):
         """What :func:`orientation_signs` returns; errors are not cached."""
         if self.orientation is None:
             return orient(self)
-        for idx, fu in enumerate(self.fusions):
-            if not fu.is_pair:
+        for idx, (pa, _, pb, _) in enumerate(self._rows):
+            if pb < 0:
                 raise NonorientableError(single=idx)
-            if self.orientation[fu.a.polytope] == self.orientation[fu.b.polytope]:
+            if self.orientation[pa] == self.orientation[pb]:
                 raise ValueError(
                     f"supplied orientation does not flip across fusion #{idx}"
                 )
@@ -268,19 +267,12 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
         if not P.is_delzant().is_delzant
     ]
 
-    agreement, self_pairs = [], []
-    for idx, fu in enumerate(T.fusions):
-        a, b = fu.a, fu.b
-        if b is None:
-            continue
-        if not _agree(polytopes[a.polytope], a.facet, polytopes[b.polytope], b.facet):
-            agreement.append((
-                idx,
-                f"polytope {a.polytope} facet {a.facet} vs "
-                f"polytope {b.polytope} facet {b.facet}",
-            ))
-        if a.polytope == b.polytope:
-            self_pairs.append(idx)
+    agreement = [
+        (idx, f"polytope {pa} facet {fa} vs polytope {pb} facet {fb}")
+        for idx, (pa, fa, pb, fb) in enumerate(T._rows)
+        if pb >= 0 and not _agree(polytopes[pa], fa, polytopes[pb], fb)
+    ]
+    self_pairs = [idx for idx, (pa, _, pb, _) in enumerate(T._rows) if pa == pb]
 
     # (fusion, side) of both entries first: sorted, the template-wide order
     found = []
@@ -319,10 +311,12 @@ def orient(T: OrigamiTemplate) -> tuple[int, ...]:
     Raises NonorientableError carrying the offending single fusion or an
     odd cycle of polytope indices.
     """
-    if T._first_single is not None:
-        raise NonorientableError(single=T._first_single)
-    if T._first_self_pair is not None:
-        raise NonorientableError(odd_cycle=(T._first_self_pair,))
+    for idx, (_, _, pb, _) in enumerate(T._rows):
+        if pb < 0:
+            raise NonorientableError(single=idx)
+    for pa, _, pb, _ in T._rows:
+        if pa == pb:
+            raise NonorientableError(odd_cycle=(pa,))
     sign, parent, _, clash = T._fusion_walk
     if clash is not None:
         raise NonorientableError(odd_cycle=_cycle_through(parent, *clash))
@@ -370,9 +364,7 @@ def multiplicity(T: OrigamiTemplate, x) -> int:
 
 
 def fold_components(T: OrigamiTemplate) -> tuple[FoldComponent, ...]:
-    return tuple(
-        FoldComponent(idx, fu.is_pair) for idx, fu in enumerate(T.fusions)
-    )
+    return tuple(FoldComponent(idx, pb >= 0) for idx, (_, _, pb, _) in enumerate(T._rows))
 
 
 def fixed_points(T: OrigamiTemplate) -> tuple[FixedPoint, ...]:
@@ -427,7 +419,7 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
     if T.dim != 1:
         raise DimensionError(f"classification needs dimension 1, got {T.dim}")
     s = len(T.polytopes)
-    marked = sum(not fu.is_pair for fu in T.fusions)
+    marked = sum(pb < 0 for _, _, pb, _ in T._rows)
     if any(p in across for p, across in enumerate(T._neighbours)):
         raise StructureError("segment fused to itself")
     degree = [len(across) for across in T._neighbours]
@@ -435,8 +427,8 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
         raise StructureError("a segment carries more than two fusions")
     if T._fusion_walk[2] != 1:
         raise StructureError("template is not connected")
-    folds = len(T.fusions)
-    if len(T.fusions) - marked == s:
+    folds = len(T._rows)
+    if folds - marked == s:
         if marked or any(d != 2 for d in degree):
             raise StructureError("mixed cycle and endpoint data")
         if s % 2:

@@ -8,7 +8,6 @@ oversized input.
 """
 
 import contextlib
-import gc
 import io
 import json
 import os
@@ -243,13 +242,6 @@ def test_cprofile_prints_the_report_and_the_profile(workdir):
     report = (EXPECTED / "s4.validate.out").read_bytes()
     assert proc.stdout.startswith(report)
     assert b"function calls" in proc.stdout[len(report):]
-
-
-def test_main_in_process_freezes_nothing(capsys):
-    before = gc.get_freeze_count()
-    assert main(["validate", str(GALLERY / "s4.json")]) == 0
-    assert json.loads(capsys.readouterr().out)["valid"] is True
-    assert gc.get_freeze_count() == before
 
 
 def test_the_points_report_outgrows_a_pipe_buffer(tmp_path):
