@@ -2,9 +2,11 @@
 
     python tests/golden/record.py
 
-Runs ``toricorigami.cli.main`` in this process on every gallery file and on
-the templates in ``inputs/``, from a temporary directory that holds
-copies of the documents, so the paths in the reports are bare file names.
+Runs ``toricorigami.cli.main`` in this process on every gallery file, on
+the templates in ``inputs/`` and on the one-polytope documents in
+``refused/``, whose halfspace system ``make_polytope`` refuses, from a
+temporary directory that holds copies of the documents, so the paths in the
+reports are bare file names.
 Writes ``expected/manifest.json`` (argv and exit code per case) and, per
 case, ``expected/<case>.out`` (stdout) and ``expected/<case>.svg`` (the file
 ``render`` wrote, if any).  Uses the standard library only; the corpus must
@@ -26,6 +28,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 GALLERY = ROOT / "gallery"
 INPUTS = HERE / "inputs"
+# validate and orient on each exit 2 with the refusal's kind and message;
+# kept apart from inputs/, whose templates every test may build
+REFUSED = HERE / "refused"
 EXPECTED = HERE / "expected"
 
 # one query point per dimension for ``dh``
@@ -97,6 +102,10 @@ def cases() -> list[tuple[str, list[str]]]:
         for command, *options in INPUT_COMMANDS.get(name, ()):
             suffix = command + ("-points" if "--points" in options else "")
             out.append((f"{stem}.{suffix}", [command, name, *options]))
+    for path in sorted(REFUSED.glob("*.json")):
+        stem, name = path.stem, path.name
+        out.append((f"{stem}.validate", ["validate", name]))
+        out.append((f"{stem}.orient", ["orient", name]))
     return out
 
 
@@ -112,7 +121,7 @@ def cones_cases(stem: str, name: str, dim: int) -> list[tuple[str, list[str]]]:
 
 def stage(workdir: Path) -> None:
     """Copy every document into workdir under its bare file name."""
-    for path in documents():
+    for path in documents() + sorted(REFUSED.glob("*.json")):
         shutil.copyfile(path, workdir / path.name)
 
 
