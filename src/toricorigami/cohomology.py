@@ -16,7 +16,9 @@ from functools import cached_property
 
 from ._value import Value, derived_record
 from .errors import InconsistentIndex, NonorientableError, PreconditionError, written
-from .exactgeom import FaceRef, Halfspace, HPolytope, _dot, _generic_vector, _integers
+from .exactgeom import (
+    FaceRef, Halfspace, HPolytope, _dot, _generic_vector, _integers, _shown,
+)
 from .template import OrigamiTemplate, orientation_signs
 
 
@@ -162,7 +164,7 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
             p = _dot(u, xi_aux)
             if p == 0:
                 raise ValueError(
-                    f"auxiliary vector {xi_aux} pairs to zero with face edge {u}"
+                    f"auxiliary vector {_shown(xi_aux)} pairs to zero with face edge {u}"
                 )
             if p > 0:
                 index += 1

@@ -19,7 +19,7 @@ from fractions import Fraction
 from ._value import Value
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization, written
 from .exactgeom import (
-    _det, _dot, _generic_vector, _integers, _lcd, _row_slacks, _scaled, as_point,
+    _det, _dot, _generic_vector, _integers, _lcd, _row_slacks, _scaled, _shown, as_point,
 )
 from .invariants import dh_density
 from .template import OrigamiTemplate, orientation_signs
@@ -102,7 +102,7 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
     vv = _integers(v, "polarizing vector")
     if any(len(w) != len(vv) for w in W.weights):
         raise DimensionMismatch(
-            f"polarizing vector {vv} does not match weight dimension"
+            f"polarizing vector {_shown(vv)} does not match weight dimension"
         )
     pairings = [_dot(w, vv) for w in W.weights]
     zeros = [w for w, p in zip(W.weights, pairings) if p == 0]

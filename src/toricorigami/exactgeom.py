@@ -3,8 +3,10 @@
 Polytopes live in Q^n and are given by irredundant integer-normal halfspace
 systems.  Every predicate here (containment, agreement near a facet,
 unimodularity of vertex cones) is decided with exact arithmetic: integer and
-``fractions.Fraction`` only, no floating point anywhere.  All linear algebra
-is one fraction-free integer elimination, :func:`_eliminate`.
+``fractions.Fraction`` only, no floating point anywhere.  Vertices, tight
+facets and unbounded directions come from one double-description pass,
+:func:`_extreme_rays`; determinants and ranks from one fraction-free integer
+elimination, :func:`_eliminate`.
 
 Every decision reads integers: offsets as p/q, vertices as integer rays.
 ``fractions`` is imported only where a ``Fraction`` is made: a non-integral
@@ -36,10 +38,10 @@ Point = tuple  # tuple[Fraction, ...]
 IntVec = tuple  # tuple[int, ...]
 
 # make_polytope refuses a system once its double-description pass holds more
-# than this many rays, each an extreme ray of the cone cut out by the rows
-# inserted so far.  A d-cube ends with its 2^d vertices, so the 8-cube builds
-# and the 9-cube is refused.  Normals of rank r < n run the same pass in Q^r;
-# a system in Q^n with n + 1 > MAX_RAYS is refused before any elimination.
+# than this many rays, each an extreme ray, modulo the lineality space, of the
+# cone cut out by the rows inserted so far.  A d-cube ends with its 2^d
+# vertices, so the 8-cube builds and the 9-cube is refused, in any Q^n.  A
+# system in Q^n with n + 1 > MAX_RAYS is refused before the pass starts.
 MAX_RAYS = 500
 
 
@@ -168,21 +170,10 @@ def _generic_vector(vectors, dim: int) -> IntVec:
     return tuple(N ** j for j in range(dim))
 
 
-def _primitive(vec, d: int = 1) -> IntVec:
-    """The nonzero integer vector ``vec`` divided by its gcd, negated if d < 0."""
+def _primitive(vec) -> IntVec:
+    """The nonzero integer vector ``vec`` divided by its gcd."""
     g = math.gcd(*vec)
-    return tuple(c // (g if d > 0 else -g) for c in vec)
-
-
-def _kernel_direction(rows, n: int) -> IntVec:
-    """A primitive integer vector in the kernel (rank must be below n)."""
-    mat, pivots, d, _ = _eliminate(rows)
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [0] * n
-    vec[free] = d
-    for row, p in zip(mat, pivots):
-        vec[p] = -row[free]
-    return _primitive(vec, d)
+    return tuple(c // g for c in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +570,9 @@ def _build_polytope(halfspaces) -> HPolytope:
             f"{len(hss)} halfspaces in dimension {dim} need more than {MAX_RAYS} rays"
         )
     normals = [hs.normal for hs in hss]
-    pivots = _eliminate(normals)[1]
-    # A x reaches exactly the values that its pivot columns reach, and that
-    # restricted system is pointed: it is nonempty iff it has a vertex
-    rays = _extreme_rays(hss, pivots)
+    # modulo its lineality space the cone is pointed: the region is nonempty
+    # iff the cone has a ray with t > 0
+    rays, lines = _extreme_rays(hss)
     # vertices x / t in lex order: sort the integer rays with x scaled to one t
     finite = [(ray, act) for ray, act in rays if ray[-1]]
     common = math.lcm(*(ray[-1] for ray, _ in finite))
@@ -590,10 +580,10 @@ def _build_polytope(halfspaces) -> HPolytope:
     incidence = [((ray[:-1], ray[-1]), frozenset(act)) for ray, act in finite]
     if not incidence:
         raise EmptyError("no feasible point")
-    if len(pivots) < dim:
-        # a nonempty region whose normals do not span Q^n recedes in a
-        # kernel direction
-        raise UnboundedError(_kernel_direction(normals, dim))
+    if lines:
+        # a nonempty region whose normals do not span Q^n recedes along the
+        # first line, the kernel direction positive at the first free column
+        raise UnboundedError(lines[0][:-1])
 
     # report the recession ray with the lex-first greedy basis of tight normals
     recession = sorted(
@@ -641,50 +631,58 @@ def _adjacent(common: int, zero_sets, rank: int) -> bool:
     ) <= 2
 
 
-def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
-    """Extreme rays of {(x, t) : t >= 0, q <a, x> <= p t} and their tight sets.
+def _extreme_rays(hss) -> tuple[list[tuple[IntVec, IntVec]], list[IntVec]]:
+    """Extreme rays of {(x, t) : t >= 0, q <a, x> <= p t}, their tight sets,
+    and lines (t = 0) spanning its lineality space, the normals' kernel.
 
-    One row per halfspace <a, x> <= p/q, restricted to ``columns``, where the
-    normals must have full rank so that the cone is pointed.  A ray is a
-    primitive integer vector (x, t): a vertex scaled by t > 0, or an extreme
-    recession direction if t = 0.  Double description (Motzkin et al. 1953;
-    Fukuda & Prodon 1996): from the simplicial cone of n + 1 independent
-    rows, insert the others one at a time, joining each pair of adjacent
+    One row per halfspace <a, x> <= p/q, then t >= 0.  A ray is a primitive
+    integer vector (x, t), modulo the lines: a vertex scaled by t > 0, or an
+    extreme recession direction if t = 0.  Double description (Motzkin et al.
+    1953; Fukuda & Prodon 1996) from the whole space, whose lines are the
+    n + 1 unit vectors: the first line crossing a row, in row order, turns
+    to the row's positive side and becomes a ray, and every other crossing
+    line and every ray moves along it onto the row.  The rows no line
+    crossed are then inserted one at a time, joining each pair of adjacent
     rays that the new row separates.
     """
-    m, dim = len(hss), len(columns)
-    limit = f"{m} halfspaces of rank {dim} need more than {MAX_RAYS} rays"
-    rows = [
-        [-hs._q * hs.normal[c] for c in columns] + [hs._p] for hs in hss
-    ] + [[0] * dim + [1]]
-    # reducing [rows^T | I] picks the greedy-independent rows B (its pivots)
-    # and leaves the rows of (B^T)^-1: the rays of the cone B y >= 0
-    unit = [[int(i == k) for k in range(dim + 1)] for i in range(dim + 1)]
-    mat, pivots, d, _ = _eliminate(
-        [list(col) + e for col, e in zip(zip(*rows), unit)]
-    )
-    basis = sum(1 << k for k in pivots)
-    rays = [
-        (_primitive(row[m + 1:], d), basis ^ 1 << k)
-        for row, k in zip(mat, pivots)
-    ]
+    m, n = len(hss), len(hss[0].normal)
+    rows = [[-hs._q * c for c in hs.normal] + [hs._p] for hs in hss]
+    rows.append([0] * n + [1])
+    lines = [tuple(int(i == k) for k in range(n + 1)) for i in range(n + 1)]
+    rays, consumed, rest = [], 0, []
     for k, row in enumerate(rows):
-        if basis >> k & 1:
+        vals = [_dot(row, y) for y in lines]
+        c = next((i for i, v in enumerate(vals) if v), None)
+        if c is None:
+            rest.append((k, row))
             continue
+        lead, line = vals.pop(c), lines.pop(c)
+        if lead < 0:
+            lead, line = -lead, tuple(-x for x in line)
+        def onto(y, v):  # y, with <row, y> = v, moved along line onto the row
+            return _primitive([lead * x - v * u for x, u in zip(y, line)]) if v else y
+
+        rays = [(onto(ray, _dot(row, ray)), z | 1 << k) for ray, z in rays]
+        rays.append((line, consumed))
+        lines = [onto(y, v) for y, v in zip(lines, vals)]
+        consumed |= 1 << k
+    rank = n - len(lines)
+    limit = f"{m} halfspaces of rank {rank} need more than {MAX_RAYS} rays"
+    for k, row in rest:
         vals = [_dot(row, ray) for ray, _ in rays]
         held = [(ray, z | (v == 0) << k) for (ray, z), v in zip(rays, vals) if v >= 0]
         positive = [(ray, z, v) for (ray, z), v in zip(rays, vals) if v > 0]
         negative = [(ray, z, v) for (ray, z), v in zip(rays, vals) if v < 0]
         zero_sets = [z for _, z in rays]
         for (a, za, va), (b, zb, vb) in itertools.product(positive, negative):
-            if not _adjacent(za & zb, zero_sets, dim):
+            if not _adjacent(za & zb, zero_sets, rank):
                 continue
             ray = [va * y - vb * x for x, y in zip(a, b)]
             held.append((_primitive(ray), (za & zb) | 1 << k))
             if len(held) > MAX_RAYS:
                 raise EnumerationLimitError(limit)
         rays = held
-    return [(ray, tuple(j for j in range(m) if z >> j & 1)) for ray, z in rays]
+    return [(ray, tuple(j for j in range(m) if z >> j & 1)) for ray, z in rays], lines
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,21 @@ inverses with one fraction-free integer elimination (``_eliminate``).
 These are the ``Fraction`` Gauss-Jordan and Gauss routines it replaced,
 unchanged, so that the tests' oracles share no arithmetic with the code
 they check.  They accept ints and Fractions alike.
+
+``_extreme_rays(hss, columns)`` is the double-description pass that
+``make_polytope`` ran before its pass started from the whole space: the rows
+restricted to the normals' pivot columns, a start cone read from the
+reduction of ``[rows^T | I]``.  It is kept verbatim, with the signed
+``_primitive`` it called, and reads ``_eliminate`` and the adjacency rule
+``_adjacent`` from the package.
 """
 
+import itertools
 import math
 from fractions import Fraction
+
+from toricorigami.errors import EnumerationLimitError
+from toricorigami.exactgeom import MAX_RAYS, IntVec, _adjacent, _dot, _eliminate
 
 
 def _rref(rows):
@@ -100,3 +111,55 @@ def inverse(columns_of):
         _solve_square(matrix, [int(i == k) for i in range(n)]) for k in range(n)
     ]
     return tuple(tuple(int(col[i]) for col in columns) for i in range(n))
+
+
+def _primitive(vec, d: int = 1) -> IntVec:
+    """The nonzero integer vector ``vec`` divided by its gcd, negated if d < 0."""
+    g = math.gcd(*vec)
+    return tuple(c // (g if d > 0 else -g) for c in vec)
+
+
+def _extreme_rays(hss, columns) -> list[tuple[IntVec, IntVec]]:
+    """Extreme rays of {(x, t) : t >= 0, q <a, x> <= p t} and their tight sets.
+
+    One row per halfspace <a, x> <= p/q, restricted to ``columns``, where the
+    normals must have full rank so that the cone is pointed.  A ray is a
+    primitive integer vector (x, t): a vertex scaled by t > 0, or an extreme
+    recession direction if t = 0.  Double description (Motzkin et al. 1953;
+    Fukuda & Prodon 1996): from the simplicial cone of n + 1 independent
+    rows, insert the others one at a time, joining each pair of adjacent
+    rays that the new row separates.
+    """
+    m, dim = len(hss), len(columns)
+    limit = f"{m} halfspaces of rank {dim} need more than {MAX_RAYS} rays"
+    rows = [
+        [-hs._q * hs.normal[c] for c in columns] + [hs._p] for hs in hss
+    ] + [[0] * dim + [1]]
+    # reducing [rows^T | I] picks the greedy-independent rows B (its pivots)
+    # and leaves the rows of (B^T)^-1: the rays of the cone B y >= 0
+    unit = [[int(i == k) for k in range(dim + 1)] for i in range(dim + 1)]
+    mat, pivots, d, _ = _eliminate(
+        [list(col) + e for col, e in zip(zip(*rows), unit)]
+    )
+    basis = sum(1 << k for k in pivots)
+    rays = [
+        (_primitive(row[m + 1:], d), basis ^ 1 << k)
+        for row, k in zip(mat, pivots)
+    ]
+    for k, row in enumerate(rows):
+        if basis >> k & 1:
+            continue
+        vals = [_dot(row, ray) for ray, _ in rays]
+        held = [(ray, z | (v == 0) << k) for (ray, z), v in zip(rays, vals) if v >= 0]
+        positive = [(ray, z, v) for (ray, z), v in zip(rays, vals) if v > 0]
+        negative = [(ray, z, v) for (ray, z), v in zip(rays, vals) if v < 0]
+        zero_sets = [z for _, z in rays]
+        for (a, za, va), (b, zb, vb) in itertools.product(positive, negative):
+            if not _adjacent(za & zb, zero_sets, dim):
+                continue
+            ray = [va * y - vb * x for x, y in zip(a, b)]
+            held.append((_primitive(ray), (za & zb) | 1 << k))
+            if len(held) > MAX_RAYS:
+                raise EnumerationLimitError(limit)
+        rays = held
+    return [(ray, tuple(j for j in range(m) if z >> j & 1)) for ray, z in rays]

@@ -150,3 +150,27 @@ def test_a_length_refusal_writes_an_entry_past_the_digit_limit():
     assert str(info.value) == (
         "height vector <a value of more than 4300 digits> is not a 2-vector"
     )
+
+
+@pytest.mark.parametrize(
+    "call", [polarized, identity], ids=["polarize", "verify_dh_identity"]
+)
+def test_a_polarization_length_refusal_writes_an_entry_past_the_digit_limit(call):
+    with int_max_str_digits(4300):
+        with pytest.raises(DimensionMismatch) as info:
+            call((10**5000, 1, 1))
+    assert str(info.value) == (
+        "polarizing vector <a value of more than 4300 digits> "
+        "does not match weight dimension"
+    )
+
+
+def test_an_auxiliary_vector_refusal_writes_an_entry_past_the_digit_limit():
+    # (10^5000, 0) pairs to zero with the critical edge's direction (0, 1)
+    with int_max_str_digits(4300):
+        with pytest.raises(ValueError) as info:
+            fold_edge_series((10**5000, 0))
+    assert str(info.value) == (
+        "auxiliary vector <a value of more than 4300 digits> pairs to zero "
+        "with face edge (0, 1)"
+    )

@@ -28,6 +28,7 @@ from factories import (
     square,
 )
 from test_corpus import shuffled_document
+from test_enumeration import dense_system
 from test_fresh_process import child
 from toricorigami import DHValue, OrigamiTemplate, _latticescan, cli, cones, pair
 from toricorigami.cli import MAX_DEGREE, MAX_SAMPLES, main
@@ -467,7 +468,7 @@ class TestExitCodes:
         assert report["error"]["kind"] == "UnboundedError"
 
     def test_rank_deficient_enumeration_limit_exits_2(self, capsys, tmp_path):
-        # a 9-D box in Q^14: C(18, 9) = 48 620 subsets to test for emptiness
+        # a 9-D box in Q^14: modulo its 5 lines, its 2^9 vertices pass the ray bound
         normals = [
             tuple(sign * (i == j) for j in range(14))
             for i in range(9)
@@ -490,16 +491,10 @@ class TestExitCodes:
         assert report["error"]["kind"] == "EmptyError"
 
     def test_dense_high_rank_system_exits_2_quickly(self, capsys, tmp_path):
-        # 120 random halfspaces in Q^60 around the origin: the pivot and
-        # start eliminations of 120 x 60 and 61 x 182 integer matrices come
-        # before the ray bound refuses the system
-        rng = random.Random(8)
-        system = []
-        while len(system) < 120:
-            normal = [rng.randint(-3, 3) for _ in range(60)]
-            if any(normal):
-                system.append((normal, rng.randint(1, 3)))
-        code, report = self.run_system(capsys, tmp_path, 60, system)
+        # 120 random halfspaces in Q^60 around the origin: the
+        # double-description pass turns its 61 lines into rays, one per
+        # independent row, before the ray bound refuses the system
+        code, report = self.run_system(capsys, tmp_path, 60, dense_system())
         assert code == 2
         assert report["error"]["kind"] == "EnumerationLimitError"
 

@@ -1,9 +1,11 @@
 """The integer elimination against the Fraction routines it replaced.
 
 ``exactgeom._eliminate`` is fraction-free Gauss-Jordan elimination: every
-pivot, determinant, kernel direction and unimodular inverse in the package
-reads its result.  Each is checked here on seeded random integer matrices
-against the ``Fraction`` references in ``exact_reference``.
+determinant, rank and unimodular inverse in the package reads its result.
+The kernel direction that ``make_polytope`` reports for a rank-deficient
+system is the first line of its double-description pass.  Each is checked
+here on seeded random integer matrices against the ``Fraction`` references
+in ``exact_reference``.
 """
 
 import random
@@ -14,7 +16,7 @@ import pytest
 import exact_reference as ref
 from cone_reference import _inverse
 from toricorigami.cones import PolarizedCone
-from toricorigami.exactgeom import _det, _eliminate, _kernel_direction
+from toricorigami.exactgeom import Halfspace, _det, _eliminate, _extreme_rays
 
 BOUNDS = (1, 3, 100, 2 ** 40)
 
@@ -46,7 +48,7 @@ def matrices(seed, count=400):
 
 
 def wide_matrices(seed, count=150):
-    """[rows^T | I] as the double-description start builds it."""
+    """[rows^T | I]: wider than tall, with a unit block."""
     rng = random.Random(seed)
     for _ in range(count):
         k = rng.randint(1, 6)
@@ -117,11 +119,14 @@ class TestDeterminant:
 class TestKernelDirection:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference(self, seed):
+        """The pass's first line, on the rows as normals, zero rows dropped."""
         checked = 0
         for rows in matrices(300 + seed):
             n = len(rows[0])
-            if len(ref._rref(rows)[1]) < n:
-                assert _kernel_direction(rows, n) == ref._kernel_direction(rows, n)
+            hss = [Halfspace(tuple(row), 1) for row in rows if any(row)]
+            if hss and len(ref._rref(rows)[1]) < n:
+                line = _extreme_rays(hss)[1][0]
+                assert line[:-1] == ref._kernel_direction(rows, n)
                 checked += 1
         assert checked > 100
 

@@ -254,6 +254,26 @@ def simplex_system(d):
     return [(tuple(-c for c in u), 0) for u in units] + [((1,) * d, 1)]
 
 
+def box_system(n, k):
+    """0 <= x_i <= 1 for i < k: 2k halfspaces in Q^n, of rank k."""
+    return [
+        (tuple(sign * (i == j) for j in range(n)), int(sign > 0))
+        for i in range(k)
+        for sign in (-1, 1)
+    ]
+
+
+def dense_system():
+    """120 random halfspaces in Q^60 around the origin, of rank 60."""
+    rng = random.Random(8)
+    system = []
+    while len(system) < 120:
+        normal = [rng.randint(-3, 3) for _ in range(60)]
+        if any(normal):
+            system.append((normal, rng.randint(1, 3)))
+    return system
+
+
 @pytest.mark.parametrize("system, message", [
     # a polytope in Q^500 has at least 501 vertices
     (simplex_system(500), "501 halfspaces in dimension 500 need more than 500 rays"),
@@ -264,10 +284,11 @@ def simplex_system(d):
 def test_dimension_past_the_ray_bound_is_refused_before_any_elimination(
     system, message, monkeypatch
 ):
-    def eliminate(rows):
+    def eliminate(*args):
         raise AssertionError("eliminated")
 
     monkeypatch.setattr(exactgeom, "_eliminate", eliminate)
+    monkeypatch.setattr(exactgeom, "_extreme_rays", eliminate)
     with pytest.raises(EnumerationLimitError) as info:
         make_polytope(system)
     assert str(info.value) == message
