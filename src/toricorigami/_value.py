@@ -15,7 +15,7 @@ A shown field may be a ``cached_property`` of a record without
 ``__slots__``: the constructor stores it when given, and the package builds
 the record with :func:`derived_record`, which leaves it to be derived from
 a hidden field on first read (``Halfspace.offset``,
-``DelzantVertexRecord.vertex``, ``CriticalFace.vertices``).
+``DelzantVertexRecord.vertex`` and ``.determinant``, ``CriticalFace.vertices``).
 """
 
 from operator import attrgetter

@@ -7,9 +7,9 @@ reproduces the polytope Duistermaat-Heckman density, which
 :func:`verify_dh_identity` checks pointwise on seeded rational samples.
 
 At a Delzant vertex each weight leaves exactly one tight facet and pairs to
--1 with its normal, so the negated tight normals invert the weight matrix: a
-point's coordinate along a polarized weight is its flip (+-1) times the
-slack of the facet it leaves.
+-1 with its normal (the rule of ``HPolytope.is_delzant``), so the negated
+tight normals invert the weight matrix: a point's coordinate along a
+polarized weight is its flip (+-1) times the slack of the facet it leaves.
 """
 
 from __future__ import annotations

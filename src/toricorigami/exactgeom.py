@@ -5,8 +5,8 @@ systems.  Every predicate here (containment, agreement near a facet,
 unimodularity of vertex cones) is decided with exact arithmetic: integer and
 ``fractions.Fraction`` only, no floating point anywhere.  Vertices, tight
 facets and unbounded directions come from one double-description pass,
-:func:`_extreme_rays`; determinants and ranks from one fraction-free integer
-elimination, :func:`_eliminate`.
+:func:`_extreme_rays`; unimodular vertex cones from edge-facet pairings;
+determinants and ranks from one integer elimination, :func:`_eliminate`.
 
 Every decision reads integers: offsets as p/q, vertices as integer rays.
 ``fractions`` is imported only where a ``Fraction`` is made: a non-integral
@@ -250,8 +250,8 @@ class Location(Value):
 class DelzantVertexRecord(Value):
     """A vertex's edge directions and their determinant (None unless n edges).
 
-    A record of :meth:`HPolytope.is_delzant` builds its vertex from the
-    vertex's integer ray when first read.
+    A record of :meth:`HPolytope.is_delzant` derives its vertex and its
+    determinant, which ``ok`` does not read, when first read.
     """
 
     _repr = ("vertex", "directions", "determinant", "ok")
@@ -259,6 +259,11 @@ class DelzantVertexRecord(Value):
     @cached_property
     def vertex(self) -> Point:
         return _vertex(*self._ray)
+
+    @cached_property
+    def determinant(self) -> int | None:
+        dirs = self.directions
+        return _det(dirs) if len(dirs) == len(self._ray[0]) else None
 
 
 class DelzantReport(Value):
@@ -381,7 +386,7 @@ class HPolytope(Value):
 
     def facet(self, index: int) -> FaceRef:
         if not 0 <= index < len(self.halfspaces):
-            raise IndexError(f"no halfspace #{index}")
+            raise IndexError(f"no halfspace #{_shown(index)}")
         return FaceRef(self, (index,), self.dim - 1)
 
     def face_vertices(self, face: FaceRef | IntVec) -> tuple[Point, ...]:
@@ -395,7 +400,7 @@ class HPolytope(Value):
         try:
             return self.vertices.index(pt)
         except ValueError:
-            raise ValueError(f"{pt} is not a vertex") from None
+            raise ValueError(f"{_shown(pt)} is not a vertex") from None
 
     # -- queries ---------------------------------------------------------
 
@@ -404,24 +409,27 @@ class HPolytope(Value):
         return tuple(u for u, _ in self._edges[self._vid(v)])
 
     def is_delzant(self) -> DelzantReport:
-        """Check n edges per vertex and unimodular edge matrices, once per polytope."""
+        """Check once per polytope that each vertex has n edges, each pairing to
+        -1 with the normal of the facet it leaves: a lattice basis of edges."""
         return self._delzant
 
     @cached_property
     def _delzant(self) -> DelzantReport:
-        n, records, failure = self.dim, [], None
-        for ray, edges in zip(self._rays, self._edges):
+        n, acts, hss = self.dim, self._vertex_active, self.halfspaces
+        records, failure = [], None
+        for ray, act, edges in zip(self._rays, acts, self._edges):
             dirs = tuple(u for u, _ in edges)
-            det = _det(dirs) if len(dirs) == n else None
-            record = derived_record(
-                DelzantVertexRecord, _ray=ray, directions=dirs, determinant=det,
-                ok=det in (1, -1),
+            # n edges make v simple: A U = -diag(c), c > 0, for its normals A and edges
+            # U; as A's rows are primitive, U^-1 = -diag(1/c) A is integral iff c = 1
+            ok = len(dirs) == n and all(
+                _dot(hss[min(act - acts[far])].normal, u) == -1 for u, far in edges
             )
+            record = derived_record(DelzantVertexRecord, _ray=ray, directions=dirs, ok=ok)
             records.append(record)
-            if failure is None and det not in (1, -1):
+            if failure is None and not ok:
                 failure = f"vertex {written(str, record.vertex)} has " + (
-                    f"{len(dirs)} edges, expected {n}" if det is None
-                    else f"edge determinant {det}"
+                    f"{len(dirs)} edges, expected {n}" if len(dirs) != n
+                    else f"edge determinant {record.determinant}"
                 )
         return DelzantReport(failure is None, tuple(records), failure)
 

@@ -22,7 +22,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .exactgeom import HPolytope, _agree, _integers, _scaled, as_point
+from .exactgeom import HPolytope, _agree, _integers, _scaled, _shown, as_point
 
 SPHERE = "sphere"
 PROJECTIVE_PLANE = "projective-plane"
@@ -111,9 +111,11 @@ class OrigamiTemplate(Value):
             for side, ad in enumerate(fu.addresses):
                 p, facet = ad.polytope, ad.facet
                 if not 0 <= p < len(counts):
-                    raise ValueError(f"fusion #{idx}: no polytope {p}")
+                    raise ValueError(f"fusion #{idx}: no polytope {_shown(p)}")
                 if not 0 <= facet < counts[p]:
-                    raise ValueError(f"fusion #{idx}: polytope {p} has no facet {facet}")
+                    raise ValueError(
+                        f"fusion #{idx}: polytope {p} has no facet {_shown(facet)}"
+                    )
                 entries[p].append((idx, side, facet))
                 row += (p, facet)
             rows.append((*row, -1, -1)[:4])  # a single's b reads (-1, -1)

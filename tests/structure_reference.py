@@ -26,13 +26,17 @@ enumeration uses, on bitmasks.
 ``HPolytope._triangulation`` as they were when every face record held its
 facets and the volume fan read the whole lattice; the package's fan builds
 only the faces it descends into, and ``critical_faces`` and ``contains``
-read no lattice.
+read no lattice.  ``delzant_by_determinant`` is ``HPolytope._delzant`` as
+it decided each vertex by the determinant of its edge directions; the
+package's pairs each edge with the normal of the tight facet it leaves and
+computes a determinant only when a record's is read.
 """
 
 import itertools
 import math
 from collections import deque
 
+from toricorigami._value import derived_record
 from toricorigami.cohomology import CriticalFace
 from toricorigami.errors import (
     DimensionError,
@@ -40,9 +44,13 @@ from toricorigami.errors import (
     InconsistentIndex,
     NonorientableError,
     StructureError,
+    written,
 )
 from toricorigami.exactgeom import (
+    DelzantReport,
+    DelzantVertexRecord,
     HPolytope,
+    _det,
     _dot,
     _facet_ref,
     _generic_vector,
@@ -307,6 +315,26 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
             for k in range(j, cap + 1):
                 coeffs[k] += c * base[k - j]
     return tuple(coeffs)
+
+
+def delzant_by_determinant(P: HPolytope) -> DelzantReport:
+    """``P.is_delzant()``: a vertex is ok iff its n edge directions have
+    determinant +-1."""
+    n, records, failure = P.dim, [], None
+    for ray, edges in zip(P._rays, P._edges):
+        dirs = tuple(u for u, _ in edges)
+        det = _det(dirs) if len(dirs) == n else None
+        record = derived_record(
+            DelzantVertexRecord, _ray=ray, directions=dirs, determinant=det,
+            ok=det in (1, -1),
+        )
+        records.append(record)
+        if failure is None and det not in (1, -1):
+            failure = f"vertex {written(str, record.vertex)} has " + (
+                f"{len(dirs)} edges, expected {n}" if det is None
+                else f"edge determinant {det}"
+            )
+    return DelzantReport(failure is None, tuple(records), failure)
 
 
 def edges(self) -> tuple:

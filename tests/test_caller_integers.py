@@ -12,7 +12,8 @@ unread, ``seed=0.5``, ``sample_count=2.5`` and ``cap=8.0`` would raise raw
 TypeErrors, and an orientation of (1.0,) would be stored as given, so that
 ``quantize`` reports a virtual dimension of 6.0 instead of 6.  A bare number
 where a vector belongs is refused with the same message, and a refusal is
-still written when an entry has more digits than ``repr`` writes.
+still written when an entry has more digits than ``repr`` writes, as is one
+of a facet index, a polytope index or a point that is not a vertex.
 """
 
 import math
@@ -22,7 +23,7 @@ import pytest
 
 from factories import doubled, s4_template, square, triangle
 from test_document import int_max_str_digits
-from toricorigami import OrigamiTemplate, make_polytope, quantize
+from toricorigami import OrigamiTemplate, make_polytope, pair, quantize, single
 from toricorigami.cohomology import critical_faces, face_ht_series, ht_poincare
 from toricorigami.cones import Lcg64, polarize, verify_dh_identity, weight_sets
 from toricorigami.errors import DimensionMismatch
@@ -174,3 +175,56 @@ def test_an_auxiliary_vector_refusal_writes_an_entry_past_the_digit_limit():
         "auxiliary vector <a value of more than 4300 digits> pairs to zero "
         "with face edge (0, 1)"
     )
+
+
+# a refusal of an index or a point past the digit limit: (call on H, the
+# error class, its message)
+HUGE_INDEX_SITES = {
+    "HPolytope.facet": (
+        lambda H: square().facet(H), IndexError,
+        "no halfspace #<a value of more than 4300 digits>",
+    ),
+    "HPolytope.edge_directions": (
+        lambda H: square().edge_directions((H, 0)), ValueError,
+        "<a value of more than 4300 digits> is not a vertex",
+    ),
+    "pair-facet": (
+        lambda H: OrigamiTemplate((square(), square()), (pair((0, H), (1, 0)),)),
+        ValueError,
+        "fusion #0: polytope 0 has no facet <a value of more than 4300 digits>",
+    ),
+    "pair-polytope": (
+        lambda H: OrigamiTemplate((square(), square()), (pair((H, 0), (1, 0)),)),
+        ValueError, "fusion #0: no polytope <a value of more than 4300 digits>",
+    ),
+    "single-polytope": (
+        lambda H: OrigamiTemplate((square(), square()), (single((H, 0)),)),
+        ValueError, "fusion #0: no polytope <a value of more than 4300 digits>",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(HUGE_INDEX_SITES))
+def test_an_index_refusal_writes_an_index_past_the_digit_limit(site):
+    call, error, message = HUGE_INDEX_SITES[site]
+    with int_max_str_digits(4300):
+        with pytest.raises(error) as info:
+            call(10**5000)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_an_index_refusal_writes_a_small_index_as_before():
+    P = square()
+    refusals = [
+        (lambda: P.facet(7), IndexError, "no halfspace #7"),
+        (lambda: P.edge_directions((3, 0)), ValueError,
+         "(Fraction(3, 1), Fraction(0, 1)) is not a vertex"),
+        (lambda: OrigamiTemplate((P, P), (pair((0, 10**10), (1, 0)),)), ValueError,
+         "fusion #0: polytope 0 has no facet 10000000000"),
+        (lambda: OrigamiTemplate((P, P), (single((2, 0)),)), ValueError,
+         "fusion #0: no polytope 2"),
+    ]
+    for call, error, message in refusals:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message

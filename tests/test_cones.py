@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import cone_reference as cref
+import structure_reference as sref
 from exact_reference import _det, _solve_square
 from factories import (
     bad_triangle,
@@ -44,7 +45,7 @@ from toricorigami import (
     verify_dh_identity,
     weight_sets,
 )
-from toricorigami.exactgeom import DelzantReport, DelzantVertexRecord, _dot
+from toricorigami.exactgeom import DelzantReport, DelzantVertexRecord
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -462,19 +463,6 @@ class TestAgainstReference:
 # the compiler's unimodularity test is the Delzant record
 # ---------------------------------------------------------------------------
 
-def pairs_to_minus_one(P, vid) -> bool:
-    """The test ``_compile`` made before it read ``is_delzant()``.
-
-    The vertex lies on n facets, and each edge pairs to -1 with the one
-    tight facet it leaves.
-    """
-    act = P._vertex_active[vid]
-    return len(act) == P.dim and all(
-        _dot(P.halfspaces[min(act - P._vertex_active[far])].normal, u) == -1
-        for u, far in P._edges[vid]
-    )
-
-
 def unimodularity_polytopes():
     rng = random.Random(20261021)
     out = [
@@ -501,12 +489,16 @@ def unimodularity_polytopes():
 
 class TestCompilerReadsTheDelzantRecord:
     def test_pairing_test_agrees_with_the_record_at_every_vertex(self):
+        # the record decides each vertex by the pairing of its edges with
+        # the facets they leave, which the compiler's walls read; the
+        # determinant oracle decides it apart
         seen = set()
         for P in unimodularity_polytopes():
             records = P.is_delzant().vertex_records
-            for vid, record in enumerate(records):
-                assert pairs_to_minus_one(P, vid) == record.ok
-                seen.add((record.ok, len(record.directions) == P.dim))
+            expected = sref.delzant_by_determinant(P).vertex_records
+            for record, want in zip(records, expected, strict=True):
+                assert record.ok == want.ok
+                seen.add((want.ok, len(want.directions) == P.dim))
         # Delzant vertices, simple ones of larger determinant, non-simple ones
         assert seen == {(True, True), (False, True), (False, False)}
 

@@ -29,7 +29,6 @@ import structure_reference as sref
 from exact_reference import primitive_vector
 from factories import box, doubled, simplex
 from test_cohomology import expand_binomial_power
-from test_cones import pairs_to_minus_one
 from test_ehrhart import dilate, ehrhart_diffs
 from test_incidence import edge_pairs, reference_edges, reference_faces, reference_volume
 from test_structure_differential import outcome, series_cases, series_outcome
@@ -212,10 +211,10 @@ class TestCorpus:
         assert "value" in kinds
 
     def test_every_vertex_pairs_to_minus_one(self, name, base, P, T):
-        # the Delzant records the cone compiler reads agree with the pairing
-        # test it made before
-        for vid, record in enumerate(P.is_delzant().vertex_records):
-            assert record.ok and pairs_to_minus_one(P, vid)
+        # every vertex passes the pairing test that the Delzant record and
+        # the cone compiler read, and the determinant oracle agrees
+        expected = sref.delzant_by_determinant(P)
+        assert expected.is_delzant and P.is_delzant() == expected
 
     def test_shuffled_round_trip(self, name, base, P, T):
         # the signed counts of a double vanish, so quantize is left to the chains

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from factories import doubled, square
+from factories import doubled, doubled_simplex, square
 from golden.record import EXPECTED, run_case, stage
 from test_document import int_max_str_digits
 from toricorigami.cli import COMMANDS, main
@@ -130,6 +130,17 @@ def test_a_500_simplex_is_refused_before_any_elimination_in_a_fresh_process(tmp_
         "kind": "EnumerationLimitError",
         "message": "501 halfspaces in dimension 500 need more than 500 rays",
     }
+
+
+def test_a_doubled_100_simplex_validates_within_seconds_in_a_fresh_process(tmp_path):
+    # 101 vertices of 100 edges each: each is decided by pairing its edges
+    # with the facets they leave, with no determinant
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(document_from_template(doubled_simplex(100, 1))),
+                    encoding="utf-8")
+    proc = child(["validate", path.name], tmp_path, timeout=4, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["valid"] is True
 
 
 # name -> (argv, document written as huge.json or None); each report or
