@@ -18,11 +18,20 @@ a hidden field on first read (``Halfspace.offset``,
 ``DelzantVertexRecord.vertex`` and ``.determinant``, ``CriticalFace.vertices``).
 """
 
+import sys
 from operator import attrgetter
 
 # stores a field past the records' own __setattr__, which raises; a record
 # without __slots__ may store all its fields with one vars(self).update(...)
 set_field = object.__setattr__
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a note where repr refuses an int of too many digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<a value of more than {sys.get_int_max_str_digits()} digits>"
 
 
 def derived_record(cls, **fields):
@@ -36,10 +45,11 @@ def derived_record(cls, **fields):
 class Value:
     """Base of the package's immutable records.
 
-    A subclass names the fields that ``repr`` shows, in constructor order, in
-    ``_repr``, and the fields that equality and hashing use in ``_compare``
-    (default: ``_repr``).  Records are equal when they have the same class
-    and equal compared fields, and hash as the tuple of those fields.
+    A subclass names the fields that ``repr`` shows (through :func:`_shown`),
+    in constructor order, in ``_repr``, and the fields that equality and
+    hashing use in ``_compare`` (default: ``_repr``).  Records are equal when
+    they have the same class and equal compared fields, and hash as the
+    tuple of those fields.
     """
 
     __slots__ = ()
@@ -66,7 +76,7 @@ class Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr)
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._repr)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

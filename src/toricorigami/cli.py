@@ -11,9 +11,9 @@ identity check, a number too long to write).
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import sys
+from _json import encode_basestring_ascii
 from types import SimpleNamespace
 
 # Handlers import the modules only they use (invariants, cones, cohomology,
@@ -335,18 +335,41 @@ def _points_json(per_point: dict) -> str:
     ) + "\n  ]"
 
 
+def _encode(value, pad: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it under
+    the indent ``pad``: a str, None, bool, int (whose repr raises the digit
+    limit's ValueError), list, tuple or dict of str keys; else TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):  # encode_basestring_ascii refuses a non-str key
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_encode(item, inner)}"
+                 for key, item in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_encode(item, inner) for item in value]
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def _dumps(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)``, where a ``points``
-    entry is quantize's per-point dict, written by ``_points_json``."""
+    """``json.dumps(report, indent=2, sort_keys=True)``, by :func:`_encode`;
+    a ``points`` entry is quantize's per-point dict, by ``_points_json``."""
     if "points" not in report:
-        return json.dumps(report, indent=2, sort_keys=True)
+        return _encode(report, "")
     rest = dict(report)
     points = _points_json(rest.pop("points"))
     # sorted keys: "points" is the last key before "virtual_dimension"; a
     # string value holds no raw newline, so the split finds the key itself
-    head, key, tail = json.dumps(rest, indent=2, sort_keys=True).partition(
-        '\n  "virtual_dimension": '
-    )
+    head, key, tail = _encode(rest, "").partition('\n  "virtual_dimension": ')
     return f'{head}\n  "points": {points},{key}{tail}'
 
 

@@ -9,8 +9,9 @@ which preserves the input order of kept halfspaces.
 
 from __future__ import annotations
 
-import json
 import sys
+from _json import make_scanner
+from types import SimpleNamespace
 
 from .errors import DocumentError, written
 from .exactgeom import HPolytope, make_polytope
@@ -204,11 +205,39 @@ def document_from_template(T: OrigamiTemplate) -> dict:
     return {"dimension": T.dim, "polytopes": polytopes, "fusions": fusions}
 
 
+# the scanner json.loads runs, with its defaults: strict strings, no hooks,
+# float and int, json's NaN and Infinity
+_scan = make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float,
+    parse_int=int, parse_constant={
+        "NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf"),
+    }.__getitem__,
+))
+
+
+def _json_value(text: str):
+    """``json.loads(text)``: the value the C scanner reads past the whitespace
+    that json skips, or, for a text it does not read whole, what json.loads
+    returns or raises, so that ``json`` is imported only for that text."""
+    body = text.strip(" \t\n\r")
+    try:
+        value, end = _scan(body, 0)
+    except Exception:  # on 3.11 a SystemError until json.decoder is imported
+        end = -1
+    if end == len(body):
+        return value
+    import json
+
+    return json.loads(text)
+
+
 def load_template(path) -> OrigamiTemplate:
     """Read a template document from a file path or '-' for stdin.
 
     A document longer than MAX_DOCUMENT_CHARS characters is refused after
-    reading one character past the bound.
+    reading one character past the bound.  The text is read as
+    ``json.loads`` reads it, by :func:`_json_value`, which imports ``json``
+    only for a malformed document.
     """
     source = "<stdin>" if path == "-" else str(path)
     if path == "-" and sys.stdin is None:  # started with fd 0 closed
@@ -228,7 +257,7 @@ def load_template(path) -> OrigamiTemplate:
             f"{source}: document longer than {MAX_DOCUMENT_CHARS} characters"
         )
     try:
-        doc = json.loads(text)
+        doc = _json_value(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise DocumentError(f"{source}: invalid JSON: {exc}") from exc
     except RecursionError as exc:

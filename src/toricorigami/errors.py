@@ -23,9 +23,10 @@ class OutputLimitError(OrigamiError):
 def written(write, *args):
     """``write(*args)``, the text of a report or message, or OutputLimitError.
 
-    ``str()``, ``json`` and ``%d`` raise ValueError for an int of more than
-    ``sys.get_int_max_str_digits()`` digits; ``args`` hold only values for
-    which that is the one ValueError ``write`` can raise.
+    ``str()``, ``repr()`` (as ``cli._encode`` writes an int) and ``%d`` raise
+    ValueError for an int of more than ``sys.get_int_max_str_digits()``
+    digits; ``args`` hold only values for which that is the one ValueError
+    ``write`` can raise.
     """
     try:
         return write(*args)

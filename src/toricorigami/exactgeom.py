@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from functools import cached_property
 from operator import mul
 
 from . import _latticescan
-from ._value import Value, derived_record, set_field
+from ._value import Value, _shown, derived_record, set_field
 from .errors import (
     DegenerateError,
     DimensionMismatch,
@@ -82,14 +81,6 @@ def _integers(values, what: str, length: int | None = None) -> IntVec:
     if length is not None and len(ints) != length:
         raise DimensionMismatch(f"{what} {_shown(ints)} is not a {length}-vector")
     return ints
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or a note where repr refuses an int of too many digits."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<a value of more than {sys.get_int_max_str_digits()} digits>"
 
 
 def _ratio(value) -> tuple[int, int]:

@@ -13,7 +13,9 @@ TypeErrors, and an orientation of (1.0,) would be stored as given, so that
 ``quantize`` reports a virtual dimension of 6.0 instead of 6.  A bare number
 where a vector belongs is refused with the same message, and a refusal is
 still written when an entry has more digits than ``repr`` writes, as is one
-of a facet index, a polytope index or a point that is not a vertex.
+of a facet index, a polytope index or a point that is not a vertex; the
+``repr`` of a result record that holds such a number shows a note in its
+place.
 """
 
 import math
@@ -23,7 +25,9 @@ import pytest
 
 from factories import doubled, s4_template, square, triangle
 from test_document import int_max_str_digits
-from toricorigami import OrigamiTemplate, make_polytope, pair, quantize, single
+from toricorigami import (
+    OrigamiTemplate, dh_density, make_polytope, pair, quantize, single, validate,
+)
 from toricorigami.cohomology import critical_faces, face_ht_series, ht_poincare
 from toricorigami.cones import Lcg64, polarize, verify_dh_identity, weight_sets
 from toricorigami.errors import DimensionMismatch
@@ -228,3 +232,30 @@ def test_an_index_refusal_writes_a_small_index_as_before():
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_record_holding_a_number_past_the_digit_limit_has_a_repr():
+    # dh_density succeeds at a 5 000-digit point; its record is shown with
+    # the note that _shown writes in place of the point
+    with int_max_str_digits(4300):
+        value = dh_density(s4_template(), (10**5000, 0))
+        assert repr(value) == (
+            "DHValue(point=<a value of more than 4300 digits>, density=0, "
+            "generic=True)"
+        )
+    assert value.point[0] == 10**5000
+
+
+def test_the_repr_of_a_record_of_small_values_is_as_before():
+    """Each field as ``!r`` writes it, the format before the note existed."""
+    T = s4_template()
+    records = [
+        dh_density(T, (Fraction(1, 3), Fraction(1, 3))), validate(T), quantize(T),
+        T.fusions[0], T.polytopes[0].halfspaces[0], critical_faces(T, (1, 2))[0],
+    ]
+    for record in records:
+        fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record._repr)
+        assert repr(record) == f"{type(record).__qualname__}({fields})"
+    assert repr(records[0]) == (
+        "DHValue(point=(Fraction(1, 3), Fraction(1, 3)), density=0, generic=True)"
+    )

@@ -2,8 +2,9 @@
 
 The package exports its names lazily and each CLI handler imports the
 modules it needs, so a ``validate`` call never loads the sampling,
-cohomology or rendering code, and a well-formed argv is read without
-argparse.  The footprint checks run in fresh interpreters, because this
+cohomology or rendering code, a well-formed argv is read without
+argparse, and a well-formed document is read and its report written
+without ``json``.  The footprint checks run in fresh interpreters, because this
 process has loaded everything already.
 """
 
@@ -126,6 +127,71 @@ def test_integer_commands_load_no_fractions(argv, files):
     )
     assert "toricorigami.cli" in loaded
     assert not {"fractions", "decimal"} & loaded
+
+
+def _loaded_without_site(calls):
+    """Names in sys.modules after a fresh ``-S`` interpreter runs ``main`` on
+    each call, read before anything else is imported."""
+    script = (
+        "import sys\n"
+        "from toricorigami.cli import main\n"
+        f"codes = [main(call) for call in {calls!r}]\n"
+        "print(0 in codes, *sorted(sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env={"PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    succeeded, *loaded = proc.stdout.splitlines()[-1].split()
+    assert succeeded == "True"
+    return set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["validate"], GALLERY),
+        (["orient"], GALLERY),
+        (["classify"], SEGMENTS),
+        (["quantize"], GALLERY),
+        (["quantize", "--points"], GALLERY),
+        (["cohomology"], GALLERY),
+    ],
+    ids=["validate", "orient", "classify", "quantize", "quantize-points", "cohomology"],
+)
+def test_integer_commands_load_no_json(argv, files):
+    """The document is read by the C scanner and the report written by
+    ``cli._encode``: no ``json``, nor the ``re`` and ``enum`` it loads, on
+    every gallery file, exit 0 or not."""
+    loaded = _loaded_without_site(
+        [[argv[0], f"gallery/{name}", *argv[1:]] for name in files])
+    assert "toricorigami.cli" in loaded
+    assert not {"json", "re", "enum"} & loaded
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"dimension": 2,\n "polytopes": [1, 2,]}',
+     "Expecting value: line 2 column 21 (char 37)"),
+    ('{"dimension" 2}', "Expecting ':' delimiter: line 1 column 14 (char 13)"),
+], ids=["missing-value", "missing-colon"])
+def test_a_malformed_document_still_gets_the_message_of_json(tmp_path, text, message):
+    """Only a text the scanner does not read whole imports ``json``, whose
+    error names the fault, in a fresh ``-S`` child as in this process.  The
+    scanner reports a missing value itself, and on 3.11 fails with a
+    SystemError for any other fault until ``json.decoder`` is imported."""
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "toricorigami.cli", "validate", str(path)],
+        env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+    )
+    with pytest.raises(ValueError) as expected:
+        json.loads(text)
+    assert str(expected.value) == message
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "parse", "message": f"{path}: invalid JSON: {message}",
+    }
 
 
 @pytest.mark.parametrize("argv", [
