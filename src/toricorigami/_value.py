@@ -16,6 +16,7 @@ A shown field may be a ``cached_property`` of a record without
 the record with :func:`derived_record`, which leaves it to be derived from
 a hidden field on first read (``Halfspace.offset``,
 ``DelzantVertexRecord.vertex`` and ``.determinant``, ``CriticalFace.vertices``).
+A hidden field may serve the package alone (``DelzantVertexRecord._walls``).
 """
 
 import sys

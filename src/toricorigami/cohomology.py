@@ -12,6 +12,7 @@ side and its complement on the negative side.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 from ._value import Value, derived_record
@@ -131,10 +132,12 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
 
 
 def _cap(cap) -> int:
-    """``cap`` as an int; ValueError unless it is a nonnegative even integer."""
+    """``cap`` as an int; ValueError unless even and 0 <= cap <= sys.maxsize // 8."""
     (cap,) = _integers((cap,), "cap")
     if cap < 0 or cap % 2:
         raise ValueError("cap must be a nonnegative even integer")
+    if cap > sys.maxsize // 8:  # before a list of cap + 1 items is built
+        raise ValueError(f"cap must be at most {sys.maxsize // 8}")
     return cap
 
 

@@ -6,10 +6,10 @@ weights; the signed indicator sum of the resulting unimodular cones
 reproduces the polytope Duistermaat-Heckman density, which
 :func:`verify_dh_identity` checks pointwise on seeded rational samples.
 
-At a Delzant vertex each weight leaves exactly one tight facet and pairs to
--1 with its normal (the rule of ``HPolytope.is_delzant``), so the negated
-tight normals invert the weight matrix: a point's coordinate along a
-polarized weight is its flip (+-1) times the slack of the facet it leaves.
+At a Delzant vertex each weight leaves exactly one tight facet, which the
+vertex's ``is_delzant()`` record keeps as a wall, and pairs to -1 with its
+normal, so the negated normals of the walls invert the weight matrix: a point's
+coordinate along a polarized weight is its flip (+-1) times its wall's slack.
 """
 
 from __future__ import annotations
@@ -124,26 +124,25 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
 def _compile(T: OrigamiTemplate, v) -> list:
     """Per distinct polytope with fixed points: (polytope, wall rows, cones).
 
-    Each weight leaves one tight facet, a wall; bit k of a mask is the facet
-    of row k.  A cone (sign, pos, neg) holds the points of positive slack on
-    the walls of ``pos`` and negative slack on those of ``neg``.  Cones with
-    equal masks merge by summing their signs, a sum of 0 is dropped, and
-    every wall stays.  Raises ValueError when a fixed vertex is not Delzant
-    (its ``is_delzant()`` record is not ok).
+    Each weight leaves one tight facet, a wall, which its vertex's Delzant
+    record holds; bit k of a mask is the facet of row k.  A cone (sign, pos,
+    neg) holds the points of positive slack on the walls of ``pos`` and
+    negative slack on those of ``neg``.  Cones with equal masks merge by
+    summing their signs, a sum of 0 is dropped, and every wall stays.  Raises
+    ValueError when a fixed vertex is not Delzant (its record is not ok).
     """
     cones = [polarize(W, v) for W in weight_sets(T)]
     groups = {}
     for (i, vid), cone in zip(T._fixed_vertices, cones):
         P = T.polytopes[i]
-        if not P.is_delzant().vertex_records[vid].ok:
+        record = P.is_delzant().vertex_records[vid]
+        if not record.ok:
             det = _det(cone.generators[: P.dim])
             raise ValueError(f"cone generators are not a lattice basis (det {det})")
         walls, signs = groups.setdefault(P, ({}, {}))
-        act = P._vertex_active[vid]
         pos = neg = 0
-        for (u, far), g in zip(P._edges[vid], cone.generators):
-            # the generator is +-u, the weight that leaves facet j
-            bit = walls.setdefault(min(act - P._vertex_active[far]), 1 << len(walls))
+        for u, j, g in zip(record.directions, record._walls, cone.generators):
+            bit = walls.setdefault(j, 1 << len(walls))  # g is +-u, which leaves facet j
             if g == u:
                 pos |= bit
             else:

@@ -242,7 +242,8 @@ class DelzantVertexRecord(Value):
     """A vertex's edge directions and their determinant (None unless n edges).
 
     A record of :meth:`HPolytope.is_delzant` derives its vertex and its
-    determinant, which ``ok`` does not read, when first read.
+    determinant, which ``ok`` does not read, when first read; its hidden
+    ``_walls`` holds the facet each edge leaves, a cone wall (``()`` unless n edges).
     """
 
     _repr = ("vertex", "directions", "determinant", "ok")
@@ -412,14 +413,18 @@ class HPolytope(Value):
             dirs = tuple(u for u, _ in edges)
             # n edges make v simple: A U = -diag(c), c > 0, for its normals A and edges
             # U; as A's rows are primitive, U^-1 = -diag(1/c) A is integral iff c = 1
-            ok = len(dirs) == n and all(
-                _dot(hss[min(act - acts[far])].normal, u) == -1 for u, far in edges
+            simple = len(dirs) == n
+            walls = tuple(min(act - acts[far]) for _, far in edges) if simple else ()
+            ok = simple and all(
+                _dot(hss[j].normal, u) == -1 for u, j in zip(dirs, walls)
             )
-            record = derived_record(DelzantVertexRecord, _ray=ray, directions=dirs, ok=ok)
+            record = derived_record(
+                DelzantVertexRecord, _ray=ray, _walls=walls, directions=dirs, ok=ok
+            )
             records.append(record)
             if failure is None and not ok:
                 failure = f"vertex {written(str, record.vertex)} has " + (
-                    f"{len(dirs)} edges, expected {n}" if len(dirs) != n
+                    f"{len(dirs)} edges, expected {n}" if not simple
                     else f"edge determinant {record.determinant}"
                 )
         return DelzantReport(failure is None, tuple(records), failure)

@@ -101,14 +101,12 @@ class OrigamiTemplate(Value):
         counts = [len(P.halfspaces) for P in self.polytopes]
         # per fusion, its int row (pa, fa, pb, fb), pb = fb = -1 for a single,
         # which every decision reads; per polytope, its fusion entries
-        # (fusion, side, facet) in template order and the polytope across each
-        # of its pair fusions
+        # (fusion, side, facet, polytope across or -1) in template order
         rows = []
         entries = [[] for _ in counts]
-        neighbours = [[] for _ in counts]
         for idx, fu in enumerate(self.fusions):
             row = []
-            for side, ad in enumerate(fu.addresses):
+            for ad in fu.addresses:
                 p, facet = ad.polytope, ad.facet
                 if not 0 <= p < len(counts):
                     raise ValueError(f"fusion #{idx}: no polytope {_shown(p)}")
@@ -116,16 +114,14 @@ class OrigamiTemplate(Value):
                     raise ValueError(
                         f"fusion #{idx}: polytope {p} has no facet {_shown(facet)}"
                     )
-                entries[p].append((idx, side, facet))
                 row += (p, facet)
-            rows.append((*row, -1, -1)[:4])  # a single's b reads (-1, -1)
-            pa, fa, pb, fb = rows[-1]
-            if pb < 0:
-                continue
+            pa, fa, pb, fb = row = (*row, -1, -1)[:4]  # a single's b reads (-1, -1)
             if (pa, fa) == (pb, fb):
                 raise ValueError(f"fusion #{idx} pairs a facet with itself")
-            neighbours[pa].append(pb)
-            neighbours[pb].append(pa)
+            rows.append(row)
+            entries[pa].append((idx, 0, fa, pb))
+            if pb >= 0:
+                entries[pb].append((idx, 1, fb, pa))
         if self.orientation is not None:
             if len(self.orientation) != len(self.polytopes):
                 raise ValueError("orientation length mismatch")
@@ -136,7 +132,6 @@ class OrigamiTemplate(Value):
         vars(self).update(
             _rows=tuple(rows),
             _fusion_entries=tuple(map(tuple, entries)),
-            _neighbours=tuple(map(tuple, neighbours)),
         )
 
     @property
@@ -175,7 +170,7 @@ class OrigamiTemplate(Value):
         least polytope not yet reached); the BFS parents, None at a root; the
         number of roots; and the first (u, w) met on an edge with equal signs.
         """
-        adj = self._neighbours
+        adj = [[w for _, _, _, w in group if w >= 0] for group in self._fusion_entries]
         sign, parent = [0] * len(adj), [None] * len(adj)
         roots, clash = 0, None
         for root in range(len(adj)):
@@ -199,7 +194,7 @@ class OrigamiTemplate(Value):
     def _fused_facets(self) -> tuple[frozenset[int], ...]:
         """Per polytope, the indices of its fused facets."""
         return tuple(
-            frozenset(facet for _, _, facet in group) for group in self._fusion_entries
+            frozenset(facet for _, _, facet, _ in group) for group in self._fusion_entries
         )
 
     @cached_property
@@ -282,7 +277,7 @@ def validate(T: OrigamiTemplate) -> ValidationReport:
         if len(group) < 2:
             continue
         tight = polytopes[p]._tight
-        for (i1, s1, f1), (i2, s2, f2) in itertools.combinations(group, 2):
+        for (i1, s1, f1, _), (i2, s2, f2, _) in itertools.combinations(group, 2):
             if i1 == i2:
                 continue
             if f1 == f2:
@@ -422,9 +417,9 @@ def classify_surface(T: OrigamiTemplate) -> SurfaceClass:
         raise DimensionError(f"classification needs dimension 1, got {T.dim}")
     s = len(T.polytopes)
     marked = sum(pb < 0 for _, _, pb, _ in T._rows)
-    if any(p in across for p, across in enumerate(T._neighbours)):
+    if any(pa == pb for pa, _, pb, _ in T._rows):
         raise StructureError("segment fused to itself")
-    degree = [len(across) for across in T._neighbours]
+    degree = [sum(w >= 0 for _, _, _, w in group) for group in T._fusion_entries]
     if any(d > 2 for d in degree):
         raise StructureError("a segment carries more than two fusions")
     if T._fusion_walk[2] != 1:

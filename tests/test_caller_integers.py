@@ -15,10 +15,12 @@ where a vector belongs is refused with the same message, and a refusal is
 still written when an entry has more digits than ``repr`` writes, as is one
 of a facet index, a polytope index or a point that is not a vertex; the
 ``repr`` of a result record that holds such a number shows a note in its
-place.
+place.  A sweep calls every integer slot of the public callables with a
+5 000-digit value: each returns, or raises what a small refused value raises.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,8 @@ import pytest
 from factories import doubled, s4_template, square, triangle
 from test_document import int_max_str_digits
 from toricorigami import (
-    OrigamiTemplate, dh_density, make_polytope, pair, quantize, single, validate,
+    OrigamiTemplate, agrees_near, cone_density, dh_density, glue, make_polytope,
+    multiplicity, pair, quantize, single, validate,
 )
 from toricorigami.cohomology import critical_faces, face_ht_series, ht_poincare
 from toricorigami.cones import Lcg64, polarize, verify_dh_identity, weight_sets
@@ -259,3 +262,89 @@ def test_the_repr_of_a_record_of_small_values_is_as_before():
     assert repr(records[0]) == (
         "DHValue(point=(Fraction(1, 3), Fraction(1, 3)), density=0, generic=True)"
     )
+
+
+# ---------------------------------------------------------------------------
+# the sweep: every integer slot of the public callables, at 5 000 digits
+# ---------------------------------------------------------------------------
+
+def two_squares(*fusions):
+    return OrigamiTemplate((square(), square()), fusions)
+
+
+def box_with_right_side(k):
+    return make_polytope([((1, 0), k), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
+
+
+# slot -> (call on one int k, a small k that the slot refuses, or None where
+# the slot takes every int).  A point is passed at its right length: a
+# 5 000-digit point of the wrong length raises OutputLimitError by design, as
+# the message would write it (test_fresh_process.py's dh-wrong-length pins
+# that).  A huge positive sample count asks for that many samples and would
+# never end, so that row passes -|k| only.
+SWEEP = {
+    "pair-a-polytope": (lambda k: two_squares(pair((k, 0), (1, 0))), 2),
+    "pair-a-facet": (lambda k: two_squares(pair((0, k), (1, 0))), 4),
+    "pair-b-polytope": (lambda k: two_squares(pair((0, 0), (k, 0))), 2),
+    "pair-b-facet": (lambda k: two_squares(pair((0, 0), (1, k))), 4),
+    "single-polytope": (lambda k: two_squares(single((k, 0))), 2),
+    "single-facet": (lambda k: two_squares(single((0, k))), 4),
+    "glue-pairing": (lambda k: glue(
+        OrigamiTemplate((square(),)), OrigamiTemplate((square(),)),
+        (pair((0, 2), (1, k)),),
+    ), 4),
+    "agrees_near-facet": (lambda k: agrees_near(square(), k, square(), 0), 4),
+    "HPolytope.facet": (lambda k: square().facet(k), 4),
+    "HPolytope.edge_directions": (lambda k: square().edge_directions((k, 0)), 2),
+    "HPolytope.contains": (lambda k: square().contains((k, 0)), None),
+    "HPolytope.face_vertices": (lambda k: square().face_vertices((k,)), None),
+    "dh_density-point": (lambda k: dh_density(s4_template(), (k, 0)), None),
+    "multiplicity-point": (lambda k: multiplicity(s4_template(), (k, 0)), None),
+    "cone_density-point": (
+        lambda k: cone_density(s4_template(), (2, 1), (k, 1)), 0,
+    ),
+    "cone_density-v": (
+        lambda k: cone_density(s4_template(), (k, 1), (Fraction(1, 3),) * 2), 0,
+    ),
+    "polarize": (lambda k: polarized((k, 1)), 0),
+    "critical_faces": (lambda k: heights((k, 0)), 0),
+    "face_ht_series-auxiliary": (lambda k: fold_edge_series((k, 0)), 1),
+    "face_ht_series-cap": (lambda k: capped_edge_series((k,)), 3),
+    "ht_poincare-cap": (lambda k: poincare((k,)), 3),
+    "make_polytope-normal": (lambda k: square_with_normal((k, 0)), -1),
+    "make_polytope-offset": (box_with_right_side, -1),
+    "verify_dh_identity-v": (lambda k: identity((k, 1)), 0),
+    "verify_dh_identity-seed": (lambda k: seeded_identity((k,)), None),
+    "verify_dh_identity-sample_count": (lambda k: sampled((-abs(k),)), 0),
+    "Lcg64-seed": (lambda k: draws((k,)), None),
+    "OrigamiTemplate-orientation": (lambda k: oriented_triangle((k,)), 2),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(SWEEP))
+def test_a_huge_integer_returns_or_is_refused_in_its_own_words(slot):
+    call, small = SWEEP[slot]
+    expected = None
+    if small is not None:
+        with pytest.raises(Exception) as info:
+            call(small)
+        expected = type(info.value)
+    with int_max_str_digits(4300):
+        for sign in (1, -1):
+            try:
+                call(sign * 10**5000)
+            except Exception as exc:
+                assert type(exc) is expected, sign
+                assert "Exceeds the limit" not in str(exc), sign
+
+
+@pytest.mark.parametrize("cap", [2**64, 10**5000], ids=["2**64", "5000-digits"])
+def test_a_cap_past_the_longest_list_is_refused_before_a_list_is_built(cap):
+    # a list of cap + 1 coefficients could not be built: [0] * (cap + 1)
+    # raised a raw OverflowError for these caps
+    message = f"cap must be at most {sys.maxsize // 8}"
+    with int_max_str_digits(4300):
+        for call in (poincare, capped_edge_series):
+            with pytest.raises(ValueError) as info:
+                call((cap,))
+            assert str(info.value) == message

@@ -487,6 +487,16 @@ def unimodularity_polytopes():
     return out
 
 
+class Unreadable:
+    """A table that must not be read: every use of it raises."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a tight set was read")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __contains__ = _refuse
+    __bool__ = __eq__ = __hash__ = _refuse
+
+
 class TestCompilerReadsTheDelzantRecord:
     def test_pairing_test_agrees_with_the_record_at_every_vertex(self):
         # the record decides each vertex by the pairing of its edges with
@@ -515,3 +525,18 @@ class TestCompilerReadsTheDelzantRecord:
         vars(P)["_delzant"] = DelzantReport(False, tuple(records), "marked")
         with pytest.raises(ValueError, match=r"not a lattice basis \(det -?1\)"):
             verify_dh_identity(T)
+
+    @pytest.mark.parametrize("make", [
+        s4_template, hirzebruch_pair, trapezoid_chain, lambda: doubled_cube(3),
+    ], ids=["s4", "hirzebruch_pair", "trapezoid_chain", "doubled-3-cube"])
+    def test_compiler_reads_no_tight_sets(self, make):
+        # with the fixed points and the Delzant records computed, the walls
+        # come from the records: sampling never reads a tight set again
+        T = make()
+        T._fixed_vertices
+        for P in T.polytopes:
+            P.is_delzant()
+            vars(P)["_vertex_active"] = Unreadable()
+        assert verify_dh_identity(T, sample_count=50) == verify_dh_identity(
+            make(), sample_count=50
+        )

@@ -105,6 +105,17 @@ def test_file_that_is_not_utf8_is_a_parse_error_in_a_fresh_process(tmp_path):
     assert error["message"].startswith("bad.json: not UTF-8 text: ")
 
 
+def test_a_document_nested_past_the_recursion_limit_is_a_parse_error(tmp_path):
+    # the depth at which the reader gives up depends on the Python version
+    # and the caller's stack; 100 000 is past it on every supported version
+    (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+    proc = child(["validate", "deep.json"], tmp_path, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "parse"
+    assert error["message"].startswith("deep.json: JSON nested too deeply: ")
+
+
 def _halfspaces(*pairs):
     return {"halfspaces": [{"normal": n, "offset": o} for n, o in pairs]}
 
