@@ -16,7 +16,7 @@ import sys
 from functools import cached_property
 
 from ._value import Value, derived_record
-from .errors import InconsistentIndex, NonorientableError, PreconditionError, written
+from .errors import NonorientableError, PreconditionError, written
 from .exactgeom import (
     FaceRef, Halfspace, HPolytope, _dot, _generic_vector, _integers, _shown,
 )
@@ -27,9 +27,10 @@ class CriticalFace(Value):
     """A critical face with its Morse data.
 
     ``m`` is the face dimension (the critical manifold has dimension 2m),
-    ``ind`` twice the count of descending transverse edges, and ``r`` the
-    degree shift: ind on the +1 side and the complementary transverse index
-    2(n - m) - ind on the -1 side, where the height is climbed instead.
+    ``ind`` twice the count of descending transverse edges, which is the
+    same at every vertex of the face, and ``r`` the degree shift: ind on
+    the +1 side and the complementary transverse index 2(n - m) - ind on
+    the -1 side, where the height is climbed instead.
     A record of :func:`critical_faces` reads ``vertices`` from its face when
     first asked.
     """
@@ -80,48 +81,29 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
     """Maximal faces whose active normal span contains xi, off the fold.
 
     On a simple polytope the largest such face through a vertex is spanned
-    by its level edges, <u, xi> = 0; PreconditionError if not simple.
+    by its level edges, <u, xi> = 0; PreconditionError if not simple, and
+    ValueError if xi = 0.  Its index is read at the first vertex it spans:
+    its other edges there are its transverse edges, none of them level.
     """
     signs = orientation_signs(T)
     n = T.dim
     xi = _integers(xi, "height vector", n)
+    if not any(xi):
+        raise ValueError("height vector must be nonzero")
     out = []
     for i, P in enumerate(T.polytopes):
         fused = T._fused_facets[i]
         acts = P._vertex_active
-        maximal = {}  # active set -> vertex ids, ascending
+        maximal = {}  # active set -> the first vertex that spans it
         for vid, (act, edges) in enumerate(zip(acts, P._edges)):
             if len(edges) > n:
                 vertex = written(str, P.vertices[vid])
                 raise PreconditionError(f"vertex {vertex} of polytope {i} is not simple")
             level = act.intersection(*(acts[far] for u, far in edges if not _dot(u, xi)))
-            # xi = 0 levels every edge: the largest proper faces at v are its facets
-            for active in [level] if level else map(frozenset, zip(act)):
-                if not fused & active:  # else the face maps into the fold
-                    maximal.setdefault(tuple(sorted(active)), []).append(vid)
-        for active, face_vids in sorted(maximal.items()):
-            vids = frozenset(face_vids)
-            counts = set()
-            for vid in face_vids:
-                descending = 0
-                for u, far in P._edges[vid]:
-                    if far in vids:
-                        continue
-                    p = _dot(u, xi)
-                    if p == 0:
-                        vertex = written(str, P.vertices[vid])
-                        raise InconsistentIndex(
-                            f"transverse edge {u} at {vertex} is level for {xi}"
-                        )
-                    if p > 0:
-                        descending += 1
-                counts.add(descending)
-            if len(counts) != 1:
-                raise InconsistentIndex(
-                    f"face {active} of polytope {i} has vertexwise "
-                    f"descending counts {sorted(counts)}"
-                )
-            ind = 2 * counts.pop()
+            if not fused & level:  # else the face maps into the fold
+                maximal.setdefault(tuple(sorted(level)), vid)
+        for active, vid in sorted(maximal.items()):
+            ind = 2 * sum(_dot(u, xi) > 0 for u, _ in P._edges[vid])
             m = n - len(active)  # a simple polytope's faces lie on n - m facets
             r = ind if signs[i] == 1 else 2 * (n - m) - ind
             out.append(derived_record(

@@ -133,4 +133,4 @@ class PreconditionError(OrigamiError):
 
 
 class InconsistentIndex(OrigamiError):
-    """Vertices of one critical face disagree on the descending edge count."""
+    """Critical-face vertices disagreeing on the index; no package function raises it."""

@@ -383,6 +383,8 @@ class HPolytope(Value):
 
     def face_vertices(self, face: FaceRef | IntVec) -> tuple[Point, ...]:
         active = frozenset(face.active if isinstance(face, FaceRef) else face)
+        for j in active.difference(range(len(self.halfspaces))):
+            raise IndexError(f"no halfspace #{_shown(j)}")
         return tuple(
             v for v, va in zip(self.vertices, self._vertex_active) if active <= va
         )

@@ -192,6 +192,8 @@ def critical_faces(T: OrigamiTemplate, xi) -> tuple[CriticalFace, ...]:
     """Maximal faces whose active normal span contains xi, off the fold."""
     signs = orientation_signs(T)
     xi = tuple(int(c) for c in xi)
+    if not any(xi):
+        raise ValueError("height vector must be nonzero")
     n = T.dim
     out = []
     for i, P in enumerate(T.polytopes):

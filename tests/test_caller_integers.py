@@ -195,6 +195,10 @@ HUGE_INDEX_SITES = {
         lambda H: square().edge_directions((H, 0)), ValueError,
         "<a value of more than 4300 digits> is not a vertex",
     ),
+    "HPolytope.face_vertices": (
+        lambda H: square().face_vertices((0, H)), IndexError,
+        "no halfspace #<a value of more than 4300 digits>",
+    ),
     "pair-facet": (
         lambda H: OrigamiTemplate((square(), square()), (pair((0, H), (1, 0)),)),
         ValueError,
@@ -235,6 +239,17 @@ def test_an_index_refusal_writes_a_small_index_as_before():
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == message
+
+
+def test_face_vertices_refuses_a_facet_index_out_of_range():
+    # each index outside range(4) used to select no vertex and return ()
+    P = square()
+    for active, shown in [((7,), "7"), ((-1,), "-1"), ((0, 4), "4")]:
+        with pytest.raises(IndexError) as info:
+            P.face_vertices(active)
+        assert str(info.value) == f"no halfspace #{shown}"
+    assert P.face_vertices((0, 3)) == ((0, 1),)
+    assert P.face_vertices(()) == P.vertices
 
 
 def test_a_record_holding_a_number_past_the_digit_limit_has_a_repr():
@@ -297,7 +312,7 @@ SWEEP = {
     "HPolytope.facet": (lambda k: square().facet(k), 4),
     "HPolytope.edge_directions": (lambda k: square().edge_directions((k, 0)), 2),
     "HPolytope.contains": (lambda k: square().contains((k, 0)), None),
-    "HPolytope.face_vertices": (lambda k: square().face_vertices((k,)), None),
+    "HPolytope.face_vertices": (lambda k: square().face_vertices((k,)), 4),
     "dh_density-point": (lambda k: dh_density(s4_template(), (k, 0)), None),
     "multiplicity-point": (lambda k: multiplicity(s4_template(), (k, 0)), None),
     "cone_density-point": (

@@ -50,7 +50,7 @@ def outcome(f, *args):
     """("value", f(*args)), or the error it raises with its message and witness."""
     try:
         return "value", f(*args)
-    except OrigamiError as exc:
+    except (OrigamiError, ValueError) as exc:
         return (
             type(exc).__name__, str(exc),
             getattr(exc, "single", None), getattr(exc, "odd_cycle", None),
@@ -144,25 +144,49 @@ def one_fold_templates():
 ONE_FOLD = one_fold_templates()
 
 
+def document_templates():
+    # the oracle builds the whole face lattice, so documents above
+    # dimension 3, such as simplex12_double, are left out
+    documents = {}
+    for prefix, folder in (("gallery", GALLERY), ("golden", GOLDEN_INPUTS)):
+        for path in sorted(folder.glob("*.json")):
+            T = load_template(path)
+            if T.dim <= 3:
+                documents[f"{prefix}-{path.stem}"] = T
+    return documents
+
+
+DOCUMENTS = document_templates()
+
+
 class TestCriticalFaces:
-    @pytest.mark.parametrize("name", sorted(ONE_FOLD))
+    @pytest.mark.parametrize("name", sorted(ONE_FOLD) + sorted(DOCUMENTS))
     def test_matches_reference(self, name):
-        # the fold normal, a generic vector and every vector of entries -1, 0
-        # and 1 in the first three coordinates, among them the zero vector,
-        # which is level on every edge
-        T = ONE_FOLD[name]
-        fold, _ = fold_direction(T)
-        generic = _generic_vector(
-            [hs.normal for P in T.polytopes for hs in P.halfspaces], T.dim
-        )
-        box = itertools.product((-1, 0, 1), repeat=min(T.dim, 3))
-        pad = (0,) * max(T.dim - 3, 0)
-        for xi in [fold, generic] + [head + pad for head in box]:
+        # on a one-fold template: the fold normal, a generic vector and every
+        # vector of entries -1, 0 and 1 in the first three coordinates, among
+        # them the zero vector, which both refuse; on a document: every
+        # nonzero vector of entries -2 to 2
+        if name in DOCUMENTS:
+            T = DOCUMENTS[name]
+            box = itertools.product(range(-2, 3), repeat=T.dim)
+            vectors = [xi for xi in box if any(xi)]
+        else:
+            T = ONE_FOLD[name]
+            fold, _ = fold_direction(T)
+            generic = _generic_vector(
+                [hs.normal for P in T.polytopes for hs in P.halfspaces], T.dim
+            )
+            assert critical_faces(T, fold) and critical_faces(T, generic)
+            assert outcome(critical_faces, T, (0,) * T.dim)[:2] == (
+                "ValueError", "height vector must be nonzero",
+            )
+            box = itertools.product((-1, 0, 1), repeat=min(T.dim, 3))
+            pad = (0,) * max(T.dim - 3, 0)
+            vectors = [fold, generic] + [head + pad for head in box]
+        for xi in vectors:
             assert outcome(critical_faces, T, xi) == outcome(
                 ref.critical_faces, T, xi
             )
-        assert critical_faces(T, fold) and critical_faces(T, generic)
-        assert outcome(critical_faces, T, (0,) * T.dim)[0] == "InconsistentIndex"
 
 
 def agreement_polygons():
