@@ -59,8 +59,15 @@ def _int_vector(text: str):
 MAX_DEGREE = 100_000
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise _refusal(f"expected an integer, got {text!r}") from exc
+
+
 def _even_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0 or value % 2:
         raise _refusal("must be an even nonnegative integer")
     if value > MAX_DEGREE:
@@ -74,7 +81,7 @@ MAX_SAMPLES = 100_000
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value <= 0:
         raise _refusal("must be positive")
     if value > MAX_SAMPLES:
@@ -130,7 +137,7 @@ def _cmd_quantize(T, args):
     result = quantize(T, points=args.points)
     payload = {"virtual_dimension": result.virtual_dimension}
     if args.points:
-        # the point -> multiplicity dict; _dumps writes it as the points array
+        # the point -> multiplicity dict; _encode writes it as the points array
         payload["points"] = result.per_point
     return payload, EXIT_OK
 
@@ -315,30 +322,23 @@ def _plain_args(argv):
 
 # --- entry ------------------------------------------------------------------
 
-def _points_json(per_point: dict) -> str:
-    """The points array as ``json.dumps(indent=2, sort_keys=True)`` nests it.
-
-    Each ``{"multiplicity": m, "point": p}`` object comes from one
-    %-template built for the dimension, not from a dict per point through
-    the encoder, which is pure Python whenever ``indent`` is set.
-    """
-    if not per_point:
-        return "[]"
-    dim = len(next(iter(per_point)))
-    item = (
-        '    {\n      "multiplicity": %d,\n      "point": [\n'
-        + ",\n".join(["        %d"] * dim)
-        + "\n      ]\n    }"
-    )
-    return "[\n" + ",\n".join(
-        item % (m, *p) for p, m in per_point.items()
-    ) + "\n  ]"
+def _points_json(per_point: dict, pad: str) -> str:
+    """Quantize's point -> multiplicity table (never empty) as :func:`_encode`
+    writes its list of ``{"multiplicity": m, "point": p}`` objects: from one
+    %-template per dimension, not one dict per point through the encoder."""
+    i = pad + "  "
+    item = (f'{i}{{\n{i}  "multiplicity": %d,\n{i}  "point": [\n'
+            + ",\n".join([f"{i}    %d"] * len(next(iter(per_point))))
+            + f"\n{i}  ]\n{i}}}")
+    return "[\n" + ",\n".join(item % (m, *p) for p, m in per_point.items()) + f"\n{pad}]"
 
 
 def _encode(value, pad: str) -> str:
     """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it under
     the indent ``pad``: a str, None, bool, int (whose repr raises the digit
-    limit's ValueError), list, tuple or dict of str keys; else TypeError."""
+    limit's ValueError), list, tuple, dict of str keys, or quantize's point
+    table, whose keys are tuples of ints (by :func:`_points_json`, where
+    ``%d`` refuses a str or None); else TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -347,6 +347,8 @@ def _encode(value, pad: str) -> str:
         return int.__repr__(value)
     inner = pad + "  "
     if isinstance(value, dict):  # encode_basestring_ascii refuses a non-str key
+        if value and type(next(iter(value))) is tuple:  # quantize's point table
+            return _points_json(value, pad)
         brackets = "{}"
         items = [f"{encode_basestring_ascii(key)}: {_encode(item, inner)}"
                  for key, item in sorted(value.items())]
@@ -358,19 +360,6 @@ def _encode(value, pad: str) -> str:
     if not items:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
-
-
-def _dumps(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)``, by :func:`_encode`;
-    a ``points`` entry is quantize's per-point dict, by ``_points_json``."""
-    if "points" not in report:
-        return _encode(report, "")
-    rest = dict(report)
-    points = _points_json(rest.pop("points"))
-    # sorted keys: "points" is the last key before "virtual_dimension"; a
-    # string value holds no raw newline, so the split finds the key itself
-    head, key, tail = _encode(rest, "").partition('\n  "virtual_dimension": ')
-    return f'{head}\n  "points": {points},{key}{tail}'
 
 
 def main(argv=None) -> int:
@@ -392,14 +381,14 @@ def main(argv=None) -> int:
         else:
             payload, code = args.handler(T, args)
         # a payload holds ints, strings, bools, None, lists, dicts and the
-        # point table: the one ValueError of _dumps is the digit limit
-        text = written(_dumps, head | payload)
+        # point table: the one ValueError of _encode is the digit limit
+        text = written(_encode, head | payload, "")
     except OrigamiError as exc:
         if isinstance(exc, DocumentError):
             kind, code = "parse", EXIT_USAGE
         else:
             kind, code = type(exc).__name__, EXIT_SEMANTIC
-        text = _dumps(head | {"error": {"kind": kind, "message": str(exc)}})
+        text = _encode(head | {"error": {"kind": kind, "message": str(exc)}}, "")
     print(text)
     return code
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from _json import make_scanner
+from io import TextIOWrapper
 from types import SimpleNamespace
 
 from .errors import DocumentError, written
@@ -243,7 +244,15 @@ def load_template(path) -> OrigamiTemplate:
     if path == "-" and sys.stdin is None:  # started with fd 0 closed
         raise DocumentError(f"{source}: standard input is closed")
     try:
-        if path == "-":
+        if path == "-" and hasattr(sys.stdin, "buffer"):
+            # decoded as a path is, not by stdin's locale codec or its
+            # surrogateescape handler
+            stream = TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                text = stream.read(MAX_DOCUMENT_CHARS + 1)
+            finally:
+                stream.detach()  # stdin's buffer stays open
+        elif path == "-":  # a caller's text stream, such as a StringIO
             text = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
         else:
             with open(path, encoding="utf-8") as f:

@@ -48,11 +48,11 @@ MAX_RAYS = 500
 # exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def as_point(x, dim: int | None = None) -> Point:
+def as_point(x, dim: int) -> Point:
     from fractions import Fraction
 
     pt = tuple(c if type(c) is Fraction else Fraction(c) for c in x)
-    if dim is not None and len(pt) != dim:
+    if len(pt) != dim:
         raise DimensionMismatch(f"expected a {dim}-vector, got {written(str, pt)}")
     return pt
 

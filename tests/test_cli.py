@@ -392,6 +392,19 @@ class TestExitCodes:
         assert main(["cones", path, "--samples", "0"]) == 1
         assert "argument --samples: must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option", [
+        ("cohomology", "--max-degree"), ("cones", "--samples"),
+    ])
+    @pytest.mark.parametrize("value", ["x", "5.0", ""])
+    def test_a_count_that_is_not_an_integer_is_named(self, capsys, tmp_path,
+                                                        command, option, value):
+        path = write_doc(tmp_path, s4_template(2))
+        assert main([command, path, option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: expected an integer, got {value!r}" in captured.err
+        assert "invalid" not in captured.err
+
     def test_max_degree_above_the_bound_is_a_usage_error(self, capsys, tmp_path):
         path = write_doc(tmp_path, s4_template(2))
         assert main(["cohomology", path, "--max-degree", str(MAX_DEGREE)]) == 0

@@ -47,11 +47,12 @@ GOLDEN_CASES = [
 ]
 
 
-def child(argv, cwd=None, timeout=30, stdin=subprocess.DEVNULL, **kwargs):
-    """``python -m toricorigami.cli *argv`` with only ``PYTHONPATH=src`` set."""
+def child(argv, cwd=None, timeout=30, stdin=subprocess.DEVNULL, env=None, **kwargs):
+    """``python -m toricorigami.cli *argv`` with only ``PYTHONPATH=src`` and
+    ``env`` set."""
     return subprocess.run(
         [sys.executable, "-m", "toricorigami.cli", *argv],
-        cwd=cwd, env=CHILD_ENV, stdin=stdin, timeout=timeout, **kwargs,
+        cwd=cwd, env=CHILD_ENV | (env or {}), stdin=stdin, timeout=timeout, **kwargs,
     )
 
 
@@ -103,6 +104,25 @@ def test_file_that_is_not_utf8_is_a_parse_error_in_a_fresh_process(tmp_path):
     error = json.loads(proc.stdout)["error"]
     assert error["kind"] == "parse"
     assert error["message"].startswith("bad.json: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("env", [
+    {}, {"LC_ALL": "C"}, {"LC_ALL": "C.UTF-8"}, {"PYTHONIOENCODING": "latin-1"},
+    {"PYTHONIOENCODING": "utf-8:strict"},
+], ids=["no-locale", "c", "c-utf8", "latin-1-io", "strict-utf8-io"])
+def test_stdin_that_is_not_utf8_is_a_parse_error_in_a_fresh_process(tmp_path, env):
+    """stdin is decoded as a path is, whatever its own codec or error handler."""
+    text = (GALLERY / "s4.json").read_bytes()
+    at = text.index(b"upper-triangle") + len(b"upper")
+    path = tmp_path / "bad.json"
+    path.write_bytes(text[:at] + b"\xff" + text[at:])
+    with open(path, "rb") as stdin:
+        proc = child(["validate", "-"], tmp_path, stdin=stdin, env=env,
+                     capture_output=True)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "parse"
+    assert error["message"].startswith("<stdin>: not UTF-8 text: ")
 
 
 def test_a_document_nested_past_the_recursion_limit_is_a_parse_error(tmp_path):

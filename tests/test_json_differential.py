@@ -8,7 +8,8 @@ itself here.  The reader must return the same value with the same types
 (bool against int, float, nested containers, key order), or raise the same
 exception type with the same message.  The writer must write the same
 bytes; a number past the digit limit raises ValueError from both, and a
-value that no report holds (a float, a non-str key) raises TypeError.
+value that no report holds (a float, a key that is neither a str nor, in
+quantize's point table, a tuple of ints) raises TypeError.
 
 This process has imported ``json``, so the scanner raises json's own
 errors here; ``tests/test_imports.py`` checks a malformed document in a
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from test_document import DOCUMENTS, int_max_str_digits
-from toricorigami.cli import _dumps, _encode
+from toricorigami.cli import _encode
 from toricorigami.document import _json_value, _scan, load_template
 from toricorigami.errors import DocumentError, OutputLimitError, written
 
@@ -217,11 +218,11 @@ def test_every_golden_report_is_written_alike(name):
     report = json.loads(text)
     assert _encode(report, "") + "\n" == text
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
-    if "points" in report:  # what quantize hands _dumps: the per-point dict
+    if "points" in report:  # what quantize hands _encode: the per-point dict
         report["points"] = {
             tuple(entry["point"]): entry["multiplicity"] for entry in report["points"]
         }
-    assert _dumps(report) + "\n" == text
+        assert _encode(report, "") + "\n" == text
 
 
 def test_golden_reports_hold_only_what_the_encoder_writes():
@@ -270,9 +271,8 @@ def test_seeded_nested_reports_are_written_alike(seed):
     rng = random.Random(seed)
     for _ in range(25):
         report = {random_string(rng): random_value(rng) for _ in range(rng.randrange(5))}
-        report.pop("points", None)
         expected = json.dumps(report, indent=2, sort_keys=True)
-        assert _dumps(report) == expected
+        assert _encode(report, "") == expected
         for value in report.values():
             assert _encode(value, "") == json.dumps(value, indent=2, sort_keys=True)
 
@@ -293,22 +293,24 @@ def test_an_int_past_the_digit_limit_raises_value_error_from_both():
         with pytest.raises(ValueError) as expected:
             json.dumps(report, indent=2, sort_keys=True)
         with pytest.raises(ValueError) as got:
-            _dumps(report)
+            _encode(report, "")
         assert type(got.value) is type(expected.value) is ValueError
         assert str(got.value) == str(expected.value)
         with pytest.raises(OutputLimitError, match="more than 4300 digits"):
-            written(_dumps, report)
+            written(_encode, report, "")
     with int_max_str_digits(0):
-        assert _dumps(report) == json.dumps(report, indent=2, sort_keys=True)
+        assert _encode(report, "") == json.dumps(report, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [
     1.5, float("nan"), {"a": [0.5]}, {1: "a"}, {"a": {2: 3}}, {None: 1},
     {True: 1}, {"a": 1, 2: 3}, {1, 2}, b"bytes", object(),
+    {("a", "b"): 1}, {(1, None): 2}, {(1,): "m"}, {(1,): None}, {(1,): 2, "a": 3},
 ], ids=["float", "nan", "nested-float", "int-key", "nested-int-key", "none-key",
-        "bool-key", "mixed-keys", "set", "bytes", "object"])
+        "bool-key", "mixed-keys", "set", "bytes", "object", "str-tuple-key",
+        "none-in-tuple-key", "str-multiplicity", "none-multiplicity", "tuple-then-str-key"])
 def test_what_no_report_holds_raises_type_error(value):
     with pytest.raises(TypeError):
         _encode(value, "")
     with pytest.raises(TypeError):
-        _dumps({"command": "x", "value": value})
+        _encode({"command": "x", "value": value}, "")

@@ -4,7 +4,8 @@ The CLI writes the points array from one template per dimension; the
 reference here is the earlier form, one ``{"point", "multiplicity"}`` dict
 per point through ``json.dumps(indent=2, sort_keys=True)``.  The two must
 agree byte for byte on templates in dimensions 1 to 5, with multiplicities
-of both signs and 0 and with negative coordinates.
+of both signs and 0 and with negative coordinates, and wherever the table
+sits in a report that ``cli._encode`` writes.
 """
 
 import json
@@ -21,7 +22,7 @@ from factories import (
 )
 from test_corpus import CHAINS, CORPUS
 from toricorigami import OrigamiTemplate, make_polytope, pair
-from toricorigami.cli import _dumps, _points_json, main
+from toricorigami.cli import _encode, main
 from toricorigami.document import document_from_template, load_template
 from toricorigami.exactgeom import _dot
 from toricorigami.invariants import quantize
@@ -75,6 +76,7 @@ TEMPLATES += [(f"{name}-chain", T) for name, _base, T in CHAINS]
 
 def test_templates_cover_dimensions_signs_and_negative_coordinates():
     tables = [quantize(T).per_point for _name, T in TEMPLATES]
+    assert all(tables)  # every polytope lists at least its vertices
     assert {len(next(iter(per))) for per in tables} == {1, 2, 3, 4, 5}
     multiplicities = {m for per in tables for m in per.values()}
     assert {-1, 0, 1} <= multiplicities
@@ -89,19 +91,48 @@ def test_points_match_the_dict_per_point_form(capsys, tmp_path, name, T):
     assert capsys.readouterr().out == reference_report(str(path))
 
 
-@pytest.mark.parametrize("per_point", [
-    {},
+def as_list(per_point):
+    """The dict-per-point form of a table."""
+    return [{"point": list(p), "multiplicity": m} for p, m in per_point.items()]
+
+
+TABLES = [
     {(0,): 0},
     {(-3, 0): -2, (0, 7): 5, (12, -1): 0},
     {(1, 2, 3, 4, 5): -1, (10**30, -(10**30), 0, 1, -1): 3},
-], ids=["empty", "one-zero", "both-signs", "five-dimensional"])
+]
+TABLE_IDS = ["one-zero", "both-signs", "five-dimensional"]
+
+
+@pytest.mark.parametrize("per_point", TABLES, ids=TABLE_IDS)
 def test_table_matches_json_dumps(per_point):
-    expected = [{"point": list(p), "multiplicity": m} for p, m in per_point.items()]
     report = {"command": "quantize", "file": "a\nb \"c\".json", "virtual_dimension": -4}
-    assert _dumps({**report, "points": per_point}) == json.dumps(
-        {**report, "points": expected}, indent=2, sort_keys=True
+    assert _encode({**report, "points": per_point}, "") == json.dumps(
+        {**report, "points": as_list(per_point)}, indent=2, sort_keys=True
     )
 
 
-def test_empty_table_is_an_empty_array():
-    assert _points_json({}) == "[]"
+@pytest.mark.parametrize("per_point", TABLES, ids=TABLE_IDS)
+@pytest.mark.parametrize("report", [
+    {"command": "quantize", "points": None, "seed": 3, "virtual_dimension": 2},
+    {"command": "quantize", "file": "s4.json", "points": None},
+    {"points": None},
+    {"command": "x", "nested": {"a": [], "points": None, "z": 1}},
+    {"command": "x", "tables": [None, "b"]},
+], ids=["key-between", "no-virtual-dimension", "alone", "nested", "in-a-list"])
+def test_table_is_written_wherever_it_sits(report, per_point):
+    """The table, put where each None is, is written in place under any
+    indent, whatever keys sort around it."""
+    def put(value, table):
+        if value is None:
+            return table
+        if isinstance(value, dict):
+            return {key: put(item, table) for key, item in value.items()}
+        if isinstance(value, list):
+            return [put(item, table) for item in value]
+        return value
+
+    assert _encode(put(report, per_point), "") == json.dumps(
+        put(report, as_list(per_point)), indent=2, sort_keys=True
+    )
+
