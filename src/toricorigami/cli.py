@@ -228,7 +228,7 @@ COMMANDS = (
         ("--v", "v", _int_vector, None, False,
          "polarizing vector (default: built-in generic choice)"),
         ("--samples", "samples", _positive_int, 200, False, None),
-        ("--seed", "seed", int, 0, False, None),
+        ("--seed", "seed", _int, 0, False, None),
     )),
     ("cohomology", "equivariant Poincare series coefficients", _cmd_cohomology, (
         ("--max-degree", "max_degree", _even_int, 20, False, None),
@@ -325,7 +325,9 @@ def _plain_args(argv):
 def _points_json(per_point: dict, pad: str) -> str:
     """Quantize's point -> multiplicity table (never empty) as :func:`_encode`
     writes its list of ``{"multiplicity": m, "point": p}`` objects: from one
-    %-template per dimension, not one dict per point through the encoder."""
+    %-template per dimension, not one dict per point through the encoder.
+    Every multiplicity and coordinate must be an int: ``%d`` would truncate a
+    float and write True as 1, and quantize builds the table from ints only."""
     i = pad + "  "
     item = (f'{i}{{\n{i}  "multiplicity": %d,\n{i}  "point": [\n'
             + ",\n".join([f"{i}    %d"] * len(next(iter(per_point))))

@@ -30,6 +30,8 @@ read no lattice.  ``delzant_by_determinant`` is ``HPolytope._delzant`` as
 it decided each vertex by the determinant of its edge directions; the
 package's pairs each edge with the normal of the tight facet it leaves and
 computes a determinant only when a record's is read.
+``h_polynomial`` replaced nothing: it reads a Delzant polytope's Betti numbers
+from its face counts alone, for the oracle of ``tests/test_betti_numbers.py``.
 """
 
 import itertools
@@ -414,3 +416,23 @@ def triangulation(self) -> tuple:
         ]
 
     return tuple(rec(face_list(self)[-1]))  # the whole polytope sorts last
+
+
+def h_polynomial(P: HPolytope, facet: int | None = None) -> tuple[int, ...]:
+    """Coefficients of h(t) = sum_k f_k (t - 1)^k for P, or for its facet ``facet``.
+
+    f_k counts the k-dimensional faces.  ``faces()`` lists the proper faces
+    only, so P itself is counted in f_n; the facet's faces are the faces of P
+    whose active set holds its index, the facet among them.  On a Delzant
+    polytope h_k is the Betti number b_2k of its symplectic toric manifold
+    (Danilov 1978; Fulton, *Introduction to Toric Varieties*, 5.2).
+    """
+    if facet is None:
+        dim, dims = P.dim, [face.dim for face in P.faces()] + [P.dim]
+    else:
+        dim, dims = P.dim - 1, [face.dim for face in P.faces() if facet in face.active]
+    h = [0] * (dim + 1)
+    for k in dims:
+        for j in range(k + 1):
+            h[j] += (-1) ** (k - j) * math.comb(k, j)
+    return tuple(h)

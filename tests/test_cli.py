@@ -393,7 +393,7 @@ class TestExitCodes:
         assert "argument --samples: must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, option", [
-        ("cohomology", "--max-degree"), ("cones", "--samples"),
+        ("cohomology", "--max-degree"), ("cones", "--samples"), ("cones", "--seed"),
     ])
     @pytest.mark.parametrize("value", ["x", "5.0", ""])
     def test_a_count_that_is_not_an_integer_is_named(self, capsys, tmp_path,

@@ -8,6 +8,7 @@ without ``json``.  The footprint checks run in fresh interpreters, because this
 process has loaded everything already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -279,3 +280,25 @@ def test_version_and_unknown_names():
     with pytest.raises(AttributeError, match="no_such_name"):
         toricorigami.no_such_name
     assert getattr(toricorigami, "lattice_backend", None) is None
+
+
+def test_tests_import_only_the_standard_library_pytest_and_the_package():
+    # tier-1 needs nothing installed but pytest: every module a test file
+    # imports, at any depth, is in the standard library, pytest, the package
+    # or a module of tests/ itself
+    tests = ROOT / "tests"
+    local = {path.stem for path in tests.glob("*.py")}
+    local |= {path.name for path in tests.iterdir() if path.is_dir()}
+    allowed = set(sys.stdlib_module_names) | {"pytest", "toricorigami"} | local
+    outside = []
+    for path in sorted(tests.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.relative_to(ROOT)}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []

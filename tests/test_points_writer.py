@@ -81,6 +81,10 @@ def test_templates_cover_dimensions_signs_and_negative_coordinates():
     multiplicities = {m for per in tables for m in per.values()}
     assert {-1, 0, 1} <= multiplicities
     assert any(c < 0 for per in tables for p in per for c in p)
+    # _points_json writes each entry with %d, which would truncate a float and
+    # write True as 1, so it relies on quantize building the table from ints
+    assert all(type(m) is int for per in tables for m in per.values())
+    assert all(type(c) is int for per in tables for p in per for c in p)
 
 
 @pytest.mark.parametrize("name, T", TEMPLATES, ids=[name for name, _ in TEMPLATES])
