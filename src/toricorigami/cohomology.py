@@ -18,7 +18,7 @@ from functools import cached_property
 from ._value import Value, derived_record
 from .errors import NonorientableError, PreconditionError, written
 from .exactgeom import (
-    FaceRef, Halfspace, HPolytope, _dot, _generic_vector, _integers, _shown,
+    FaceRef, Halfspace, HPolytope, _dot, _generic_vector, _integers,
 )
 from .template import OrigamiTemplate, orientation_signs
 
@@ -123,12 +123,13 @@ def _cap(cap) -> int:
     return cap
 
 
-def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
+def face_ht_series(X: CriticalFace, cap: int) -> tuple[int, ...]:
     """Coefficients up to cap of the face's equivariant Poincare series.
 
-    The face is a Delzant polytope in its own affine lattice; a generic
-    auxiliary vector sorts its vertices by index and the series is
-    sum_w t^(2 ind(w)) / (1 - t^2)^n, n the ambient torus rank.
+    The face is a Delzant polytope in its own affine lattice; a vector generic
+    for its edges sorts its vertices by index and the series is
+    sum_w t^(2 ind(w)) / (1 - t^2)^n, n the ambient torus rank.  Any generic
+    vector gives the same numerator: the face's h-polynomial in t^2.
     """
     cap = _cap(cap)
     P: HPolytope = X.face.polytope
@@ -136,25 +137,14 @@ def face_ht_series(X: CriticalFace, cap: int, xi_aux=None) -> tuple[int, ...]:
     # the face's vertices are those tight on its active set, as in the lattice
     acts = P._vertex_active
     vids = {v for v, act in enumerate(acts) if act.issuperset(X.face.active)}
-    per_vertex = [[u for u, far in P._edges[v] if far in vids] for v in sorted(vids)]
-    if xi_aux is None:
-        xi_aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
-    else:
-        xi_aux = _integers(xi_aux, "auxiliary vector", n)
+    per_vertex = [[u for u, far in P._edges[v] if far in vids] for v in vids]
+    aux = _generic_vector((u for dirs in per_vertex for u in dirs), n)
 
     numerator = [0] * (cap + 1)
     for dirs in per_vertex:
-        index = 0
-        for u in dirs:
-            p = _dot(u, xi_aux)
-            if p == 0:
-                raise ValueError(
-                    f"auxiliary vector {_shown(xi_aux)} pairs to zero with face edge {u}"
-                )
-            if p > 0:
-                index += 1
-        if 2 * index <= cap:
-            numerator[2 * index] += 1
+        index = 2 * sum(_dot(u, aux) > 0 for u in dirs)
+        if index <= cap:
+            numerator[index] += 1
 
     base = [0 if k % 2 else math.comb(k // 2 + n - 1, n - 1) for k in range(cap + 1)]
     coeffs = [0] * (cap + 1)

@@ -41,15 +41,23 @@ CONES_V = {1: "-1", 2: "-3,1"}
 # calls recorded on the valid templates of ``inputs/``, besides validate and
 # orient: argv tails (subcommand, options after the file name), each case
 # named by its subcommand as the gallery's are, ``-points`` for ``--points``
+# and ``-degree<cap>`` for ``--max-degree <cap>``
 INPUT_COMMANDS = {
-    "blowup3_double.json": (("volume",), ("cones",), ("cohomology",)),
-    "cube3_double.json": (("volume",), ("cones",), ("cohomology",)),
+    "blowup3_double.json": (
+        ("volume",), ("cones",), ("cohomology",), ("cohomology", "--max-degree", "60"),
+    ),
+    "cube3_double.json": (
+        ("volume",), ("cones",), ("cohomology",), ("cohomology", "--max-degree", "60"),
+    ),
     # [0,1]^3 and [0,2]x[0,1]^2 on one side of their fused facet x_0 = 0
     "onesided3.json": (
         ("volume",), ("quantize",), ("quantize", "--points"),
         ("dh", "--point", "3/2,1/3,1/5"), ("cones",), ("cohomology",),
     ),
-    "onesided4.json": (("volume",), ("quantize",), ("cones",), ("cohomology",)),
+    "onesided4.json": (
+        ("volume",), ("quantize",), ("cones",), ("cohomology",),
+        ("cohomology", "--max-degree", "60"),
+    ),
     # [0,1]x[0,2]^2 and [0,3]x[0,2]^2 cut by x_0 + x_1 + x_2 <= 6, on one side
     # of their fused facet x_0 = 0: a nonzero volume off a box
     "onesided_blowup3.json": (
@@ -61,8 +69,9 @@ INPUT_COMMANDS = {
     "rational2.json": (
         ("volume",), ("quantize",), ("dh", "--point", "1,1/3"), ("cones",),
     ),
-    # the 12-simplex doubled along its slanted facet
-    "simplex12_double.json": (("cohomology",),),
+    # the 12-simplex doubled along its slanted facet; cap 60 is past its
+    # full numerator, which reaches degree 2n = 24
+    "simplex12_double.json": (("cohomology",), ("cohomology", "--max-degree", "60")),
 }
 # gallery templates without an orientation: cones exits 2 on them
 NONORIENTABLE = ("hexagon_3cycle", "rp4")
@@ -101,6 +110,8 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"{stem}.orient", ["orient", name]))
         for command, *options in INPUT_COMMANDS.get(name, ()):
             suffix = command + ("-points" if "--points" in options else "")
+            if "--max-degree" in options:
+                suffix += "-degree" + options[options.index("--max-degree") + 1]
             out.append((f"{stem}.{suffix}", [command, name, *options]))
     for path in sorted(REFUSED.glob("*.json")):
         stem, name = path.stem, path.name

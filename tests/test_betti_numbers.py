@@ -8,15 +8,17 @@ less those of the divisor over F once as they are and once two degrees up:
 
 where h is the h-polynomial of ``structure_reference.h_polynomial``.  For one
 polytope and a generic height xi, each vertex is a critical point of index
-twice its ascending edges, and sum_v t^ind(v) = h_P(t^2).  The oracle reads
-only ``faces()``; ``critical_faces`` and ``face_ht_series`` read the edge
-table.
+twice its ascending edges, and sum_v t^ind(v) = h_P(t^2).  So each critical
+face F, of whichever height, has (1 - t^2)^n face_ht_series(F) = h_F(t^2),
+with no auxiliary vector to choose.  The oracle reads only ``faces()``;
+``critical_faces`` and ``face_ht_series`` read the edge table.
 
-The gallery and golden inputs that ``ht_poincare`` accepts are all compared
-but ``simplex12_double``, whose 8 190 faces per polytope take about 0.3 s to
-list.
+The gallery and golden inputs that ``ht_poincare`` accepts are all compared,
+and the critical faces of all of them, but ``simplex12_double``, whose 8 190
+faces per polytope take about 0.3 s to list.
 """
 
+import contextlib
 import random
 from pathlib import Path
 
@@ -24,40 +26,65 @@ import pytest
 
 import structure_reference as ref
 from factories import cube, doubled, simplex, square, trapezoid, triangle
-from test_cohomology import poincare_polynomial
+from test_cohomology import cleared, poincare_polynomial
 from test_corpus import blow_up
 from toricorigami import (
+    NonorientableError,
     OrigamiTemplate,
     PreconditionError,
     load_template,
     pair,
     validate,
 )
-from toricorigami.cohomology import critical_faces, ht_poincare
+from toricorigami.cohomology import (
+    critical_faces, face_ht_series, fold_direction, ht_poincare,
+)
 from toricorigami.exactgeom import _generic_vector
 
 ROOT = Path(__file__).resolve().parent.parent
 LEFT_OUT = {"simplex12_double"}
 
 
-def accepted_documents():
-    """(stem, template) of each gallery and golden input ht_poincare accepts."""
-    out = []
+def input_templates():
+    """(stem, template) of each gallery and golden input but those left out."""
     paths = sorted((ROOT / "gallery").glob("*.json"))
     paths += sorted((ROOT / "tests" / "golden" / "inputs").glob("*.json"))
-    for path in paths:
-        if path.stem in LEFT_OUT:
-            continue
-        T = load_template(path)
+    kept = [path for path in paths if path.stem not in LEFT_OUT]
+    return [(path.stem, load_template(path)) for path in kept]
+
+
+def accepted_documents():
+    """(stem, template) of each input ht_poincare accepts."""
+    out = []
+    for stem, T in INPUTS:
         try:
             ht_poincare(T, 0)
         except PreconditionError:
             continue
-        out.append((path.stem, T))
+        out.append((stem, T))
     return out
 
 
+def input_critical_faces():
+    """(id, critical face) of each input: those of the fold normal, where the
+    template has one fold, and those of a generic height, where it is
+    orientable."""
+    out = []
+    for stem, T in INPUTS:
+        normals = [hs.normal for P in T.polytopes for hs in P.halfspaces]
+        heights = {"generic": _generic_vector(normals, T.dim)}
+        with contextlib.suppress(PreconditionError):
+            heights["fold"] = fold_direction(T)[0]
+        for kind, xi in heights.items():
+            with contextlib.suppress(NonorientableError):
+                faces = critical_faces(T, xi)
+                out += [(f"{stem}-{kind}-{j}", X) for j, X in enumerate(faces)]
+    return out
+
+
+INPUTS = input_templates()
 DOCUMENTS = accepted_documents()
+CRITICAL_FACES = input_critical_faces()
 
 FACTORIES = {
     "triangle": triangle,
@@ -108,7 +135,8 @@ def betti_numbers(T):
     for address in (fusion.a, fusion.b):
         for k, c in enumerate(ref.h_polynomial(T.polytopes[address.polytope])):
             out[2 * k] += c
-    for k, c in enumerate(ref.h_polynomial(T.polytopes[fusion.a.polytope], fusion.a.facet)):
+    facet = (fusion.a.facet,)
+    for k, c in enumerate(ref.h_polynomial(T.polytopes[fusion.a.polytope], facet)):
         out[2 * k] -= c
         out[2 * k + 2] -= c
     return out
@@ -116,6 +144,7 @@ def betti_numbers(T):
 
 def test_the_inputs_cover_each_kind():
     assert len(DOCUMENTS) == 10
+    assert len(CRITICAL_FACES) == 105
     assert len(DOUBLES) == 3 + 4 + 4 + 4 + 5 + 6 + 8
     assert {T.dim for _name, T in PAIRS} == {2, 3}
     assert all(T.polytopes[0] != T.polytopes[1] for _name, T in PAIRS)
@@ -143,3 +172,14 @@ def test_vertex_indices_of_a_generic_height_sum_to_the_h_polynomial(name, P):
     for X in faces:
         counts[X.ind // 2] += 1
     assert tuple(counts) == ref.h_polynomial(P)
+
+
+@pytest.mark.parametrize(
+    "name, X", CRITICAL_FACES, ids=[name for name, _X in CRITICAL_FACES]
+)
+def test_a_critical_face_series_is_its_h_polynomial_over_the_torus(name, X):
+    P = X.face.polytope
+    expected = [0] * (2 * P.dim + 1)
+    for k, c in enumerate(ref.h_polynomial(P, X.face.active)):
+        expected[2 * k] = c
+    assert cleared(face_ht_series(X, 2 * P.dim + 4), P.dim) == expected

@@ -1,13 +1,13 @@
 """Integers that a caller passes are checked, never truncated.
 
 Halfspace normals, polarizing vectors, the seed and sample count of the
-sampler, height and auxiliary vectors, orientation signs and the degree cap of
-the Poincare series are lattice data.  Every entry point that takes one reads
-it through ``exactgeom._integers``: an entry that is not equal to an int (a
+sampler, height vectors, orientation signs and the degree cap of the Poincare
+series are lattice data.  Every entry point that takes one reads it through
+``exactgeom._integers``: an entry that is not equal to an int (a
 half-integral Fraction or float, a string, None) raises ValueError naming the
 argument, and an integral Fraction or float is read as the int, with the same
 result.  Read with ``int()`` alone, ``verify_dh_identity(v=(Fraction(3, 2), 1))``
-would run with v = (1, 1) and ``face_ht_series(X, 8, (0.5, 1))`` with (0, 1);
+would run with v = (1, 1) and ``critical_faces(T, (0.5, 1))`` with (0, 1);
 unread, ``seed=0.5``, ``sample_count=2.5`` and ``cap=8.0`` would raise raw
 TypeErrors, and an orientation of (1.0,) would be stored as given, so that
 ``quantize`` reports a virtual dimension of 6.0 instead of 6.  A bare number
@@ -65,12 +65,6 @@ def heights(xi):
     return critical_faces(s4_template(), xi)
 
 
-def fold_edge_series(xi_aux):
-    # the doubled square's critical faces are edges, each with one direction
-    T = doubled(square(), 0)
-    return face_ht_series(critical_faces(T, (-1, 0))[0], 8, xi_aux)
-
-
 def capped_edge_series(cap):
     T = doubled(square(), 0)
     return face_ht_series(critical_faces(T, (-1, 0))[0], cap[0])
@@ -94,7 +88,6 @@ SITES = {
     "verify_dh_identity-sample_count": (sampled, "sample_count", (20,)),
     "Lcg64": (draws, "seed", (2,)),
     "critical_faces": (heights, "height vector", (2, 2)),
-    "face_ht_series": (fold_edge_series, "auxiliary vector", (2, 1)),
     "face_ht_series-cap": (capped_edge_series, "cap", (8,)),
     "ht_poincare-cap": (poincare, "cap", (8,)),
     "OrigamiTemplate": (oriented_triangle, "orientation", (1,)),
@@ -170,17 +163,6 @@ def test_a_polarization_length_refusal_writes_an_entry_past_the_digit_limit(call
     assert str(info.value) == (
         "polarizing vector <a value of more than 4300 digits> "
         "does not match weight dimension"
-    )
-
-
-def test_an_auxiliary_vector_refusal_writes_an_entry_past_the_digit_limit():
-    # (10^5000, 0) pairs to zero with the critical edge's direction (0, 1)
-    with int_max_str_digits(4300):
-        with pytest.raises(ValueError) as info:
-            fold_edge_series((10**5000, 0))
-    assert str(info.value) == (
-        "auxiliary vector <a value of more than 4300 digits> pairs to zero "
-        "with face edge (0, 1)"
     )
 
 
@@ -323,7 +305,6 @@ SWEEP = {
     ),
     "polarize": (lambda k: polarized((k, 1)), 0),
     "critical_faces": (lambda k: heights((k, 0)), 0),
-    "face_ht_series-auxiliary": (lambda k: fold_edge_series((k, 0)), 1),
     "face_ht_series-cap": (lambda k: capped_edge_series((k,)), 3),
     "ht_poincare-cap": (lambda k: poincare((k,)), 3),
     "make_polytope-normal": (lambda k: square_with_normal((k, 0)), -1),

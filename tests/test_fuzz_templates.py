@@ -11,11 +11,11 @@ import random
 
 import pytest
 
+import structure_reference as sref
 from test_properties import random_delzant_polygon, transform
 from toricorigami import (
     OrigamiTemplate,
     critical_faces,
-    face_ht_series,
     fold_direction,
     ht_poincare,
     pair,
@@ -34,12 +34,13 @@ def random_double(rng):
 
 
 def resummed_series(T, cap, base):
-    """ht series recomputed with an explicit auxiliary vector per face."""
+    """ht series recomputed with the reference's face series under an
+    explicit auxiliary vector."""
     xi, _ = fold_direction(T)
     coeffs = [0] * (cap + 1)
     aux = tuple(base ** j for j in range(T.dim))
     for X in critical_faces(T, xi):
-        series = face_ht_series(X, cap, xi_aux=aux)
+        series = sref.face_ht_series(X, cap, xi_aux=aux)
         for k in range(X.r, cap + 1, 2):
             coeffs[k] += series[k - X.r]
     return tuple(coeffs)

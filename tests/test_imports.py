@@ -171,8 +171,8 @@ def test_integer_commands_load_no_json(argv, files):
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"dimension": 2,\n "polytopes": [1, 2,]}',
-     "Expecting value: line 2 column 21 (char 37)"),
+    ('{"dimension": 2,\n "polytopes": [1, , 2]}',
+     "Expecting value: line 2 column 19 (char 35)"),
     ('{"dimension" 2}', "Expecting ':' delimiter: line 1 column 14 (char 13)"),
 ], ids=["missing-value", "missing-colon"])
 def test_a_malformed_document_still_gets_the_message_of_json(tmp_path, text, message):
