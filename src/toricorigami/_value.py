@@ -9,13 +9,14 @@ A record takes ``Value.__init__``, which stores its positional values in
 construction does more: a default or keywords (``Halfspace``, ``Location``,
 ``DelzantReport``, ``Fusion``), derived state (``HPolytope``,
 ``OrigamiTemplate``), or direct stores, twice as fast, in a record built per
-fusion entry or per DH sample (``FacetAddress``, ``Fusion``, ``DHValue``).
+fusion entry (``FacetAddress``, ``Fusion``).
 
 A shown field may be a ``cached_property`` of a record without
 ``__slots__``: the constructor stores it when given, and the package builds
 the record with :func:`derived_record`, which leaves it to be derived from
 a hidden field on first read (``Halfspace.offset``,
-``DelzantVertexRecord.vertex`` and ``.determinant``, ``CriticalFace.vertices``).
+``DelzantVertexRecord.vertex`` and ``.determinant``, ``CriticalFace.vertices``,
+``DHValue.point``, which the DH sampler reads only for a counterexample).
 A hidden field may serve the package alone (``DelzantVertexRecord._walls``).
 """
 

@@ -11,6 +11,7 @@ identity check, a number too long to write).
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import sys
 from _json import encode_basestring_ascii
@@ -18,10 +19,11 @@ from types import SimpleNamespace
 
 # Handlers import the modules only they use (invariants, cones, cohomology,
 # render), so that a call loads what it runs and no more.
-from .document import format_rational, load_template, parse_rational
+from .document import format_ratio, format_rational, load_template, parse_rational
 from .errors import (
     DocumentError, NonorientableError, OrigamiError, ValidationError, written,
 )
+from .exactgeom import _ratio
 from .template import classify_surface, orient, validate
 
 EXIT_OK = 0
@@ -40,11 +42,31 @@ def _refusal(message: str):
     return argparse.ArgumentTypeError(message)
 
 
+def _ascii_ratio(text: str):
+    """(p, q) for an ASCII ``[+-]digits[/nonzero digits]``, else None."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (digits.isdigit() and digits.isascii()):
+        return None
+    if not slash:
+        return int(num), 1
+    if den.isdigit() and den.isascii() and den.strip("0"):
+        return int(num), int(den)
+    return None
+
+
 def _rational_point(text: str):
+    """The point as integers (X, s) with point = X / s, s > 0: each part read
+    by :func:`_ascii_ratio`, or as :func:`parse_rational` reads it."""
     try:
-        return tuple(parse_rational(part, "--point") for part in text.split(","))
-    except DocumentError as exc:
+        ratios = [
+            _ascii_ratio(part) or _ratio(parse_rational(part, "--point"))
+            for part in text.split(",")
+        ]
+    except (DocumentError, ValueError) as exc:  # ValueError: more digits than int() reads
         raise _refusal(f"expected comma-separated rationals, got {text!r}") from exc
+    s = math.lcm(*(q for _, q in ratios))
+    return tuple(p * (s // q) for p, q in ratios), s
 
 
 def _int_vector(text: str):
@@ -145,18 +167,19 @@ def _cmd_quantize(T, args):
 def _cmd_dh(T, args):
     from .invariants import dh_density
 
-    value = dh_density(T, args.point)
+    X, s = args.point
+    value = dh_density(T, X, s)
     return {
-        "point": [format_rational(c) for c in value.point],
+        "point": [format_ratio(c, s) for c in X],
         "density": value.density,
         "generic": value.generic,
     }, EXIT_OK
 
 
 def _cmd_volume(T, args):
-    from .invariants import signed_volume
+    from .invariants import _signed_volume
 
-    return {"signed_volume": format_rational(signed_volume(T))}, EXIT_OK
+    return {"signed_volume": format_ratio(*_signed_volume(T))}, EXIT_OK
 
 
 def _cmd_cones(T, args):

@@ -14,12 +14,13 @@ coordinate along a polarized weight is its flip (+-1) times its wall's slack.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+from operator import mul
 
 from ._value import Value
 from .errors import BoundaryPoint, DimensionMismatch, NonGenericPolarization, written
 from .exactgeom import (
-    _det, _dot, _generic_vector, _integers, _lcd, _row_slacks, _scaled, _shown, as_point,
+    _det, _dot, _generic_vector, _integers, _scaled, _shown, as_point,
 )
 from .invariants import dh_density
 from .template import OrigamiTemplate, orientation_signs
@@ -58,6 +59,8 @@ class Lcg64:
         return self.state
 
     def next_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.next_u64(), self.MODULUS)
 
 
@@ -99,55 +102,60 @@ def polarize(W: WeightSet, v) -> PolarizedCone:
     The cone sign is the fixed point's side sign times (-1)^flips: each
     negated weight reverses the orientation of the edge basis once.
     """
+    generators, flips = _polarized(W.weights, v)
+    return PolarizedCone(W.vertex, generators, flips, W.sign * (-1) ** flips)
+
+
+def _polarized(weights, v) -> tuple[tuple, int]:
+    """:func:`polarize` on a tuple of weights: (generators, flips)."""
     vv = _integers(v, "polarizing vector")
-    if any(len(w) != len(vv) for w in W.weights):
+    if any(len(w) != len(vv) for w in weights):
         raise DimensionMismatch(
             f"polarizing vector {_shown(vv)} does not match weight dimension"
         )
-    pairings = [_dot(w, vv) for w in W.weights]
-    zeros = [w for w, p in zip(W.weights, pairings) if p == 0]
+    pairings = [_dot(w, vv) for w in weights]
+    zeros = [w for w, p in zip(weights, pairings) if p == 0]
     if zeros:
         raise NonGenericPolarization(zeros)
-    generators = []
-    flips = 0
-    for w, p in zip(W.weights, pairings):
-        if p > 0:
-            generators.append(w)
-        else:
-            generators.append(tuple(-c for c in w))
-            flips += 1
-    return PolarizedCone(
-        W.vertex, tuple(generators), flips, W.sign * (-1) ** flips
+    generators = tuple(
+        w if p > 0 else tuple(-c for c in w) for w, p in zip(weights, pairings)
     )
+    return generators, sum(p < 0 for p in pairings)
 
 
 def _compile(T: OrigamiTemplate, v) -> list:
     """Per distinct polytope with fixed points: (polytope, wall rows, cones).
 
-    Each weight leaves one tight facet, a wall, which its vertex's Delzant
-    record holds; bit k of a mask is the facet of row k.  A cone (sign, pos,
+    A fixed vertex's weights are its edge directions, read from
+    ``P._edges`` by vertex id.  Each weight leaves one tight facet, a wall,
+    which its vertex's Delzant record holds; bit k of a mask is the facet of
+    row k.  A cone (sign, pos,
     neg) holds the points of positive slack on the walls of ``pos`` and
     negative slack on those of ``neg``.  Cones with equal masks merge by
     summing their signs, a sum of 0 is dropped, and every wall stays.  Raises
     ValueError when a fixed vertex is not Delzant (its record is not ok).
     """
-    cones = [polarize(W, v) for W in weight_sets(T)]
+    sides = orientation_signs(T)
+    polarized = [
+        _polarized(tuple(u for u, _ in T.polytopes[i]._edges[vid]), v)
+        for i, vid in T._fixed_vertices
+    ]
     groups = {}
-    for (i, vid), cone in zip(T._fixed_vertices, cones):
+    for (i, vid), (generators, flips) in zip(T._fixed_vertices, polarized):
         P = T.polytopes[i]
         record = P.is_delzant().vertex_records[vid]
         if not record.ok:
-            det = _det(cone.generators[: P.dim])
+            det = _det(generators[: P.dim])
             raise ValueError(f"cone generators are not a lattice basis (det {det})")
         walls, signs = groups.setdefault(P, ({}, {}))
         pos = neg = 0
-        for u, j, g in zip(record.directions, record._walls, cone.generators):
+        for u, j, g in zip(record.directions, record._walls, generators):
             bit = walls.setdefault(j, 1 << len(walls))  # g is +-u, which leaves facet j
             if g == u:
                 pos |= bit
             else:
                 neg |= bit
-        signs[pos, neg] = signs.get((pos, neg), 0) + cone.sign
+        signs[pos, neg] = signs.get((pos, neg), 0) + sides[i] * (-1) ** flips
     return [
         (P, tuple(P._integer_rows[j] for j in walls),
          tuple((sign, pos, neg) for (pos, neg), sign in signs.items() if sign))
@@ -155,16 +163,24 @@ def _compile(T: OrigamiTemplate, v) -> list:
     ]
 
 
-def _cone_count(compiled, X, S: int) -> int | None:
-    """Signed count of the compiled cones containing X / S (open cones), S > 0.
+def _walls_over(compiled, S: int) -> list:
+    """Per compiled group, (rows, cones) with each wall row (p, n) scaled to
+    (p S, n): the sign of p S - <n, X> is that of the wall's slack at X / S."""
+    return [(tuple((p * S, n) for p, n in rows), cones) for _, rows, cones in compiled]
+
+
+def _cone_count(walls, X) -> int | None:
+    """Signed count of the cones of ``walls`` (:func:`_walls_over`, over some
+    S > 0) containing X / S (open cones).
 
     Returns None when X / S lies on a wall of some cone: on a facet that one
     of its generators leaves.
     """
     count = 0
-    for _, rows, cones in compiled:
+    for rows, cones in walls:
         positive = 0
-        for k, slack in enumerate(_row_slacks(rows, X, S)):
+        for k, (p, n) in enumerate(rows):
+            slack = p - sum(map(mul, n, X))
             if slack > 0:
                 positive |= 1 << k
             elif not slack:
@@ -178,10 +194,33 @@ def _cone_count(compiled, X, S: int) -> int | None:
 def cone_density(T: OrigamiTemplate, v, x) -> int:
     """Signed count of polarized weight cones containing x."""
     pt = as_point(x, T.dim)
-    count = _cone_count(_compile(T, v), *_scaled(pt))
+    X, s = _scaled(pt)
+    count = _cone_count(_walls_over(_compile(T, v), s), X)
     if count is None:
         raise BoundaryPoint(f"{written(str, pt)} lies on a wall of a weight cone")
     return count
+
+
+def _box(T: OrigamiTemplate) -> tuple[list, list, int]:
+    """The sampler's box as integers (base, step, S): per coordinate the
+    corner base / S and the span step / D, where S = D * 2^64 and D is the
+    least common denominator of the box's corner and spans.
+
+    The box is the union bounding box of the template polytopes grown by a
+    twentieth of its span at each end, read from the vertex rays (X, t) over
+    their common denominator L: a coordinate from lo / L to hi / L gives the
+    corner (21 lo - hi) / 20 L and the span 11 (hi - lo) / 10 L.
+    """
+    rays = [ray for P, _ in T._polytope_weights for ray in P._rays]
+    L = math.lcm(*(t for _, t in rays))
+    scaled = [[c * (L // t) for c in X] for X, t in rays]
+    lo, hi = map(min, zip(*scaled)), map(max, zip(*scaled))
+    corner, span = zip(*(
+        ((21 * l - h, 20 * L), (11 * (h - l), 10 * L)) for l, h in zip(lo, hi)
+    ))
+    D = math.lcm(*(q // math.gcd(p, q) for p, q in corner + span))
+    S = D * Lcg64.MODULUS
+    return [p * S // q for p, q in corner], [p * D // q for p, q in span], S
 
 
 def verify_dh_identity(
@@ -199,7 +238,9 @@ def verify_dh_identity(
     boundary; discarded points are redrawn, at most 10 * sample_count + 100
     draws of a point in all.  Every test is exact integer arithmetic on the
     point times S = D * 2^64, where D is the least common denominator of the
-    box: a cone wall test is a flip times a facet slack.
+    box: a cone wall test is a flip times a facet slack, read on wall rows
+    scaled by S once, and a sample off every wall goes to
+    ``dh_density(T, X, S)``.
     """
     sample_count = _integers((sample_count,), "sample_count")[0]
     if sample_count <= 0:
@@ -208,17 +249,8 @@ def verify_dh_identity(
         v = default_polarization(T)
     v = _integers(v, "polarizing vector")
     compiled = _compile(T, v)
-
-    lows, highs = zip(*(P.bounding_box() for P, _ in T._polytope_weights))
-    lo, hi = list(map(min, zip(*lows))), list(map(max, zip(*highs)))
-    margin = [(h - l) / 20 for l, h in zip(lo, hi)]
-    lo = [l - m for l, m in zip(lo, margin)]
-    span = [h + m - l for l, h, m in zip(lo, hi, margin)]
-
-    D = _lcd(lo + span)
-    S = D * Lcg64.MODULUS
-    base = [int(l * S) for l in lo]
-    step = [int(s * D) for s in span]
+    base, step, S = _box(T)
+    walls = _walls_over(compiled, S)
 
     rng = Lcg64(seed)
     kept = agreements = disagreements = discards = 0
@@ -228,12 +260,11 @@ def verify_dh_identity(
         if kept == sample_count:
             break
         X = [b + s * rng.next_u64() for b, s in zip(base, step)]
-        cd = _cone_count(compiled, X, S)
+        cd = _cone_count(walls, X)
         if cd is None:
             discards += 1
             continue
-        pt = tuple(Fraction(c, S) for c in X)
-        dv = dh_density(T, pt)
+        dv = dh_density(T, X, S)
         if not dv.generic:
             discards += 1
             continue
@@ -243,7 +274,7 @@ def verify_dh_identity(
         else:
             disagreements += 1
             if first is None:
-                first = (pt, cd, dv.density)
+                first = (dv.point, cd, dv.density)
     return IdentityReport(
         v, sample_count, kept, agreements, disagreements, discards, first
     )

@@ -9,13 +9,14 @@ which preserves the input order of kept halfspaces.
 
 from __future__ import annotations
 
+import math
 import sys
 from _json import make_scanner
 from io import TextIOWrapper
 from types import SimpleNamespace
 
 from .errors import DocumentError, written
-from .exactgeom import HPolytope, make_polytope
+from .exactgeom import HPolytope, _ratio, make_polytope
 from .template import FacetAddress, Fusion, OrigamiTemplate
 
 
@@ -55,10 +56,16 @@ def parse_rational(value, where: str) -> int | Fraction:
 
 
 def format_rational(x) -> str:
-    """``p/q`` or ``p``, refusing what ``str()`` cannot write (OutputLimitError)."""
-    from fractions import Fraction
+    """``p/q`` or ``p``, as ``str(Fraction(x))`` writes it, refusing what
+    ``str()`` cannot write (OutputLimitError)."""
+    return format_ratio(*_ratio(x))
 
-    return written(str, Fraction(x))
+
+def format_ratio(p: int, q: int) -> str:
+    """:func:`format_rational` of p/q (q > 0), written from the two ints."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    return written(str, p) if q == 1 else written("{}/{}".format, p, q)
 
 
 def parse_template(doc) -> OrigamiTemplate:

@@ -61,13 +61,6 @@ def _dot(a, x):
     return sum(map(mul, a, x))
 
 
-def _row_slacks(rows, X, s) -> list[int]:
-    """Per integer row (p, n) of <n, x> <= p, an integer with the sign of its
-    slack at X / s (s > 0).  The dot product is inlined: the sampler makes
-    this call for every polytope and every sample."""
-    return [p * s - sum(map(mul, n, X)) for p, n in rows]
-
-
 def _integers(values, what: str, length: int | None = None) -> IntVec:
     """``values`` as a tuple of ints: ValueError unless it is a sequence (not a
     bare int) of entries equal to ints; DimensionMismatch if not ``length`` long."""
@@ -99,6 +92,17 @@ def _vertex(X: IntVec, t: int) -> Point:
     from fractions import Fraction
 
     return tuple(Fraction(c, t) for c in X)
+
+
+def _sum_ratios(ratios) -> tuple[int, int]:
+    """The sum of the fractions p/q (q > 0) of ``ratios`` as (p, q) in
+    lowest terms: one integer numerator over the lcm of the denominators."""
+    p, q = 0, 1
+    for a, b in ratios:
+        common = math.lcm(q, b)
+        p, q = p * (common // q) + a * (common // b), common
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _lcd(values) -> int:
@@ -451,7 +455,7 @@ class HPolytope(Value):
 
     def _slacks(self, X, s) -> list[int]:
         """Per halfspace, an integer with the sign of its slack at X / s (s > 0)."""
-        return _row_slacks(self._integer_rows, X, s)
+        return [p * s - _dot(n, X) for p, n in self._integer_rows]
 
     def contains(self, x) -> Location:
         """Exact closed-containment query with the smallest containing face."""
@@ -505,20 +509,27 @@ class HPolytope(Value):
 
         return tuple(rec(frozenset(range(len(self._rays))), self.dim))
 
-    def volume(self) -> Fraction:
-        """Exact Euclidean volume via fan triangulation from the lex-min vertex.
+    @cached_property
+    def _volume(self) -> tuple[int, int]:
+        """The volume as (p, q) in lowest terms, by fan triangulation from
+        the lex-min vertex.
 
         A simplex with vertices X_v / t_v has volume
         |det [X_v | t_v]| / (n! * prod t_v), over its n + 1 integer rows.
         """
+        homogeneous = [X + (t,) for X, t in self._rays]
+        factorial = math.factorial(self.dim)
+        return _sum_ratios(
+            (abs(_det(rows)), factorial * math.prod(row[-1] for row in rows))
+            for simplex in self._triangulation
+            for rows in ([homogeneous[vid] for vid in simplex],)
+        )
+
+    def volume(self) -> Fraction:
+        """Exact Euclidean volume: the Fraction p/q of ``_volume``."""
         from fractions import Fraction
 
-        homogeneous = [X + (t,) for X, t in self._rays]
-        total = Fraction(0)
-        for simplex in self._triangulation:
-            rows = [homogeneous[vid] for vid in simplex]
-            total += Fraction(abs(_det(rows)), math.prod(row[-1] for row in rows))
-        return total / math.factorial(self.dim)
+        return Fraction(*self._volume)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ Nonorientable templates are rejected: both need orientation signs.
 
 from __future__ import annotations
 
-from ._value import Value, set_field
+from functools import cached_property
+from operator import mul
+
+from ._value import Value, derived_record
 from .errors import NonIntegralError
-from .exactgeom import _scaled, as_point
+from .exactgeom import _integers, _scaled, _sum_ratios, _vertex, as_point
 from .template import OrigamiTemplate
 
 
@@ -25,12 +28,17 @@ class QuantizationResult(Value):
 
 
 class DHValue(Value):
-    __slots__ = _repr = ("point", "density", "generic")
+    """The DH density at a point, and whether the point is generic.
 
-    def __init__(self, point: tuple, density: int, generic: bool):
-        set_field(self, "point", point)
-        set_field(self, "density", density)
-        set_field(self, "generic", generic)
+    A value of :func:`dh_density` derives its point, the Fractions X / s,
+    from the integers (X, s) when first read.
+    """
+
+    _repr = ("point", "density", "generic")
+
+    @cached_property
+    def point(self) -> tuple:
+        return _vertex(self._X, self._s)
 
 
 def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
@@ -65,25 +73,50 @@ def quantize(T: OrigamiTemplate, points: bool = True) -> QuantizationResult:
     return QuantizationResult(dict(sorted(per.items())), total)
 
 
-def dh_density(T: OrigamiTemplate, x) -> DHValue:
-    """Signed number of polytopes containing x (closed containment).
+def dh_density(T: OrigamiTemplate, x, s=1) -> DHValue:
+    """Signed number of polytopes containing x / s (closed containment).
 
-    The ``generic`` flag is False when x lies on some polytope boundary, a
-    polytope of weight 0 included; the density is still reported with the
-    closed-containment convention.
+    ``s`` is a positive integer.  An x of ints of the template's dimension
+    is read as it is, anything else through ``Fraction``; each distinct
+    polytope's integer rows are read at x / s until the first negative
+    slack.  The ``generic`` flag is False when x / s lies on some polytope
+    boundary, a polytope of weight 0 included; the density is still reported
+    with the closed-containment convention.
     """
     weights = T._polytope_weights
-    pt = as_point(x, T.dim)
-    X, s = _scaled(pt)
+    if type(s) is not int:  # the sampler passes an int: skip the read
+        (s,) = _integers((s,), "denominator s")
+    if s <= 0:
+        raise ValueError("denominator s must be positive")
+    X = tuple(x)
+    if len(X) != T.dim or not all(type(c) is int for c in X):
+        from fractions import Fraction
+
+        X, s = _scaled(as_point([Fraction(c) / s for c in X], T.dim))
     density = 0
     generic = True
     for P, weight in weights:
-        slacks = P._slacks(X, s)
-        if min(slacks) >= 0:
+        boundary = False
+        for p, n in P._integer_rows:
+            slack = p * s - sum(map(mul, n, X))
+            if slack <= 0:
+                if slack:
+                    break
+                boundary = True
+        else:
             density += weight
-            if 0 in slacks:
+            if boundary:
                 generic = False
-    return DHValue(pt, density, generic)
+    return derived_record(DHValue, _X=X, _s=s, density=density, generic=generic)
+
+
+def _signed_volume(T: OrigamiTemplate) -> tuple[int, int]:
+    """:func:`signed_volume` as (p, q) in lowest terms, q > 0."""
+    return _sum_ratios(
+        (weight * p, q)
+        for P, weight in T._polytope_weights if weight
+        for p, q in (P._volume,)
+    )
 
 
 def signed_volume(T: OrigamiTemplate) -> Fraction:
@@ -91,7 +124,4 @@ def signed_volume(T: OrigamiTemplate) -> Fraction:
     polytope of weight 0 adds nothing, so its volume is not computed."""
     from fractions import Fraction
 
-    return sum(
-        (weight * P.volume() for P, weight in T._polytope_weights if weight),
-        Fraction(0),
-    )
+    return Fraction(*_signed_volume(T))

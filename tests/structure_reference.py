@@ -30,6 +30,9 @@ read no lattice.  ``delzant_by_determinant`` is ``HPolytope._delzant`` as
 it decided each vertex by the determinant of its edge directions; the
 package's pairs each edge with the normal of the tight facet it leaves and
 computes a determinant only when a record's is read.
+``volume`` is ``HPolytope.volume`` as it summed the fan's simplices as
+``Fraction``s; the package's sums one integer numerator over one
+denominator (``HPolytope._volume``).
 ``h_polynomial`` replaced nothing: it reads the Betti numbers of a Delzant
 polytope or of one of its faces from face counts alone, for the oracles of
 ``tests/test_betti_numbers.py``.
@@ -38,6 +41,7 @@ polytope or of one of its faces from face counts alone, for the oracles of
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 from toricorigami._value import derived_record
 from toricorigami.cohomology import CriticalFace
@@ -417,6 +421,20 @@ def triangulation(self) -> tuple:
         ]
 
     return tuple(rec(face_list(self)[-1]))  # the whole polytope sorts last
+
+
+def volume(self) -> Fraction:
+    """Exact Euclidean volume via fan triangulation from the lex-min vertex.
+
+    A simplex with vertices X_v / t_v has volume
+    |det [X_v | t_v]| / (n! * prod t_v), over its n + 1 integer rows.
+    """
+    homogeneous = [X + (t,) for X, t in self._rays]
+    total = Fraction(0)
+    for simplex in self._triangulation:
+        rows = [homogeneous[vid] for vid in simplex]
+        total += Fraction(abs(_det(rows)), math.prod(row[-1] for row in rows))
+    return total / math.factorial(self.dim)
 
 
 def h_polynomial(P: HPolytope, active=()) -> tuple[int, ...]:

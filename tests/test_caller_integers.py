@@ -1,7 +1,7 @@
 """Integers that a caller passes are checked, never truncated.
 
 Halfspace normals, polarizing vectors, the seed and sample count of the
-sampler, height vectors, orientation signs and the degree cap of the Poincare
+sampler, the denominator s of a DH density point, height vectors, orientation signs and the degree cap of the Poincare
 series are lattice data.  Every entry point that takes one reads it through
 ``exactgeom._integers``: an entry that is not equal to an int (a
 half-integral Fraction or float, a string, None) raises ValueError naming the
@@ -61,6 +61,10 @@ def draws(seed):
     return rng.state, rng.next_u64(), rng.next_fraction()
 
 
+def denominated(s):
+    return dh_density(s4_template(), (1, 2), s[0])
+
+
 def heights(xi):
     return critical_faces(s4_template(), xi)
 
@@ -87,6 +91,7 @@ SITES = {
     "verify_dh_identity-seed": (seeded_identity, "seed", (2,)),
     "verify_dh_identity-sample_count": (sampled, "sample_count", (20,)),
     "Lcg64": (draws, "seed", (2,)),
+    "dh_density-s": (denominated, "denominator s", (3,)),
     "critical_faces": (heights, "height vector", (2, 2)),
     "face_ht_series-cap": (capped_edge_series, "cap", (8,)),
     "ht_poincare-cap": (poincare, "cap", (8,)),
@@ -296,6 +301,7 @@ SWEEP = {
     "HPolytope.contains": (lambda k: square().contains((k, 0)), None),
     "HPolytope.face_vertices": (lambda k: square().face_vertices((k,)), 4),
     "dh_density-point": (lambda k: dh_density(s4_template(), (k, 0)), None),
+    "dh_density-s": (lambda k: denominated((k,)), 0),
     "multiplicity-point": (lambda k: multiplicity(s4_template(), (k, 0)), None),
     "cone_density-point": (
         lambda k: cone_density(s4_template(), (2, 1), (k, 1)), 0,
@@ -344,3 +350,27 @@ def test_a_cap_past_the_longest_list_is_refused_before_a_list_is_built(cap):
             with pytest.raises(ValueError) as info:
                 call((cap,))
             assert str(info.value) == message
+
+
+def test_the_denominator_of_a_dh_point_is_refused_in_its_own_words():
+    """x / s for a positive integer s: 0 and a negative are refused as not
+    positive, a float or Fraction that is not an int as not integral; a bool
+    and an integral float read as the int, as in every integer slot."""
+    T = s4_template()
+    refusals = [
+        (0, "denominator s must be positive"),
+        (-3, "denominator s must be positive"),
+        (-(10**5000), "denominator s must be positive"),
+        (2.5, "denominator s must be integral, got (2.5,)"),
+        (Fraction(7, 2), "denominator s must be integral, got (Fraction(7, 2),)"),
+    ]
+    with int_max_str_digits(4300):
+        for s, message in refusals:
+            with pytest.raises(ValueError) as info:
+                dh_density(T, (1, 2), s)
+            assert str(info.value) == message
+        huge = dh_density(T, (1, 2), 10**5000)
+    assert huge == dh_density(T, (Fraction(1, 10**5000), Fraction(2, 10**5000)))
+    assert dh_density(T, (1, 2), True) == dh_density(T, (1, 2))
+    assert dh_density(T, (1, 2), 3.0) == dh_density(T, (Fraction(1, 3), Fraction(2, 3)))
+    assert dh_density(T, (Fraction(1, 2), 1), 2).point == (Fraction(1, 4), Fraction(1, 2))

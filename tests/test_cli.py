@@ -221,8 +221,8 @@ class TestComputeCommands:
         # makes every kept sample a counterexample
         dh_density = cones.dh_density
 
-        def off_by_one(T, x):
-            value = dh_density(T, x)
+        def off_by_one(*args):
+            value = dh_density(*args)
             return DHValue(value.point, value.density + 1, value.generic)
 
         monkeypatch.setattr(cones, "dh_density", off_by_one)
@@ -917,3 +917,78 @@ class TestPlainArgv:
         monkeypatch.setattr("sys.argv", ["toricorigami", "validate", S4])
         assert main() == 0
         assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def fraction_point(text):
+    """The ``--point`` reader before it read integers: ``parse_rational``
+    on each part, a tuple of ints and Fractions."""
+    from toricorigami.document import parse_rational
+    from toricorigami.errors import DocumentError
+
+    try:
+        return tuple(parse_rational(part, "--point") for part in text.split(","))
+    except DocumentError as exc:
+        raise cli._refusal(f"expected comma-separated rationals, got {text!r}") from exc
+
+
+def fraction_dh(T, args):
+    """The ``dh`` handler before it wrote the point from ints."""
+    import signed_reference
+    from toricorigami.document import format_rational
+
+    value = signed_reference.dh_density(T, args.point)
+    return {
+        "point": [format_rational(c) for c in value.point],
+        "density": value.density,
+        "generic": value.generic,
+    }, cli.EXIT_OK
+
+
+def fraction_commands():
+    """``cli.COMMANDS`` with the ``dh`` entry of the Fraction reader and handler."""
+    return tuple(
+        (name, text, fraction_dh,
+         (("--point", "point", fraction_point, None, True, None),))
+        if name == "dh" else (name, text, handler, options)
+        for name, text, handler, options in cli.COMMANDS
+    )
+
+
+POINT_SPELLINGS = [
+    "7/4", "+3/6", "-0/5", "007/4", " 7/4 ", "1/0", "7/+4", "1_000/3", "٣/4",
+    ".5", "1e-3", "1e4300", "1,fish",
+]
+
+
+class TestPointReader:
+    """``dh --point`` reads ASCII ``[+-]digits[/nonzero digits]`` parts as
+    integers over one denominator and every other spelling as before: the
+    exit code, stdout and stderr are those of the Fraction reader, through
+    the plain reader and through argparse (``--point=...``)."""
+
+    @pytest.mark.parametrize("form", ["plain", "argparse"])
+    @pytest.mark.parametrize("spelling", POINT_SPELLINGS)
+    def test_same_outcome_as_the_fraction_reader(self, capsys, monkeypatch, spelling, form):
+        calls = [
+            (GALLERY / "sphere_fold_2segments.json", spelling),
+            (S4, f"{spelling},1/3"), (S4, f"2/3,{spelling}"),
+            (GALLERY / "hirzebruch_pair.json", f"{spelling},{spelling}"),
+        ]
+        for path, point in calls:
+            option = ["--point", point] if form == "plain" else [f"--point={point}"]
+            argv = ["dh", str(path), *option]
+            outcomes = []
+            for commands in (cli.COMMANDS, fraction_commands()):
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, "COMMANDS", commands)
+                    code = main(argv)
+                captured = capsys.readouterr()
+                outcomes.append((code, captured.out, captured.err))
+            assert outcomes[0] == outcomes[1], argv
+
+    def test_the_plain_form_reaches_the_integer_reader(self):
+        # a part that does not start with "-" is read by the plain reader,
+        # which reads an ASCII ratio as two ints
+        args = cli._plain_args(["dh", S4, "--point", "+3/6,007/4"])
+        assert args.point == ((6, 21), 12)
+        assert cli._plain_args(["dh", S4, "--point", "1/3,.5"]).point == ((2, 3), 6)

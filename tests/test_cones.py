@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +46,8 @@ from toricorigami import (
     verify_dh_identity,
     weight_sets,
 )
+import toricorigami.cones as sampler
+from toricorigami.cones import _box
 from toricorigami.exactgeom import DelzantReport, DelzantVertexRecord
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
@@ -389,6 +392,28 @@ class TestAgainstReference:
         assert report == reference_verify_dh_identity(T, sample_count=20, seed=1)
         assert report.boundary_discards == 1 and report.samples == 20
 
+    def test_only_a_draw_off_the_cone_walls_reaches_dh_density(self, monkeypatch):
+        # a draw on a cone wall, then one on a polytope boundary: the second
+        # and every kept sample call dh_density(T, X, S) on ints
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dh_density(*args)
+
+        monkeypatch.setattr(sampler, "dh_density", counted)
+        scripted_draws(monkeypatch, [5 << 61, 1 << 63, 1 << 63, 1 << 62])
+        T = agreement_failure()
+        report = verify_dh_identity(T, sample_count=20, seed=1)
+        assert report == reference_verify_dh_identity(T, sample_count=20, seed=1)
+        assert report.boundary_discards == 2 and report.samples == 20
+        assert len(calls) == 21
+        S = calls[0][2]
+        assert S % Lcg64.MODULUS == 0
+        assert all(
+            U is T and s == S and all(type(c) is int for c in X) for U, X, s in calls
+        )
+
     def test_every_draw_discarded_spends_the_budget(self, monkeypatch):
         # segments [0,1] and [1,2], unfused: the box midpoint 1 is a fixed point
         scripted_draws(monkeypatch, [1 << 63] * 200)
@@ -457,6 +482,53 @@ class TestAgainstReference:
         )
         assert outcome(verify_dh_identity, T) == message
         assert outcome(cone_density, T, v, (Fraction(1, 3),) * 3) == message
+
+
+# templates with vertices X / t, t > 1: the sampler reads its box from the
+# rays over their common denominator
+RATIONAL_TEMPLATES = {
+    "half-triangle": lambda: OrigamiTemplate((make_polytope(
+        [((-1, 0), 0), ((0, -1), 0), ((1, 1), Fraction(1, 2))]),)),
+    "box-double": lambda: doubled(box((Fraction(1, 3), Fraction(5, 2))), 2),
+    "shifted-pair": lambda: OrigamiTemplate((
+        make_polytope([((-1, 0), Fraction(1, 3)), ((0, -1), 0), ((1, 0), 1),
+                       ((0, 1), Fraction(3, 7))]),
+        make_polytope([((-1, 0), -1), ((0, -1), 0), ((1, 0), Fraction(9, 4)),
+                       ((0, 1), Fraction(3, 7))]),
+    ), (pair((0, 2), (1, 0)),)),
+    "segments": lambda: OrigamiTemplate(
+        (segment(Fraction(-1, 6), Fraction(1, 4)), segment(Fraction(-1, 6), 3)),
+        (pair((0, 0), (1, 0)),)),
+}
+
+
+def fraction_box(T):
+    """The sampler's box as it was computed from ``bounding_box()``."""
+    lows, highs = zip(*(P.bounding_box() for P in T.polytopes))
+    lo, hi = list(map(min, zip(*lows))), list(map(max, zip(*highs)))
+    margin = [(h - l) / 20 for l, h in zip(lo, hi)]
+    lo = [l - m for l, m in zip(lo, margin)]
+    span = [h + m - l for l, h, m in zip(lo, hi, margin)]
+    D = math.lcm(*(c.denominator for c in lo + span))
+    S = D * Lcg64.MODULUS
+    return [int(l * S) for l in lo], [int(s * D) for s in span], S
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_TEMPLATES))
+def test_the_box_of_non_integral_vertices(name):
+    T = RATIONAL_TEMPLATES[name]()
+    assert max(t for P in T.polytopes for _, t in P._rays) > 1
+    assert _box(T) == fraction_box(T)
+    for seed in (0, 7):
+        report = verify_dh_identity(T, None, 60, seed)
+        assert report == reference_verify_dh_identity(T, None, 60, seed)
+        assert report.samples == 60
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_TEMPLATES))
+def test_the_box_of_the_differential_templates(name):
+    T = DIFFERENTIAL_TEMPLATES[name]()
+    assert _box(T) == fraction_box(T)
 
 
 # ---------------------------------------------------------------------------

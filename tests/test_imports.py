@@ -197,17 +197,21 @@ def test_a_malformed_document_still_gets_the_message_of_json(tmp_path, text, mes
 
 @pytest.mark.parametrize("argv", [
     ["volume"], ["dh", "--point", "1/3,1/3"], ["cones", "--samples", "5"],
-    ["render", "--out", "{tmp}/s4.svg"],
 ], ids=lambda argv: argv[0])
-def test_rational_commands_still_load_fractions(argv, tmp_path):
-    call = [argv[0], "gallery/s4.json", *(a.format(tmp=tmp_path) for a in argv[1:])]
-    loaded = _loaded_after(
-        "import contextlib, io\n"
-        "from toricorigami.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({call!r}) == 0"
-    )
-    assert "fractions" in loaded
+def test_rational_commands_load_no_fractions(argv):
+    """The volume is summed as one integer numerator over one denominator, a
+    ``--point`` of ASCII ``p/q`` parts is read as integers over one
+    denominator and the sampler reads integer slacks: each writes its
+    rationals from ints, and no ``fractions``, ``decimal`` or ``numbers``
+    loads in a fresh ``-S`` child."""
+    loaded = _loaded_without_site([[argv[0], "gallery/s4.json", *argv[1:]]])
+    assert "toricorigami.cli" in loaded
+    assert not {"fractions", "decimal", "numbers"} & loaded
+
+
+def test_render_still_loads_fractions(tmp_path):
+    call = ["render", "gallery/s4.json", "--out", str(tmp_path / "s4.svg")]
+    assert "fractions" in _loaded_without_site([call])
 
 
 def test_a_plain_call_loads_no_argparse():

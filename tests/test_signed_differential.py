@@ -129,12 +129,18 @@ class TestCancellingSigns:
         assert_same(T, "cancelling")
 
 
+def counted_volume(calls):
+    """``HPolytope._volume``, the (p, q) that ``signed_volume`` sums, as a
+    property that records each polytope whose volume is computed."""
+    volume = HPolytope._volume.func
+    return property(lambda P: calls.append(P) or volume(P))
+
+
 def test_doubled_cube_volume_is_computed_once(monkeypatch):
     # at most once: the two copies share one polytope of weight 0, which
     # adds nothing to the sum, so its volume is not computed at all
     calls = []
-    volume = HPolytope.volume
-    monkeypatch.setattr(HPolytope, "volume", lambda P: calls.append(P) or volume(P))
+    monkeypatch.setattr(HPolytope, "_volume", counted_volume(calls))
     assert signed_volume(doubled_cube(5)) == 0
     assert len(calls) == 0
 
@@ -145,8 +151,7 @@ def test_chain_volume_is_computed_once(monkeypatch, name, base, T):
     expected = ref.signed_volume(T)
     assert expected == base.volume() != 0
     calls = []
-    volume = HPolytope.volume
-    monkeypatch.setattr(HPolytope, "volume", lambda P: calls.append(P) or volume(P))
+    monkeypatch.setattr(HPolytope, "_volume", counted_volume(calls))
     assert T._polytope_weights == ((T.polytopes[0], 1),)
     assert signed_volume(T) == expected
     assert calls == [T.polytopes[0]]

@@ -242,9 +242,8 @@ OWN = [cls for cls in RECORDS if "__init__" in vars(cls)]
 SHARED = [cls for cls in RECORDS if "__init__" not in vars(cls)]
 # construction does more than store required positional fields: a default or
 # keywords, derived state, or direct stores in a record built per fusion entry
-# or per DH sample
 OWN_CONSTRUCTORS = {
-    "DHValue", "DelzantReport", "FacetAddress", "Fusion", "HPolytope", "Halfspace",
+    "DelzantReport", "FacetAddress", "Fusion", "HPolytope", "Halfspace",
     "Location", "OrigamiTemplate",
 }
 
@@ -383,3 +382,24 @@ def test_template_turns_sequences_into_tuples():
     assert T == OrigamiTemplate((SEG, SEG), (pair((0, 1), (1, 1)),), (1, -1))
     with pytest.raises(ValueError, match="names length mismatch"):
         OrigamiTemplate([SEG, SEG], names=["a"])
+
+
+@pytest.mark.parametrize("read", ["eq", "hash", "repr"])
+def test_a_derived_dh_point_is_the_given_point(read):
+    """``dh_density`` derives its point from (X, s) when first read; the
+    record compares, hashes and prints as one given the same point, whichever
+    is read first."""
+    from toricorigami.invariants import dh_density
+
+    T = OrigamiTemplate([square()])
+    derived = dh_density(T, (2, 4), 6)
+    assert "point" not in vars(derived)
+    given = DHValue((F(1, 3), F(2, 3)), 1, True)
+    first = {"eq": lambda: derived == given, "hash": lambda: hash(derived),
+             "repr": lambda: repr(derived)}[read]
+    first()
+    assert derived == given and given == derived
+    assert hash(derived) == hash(given)
+    assert repr(derived) == repr(given) == (
+        "DHValue(point=(Fraction(1, 3), Fraction(2, 3)), density=1, generic=True)"
+    )
